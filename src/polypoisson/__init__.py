@@ -27,6 +27,7 @@ from .poisson import (
 )
 from .cohomology import (
     CohomologyReport,
+    ComplexInvariantError,
     DeltaMatrix,
     GradedSlice,
     cochain_in_coboundaries,
@@ -44,6 +45,7 @@ from .catalog import CatalogEntry, catalog_entries, catalog_expected, catalog_ge
 __all__ = [
     "CatalogEntry",
     "CohomologyReport",
+    "ComplexInvariantError",
     "DegreeOverflowError",
     "DeltaMatrix",
     "ExteriorForm",

@@ -6,26 +6,44 @@ two-sum formula
     (d phi)(P_1,...,P_{k+1}) = sum_i (-1)^{i-1} {P_i, phi(..., ^P_i, ...)}
         + sum_{i<j} (-1)^{i+j} phi({P_i, P_j}, ..., ^P_i, ..., ^P_j, ...),
 
-evaluated on coordinate tuples.  ``delta_via_forms`` recomputes the same
-operator through the exterior-form correspondence (shuffle-summed iterated
-contractions of Omega and of the form of phi); the two implementations must
-agree up to one global sign per (n, k), which is resolved once against a
-fixed probe structure and cached.
+which ``delta`` evaluates on coordinate tuples.  ``delta_via_forms``
+recomputes the same operator through the exterior-form correspondence
+(shuffle-summed iterated contractions of Omega and of the form of phi); the
+two implementations must agree up to one global sign per (n, k), which is
+resolved once against a fixed probe structure and cached.
 
 Finite-dimensional slices fix the arity k and the polynomial degree d of the
 values, optionally filtered by a weight rule (value weight equals the sum of
 the slot weights) and by banned variables; for the rigid-algebra reduction
 the torus variable is excluded from both value monomials and slots, which is
-the subcomplex the weight filter closes on.  Coboundary matrices on slices
-feed the fraction-free rank/kernel routines; dimensions obey
-dim Z + rank(outgoing) = dim(slice) by construction and the reports assert it.
+the subcomplex the weight filter closes on.
+
+Coboundary matrices on slices do not call ``delta``.  ``delta_matrix``
+writes each column down from the elementary-cochain rule: for the cochain
+x^a on the slot tuple T (sorted), the image is
+
+    sum over u not in T, with U = T + {u}:
+        (-1)^{pos_U(u)} {X_u, x^a} = (-1)^{pos_U(u)} sum_j a_j P_{uj} x^{a - e_j}
+    sum over t in T and i < j outside T - {t}, with U = T - {t} + {i, j}:
+        (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} x^a dP_{ij}/dX_t
+
+on the slot tuple U, so a column touches only the O(nnz(P) k) targets it
+can reach.  The structure is scaled to integers once per matrix and column
+values are exact ``Fraction``s; ``delta`` is the oracle the columns are
+tested against.  The matrices feed the fraction-free rank/kernel routines.
+The reports check dim Z + rank(outgoing) = dim(slice) with a rank inside
+0..dim(slice), and dim B <= dim Z, and raise ``ComplexInvariantError`` when
+either fails, with or without ``python -O``.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
@@ -336,6 +354,84 @@ class DeltaMatrix:
         return out
 
 
+def _left_slice(reason: str) -> ValueError:
+    return ValueError(
+        "coboundary left the filtered slice; the filters do not cut a "
+        f"subcomplex for this structure ({reason})"
+    )
+
+
+def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
+    """The structure's entries and their partials, scaled to integers.
+
+    Returns (denom, rows, partials).  ``rows[u]`` lists (j, terms) for each
+    nonzero signed entry P_{uj}, a term being (e - e_j, coefficient); the
+    shift turns x^a into the exponents of x^{a - e_j} * x^e.
+    ``partials[t]`` lists (i, j, terms) for each nonzero dP_{ij}/dX_t with
+    i < j, a term being (exponents, coefficient).  Every coefficient is
+    multiplied by ``denom``, the common denominator of the entries.
+    """
+    n = S.n
+    entries = S.bivector.values
+    denom = lcm(*(c.denominator for p in entries.values() for c in p.terms.values()))
+    rows: list[list] = [[] for _ in range(n)]
+    partials: list[list] = [[] for _ in range(n)]
+    for (i, j), poly in entries.items():
+        for u, v, sign in ((i, j, 1), (j, i, -1)):
+            terms = []
+            for exps, c in poly.terms.items():
+                shift = list(exps)
+                shift[v] -= 1
+                terms.append((tuple(shift), sign * int(c * denom)))
+            rows[u].append((v, terms))
+        for t in range(n):
+            dp = poly.partial(t)
+            if not dp.is_zero:
+                partials[t].append(
+                    (i, j, [(exps, int(c * denom)) for exps, c in dp.terms.items()])
+                )
+    return denom, rows, partials
+
+
+def _slot_terms(
+    n: int, T: IndexTuple, rows: list[list], partials: list[list]
+) -> tuple[list, list]:
+    """What the coboundary of x^a on slots T contributes, for any monomial x^a.
+
+    Sum 1 lists (U, j, terms) with U = T + {u}: the term (-1)^{pos_U(u)}
+    a_j P_{uj} x^{a - e_j} of {X_u, x^a}.  Sum 2 lists (U, terms) with
+    U = T - {t} + {i, j}: x^a times the signed partials
+    (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t, merged per U.
+    """
+    sum1 = []
+    for u in range(n):
+        if u in T:
+            continue
+        pos = bisect_left(T, u)
+        U = T[:pos] + (u,) + T[pos:]
+        sign = -1 if pos % 2 else 1
+        for j, terms in rows[u]:
+            sum1.append((U, j, [(shift, sign * c) for shift, c in terms]))
+    merged: dict[IndexTuple, dict[Exponents, int]] = {}
+    for pt, t in enumerate(T):
+        rest = T[:pt] + T[pt + 1 :]
+        for i, j, terms in partials[t]:
+            if i in rest or j in rest:
+                continue
+            pi, pj = bisect_left(rest, i), bisect_left(rest, j)
+            U = rest[:pi] + (i,) + rest[pi:pj] + (j,) + rest[pj:]
+            sign = -1 if (pt + pi + pj + 1) % 2 else 1
+            poly = merged.setdefault(U, {})
+            for exps, c in terms:
+                poly[exps] = poly.get(exps, 0) + sign * c
+    sum2 = []
+    for U, poly in merged.items():
+        terms = [(exps, c) for exps, c in poly.items() if c]
+        if terms:
+            sum2.append((U, terms))
+    return sum1, sum2
+
+
 def delta_matrix(
     S: PoissonStructure,
     source: GradedSlice,
@@ -344,7 +440,8 @@ def delta_matrix(
     """Matrix of the coboundary on a slice; target degree is d + r - 1.
 
     Requires homogeneous entries of a single degree r and checks that every
-    image lands inside the filtered target slice.
+    image lands inside the filtered target slice.  Each column is written
+    down from the elementary-cochain rule; ``delta`` is its oracle.
     """
     r = S.homogeneous_degree()
     if target is None:
@@ -356,20 +453,50 @@ def delta_matrix(
             exclude_value_vars=source.exclude_value_vars,
             exclude_slot_vars=source.exclude_slot_vars,
         )
+    if source.dim and source.n != S.n:
+        raise ValueError("variable count mismatch")
+    if source.dim and (target.n, target.k) != (source.n, source.k + 1):
+        raise _left_slice("cochain does not match the slice shape")
+    denom, rows, partials = _integer_tables(S)
+    fractions: dict[int, Fraction] = {}
+    terms_of: dict[IndexTuple, tuple[list, list]] = {}
     columns = []
-    for pos in range(source.dim):
-        image = delta(S, source.element(pos))
-        try:
-            columns.append(target.to_vector(image))
-        except ValueError as exc:
-            raise ValueError(
-                "coboundary left the filtered slice; the filters do not cut a "
-                f"subcomplex for this structure ({exc})"
-            ) from exc
+    for T, a in source.basis:
+        if T not in terms_of:
+            terms_of[T] = _slot_terms(S.n, T, rows, partials)
+        sum1, sum2 = terms_of[T]
+        acc: dict[tuple[IndexTuple, Exponents], int] = {}
+        for U, j, terms in sum1:
+            aj = a[j]
+            if aj:
+                for shift, c in terms:
+                    key = (U, tuple(map(add, a, shift)))
+                    acc[key] = acc.get(key, 0) + aj * c
+        for U, terms in sum2:
+            for shift, c in terms:
+                key = (U, tuple(map(add, a, shift)))
+                acc[key] = acc.get(key, 0) + c
+        column: dict[int, Fraction] = {}
+        for key, value in acc.items():
+            if not value:
+                continue
+            pos = target.index.get(key)
+            if pos is None:
+                raise _left_slice(f"cochain term {key[0]}:{key[1]} lies outside the slice")
+            frac = fractions.get(value)
+            if frac is None:
+                frac = fractions[value] = Fraction(value, denom)
+            column[pos] = frac
+        columns.append(column)
     return DeltaMatrix(source, target, tuple(columns))
 
 
 # -- cohomology reports -----------------------------------------------------------
+
+
+class ComplexInvariantError(RuntimeError):
+    """A dimension identity of the complex failed: a bug, never a property of the input."""
+
 
 
 @dataclass(frozen=True)
@@ -473,7 +600,7 @@ def cohomology_dims(
     weights: Optional[Sequence[int]] = None,
     exclude_vars: Iterable[int] = (),
 ) -> CohomologyReport:
-    """Exact dim chi / Z / B / H per (k, d); asserts rank-nullity throughout.
+    """Exact dim chi / Z / B / H per (k, d); checks rank-nullity and B <= Z.
 
     ``exclude_vars`` removes the given variables from both value monomials
     and slots (the invariant-subcomplex reduction); ``weights`` switches on
@@ -485,16 +612,21 @@ def cohomology_dims(
         for d in sorted(set(ds)):
             sl = cache.slice(k, d)
             out_rank = cache.outgoing_rank(k, d)
+            if not 0 <= out_rank <= sl.dim:
+                raise ComplexInvariantError(
+                    f"rank-nullity fails at k={k}, d={d}: the outgoing coboundary "
+                    f"has rank {out_rank} on a slice of dimension {sl.dim}"
+                )
             dim_Z = sl.dim - out_rank
-            assert dim_Z + out_rank == sl.dim
             if k == 0:
                 dim_B = 0
             else:
                 prev_d = d - cache.r + 1
                 dim_B = cache.outgoing_rank(k - 1, prev_d) if prev_d >= 0 else 0
-            assert dim_B <= dim_Z, (
-                f"coboundaries exceed cocycles at k={k}, d={d}: the complex is broken"
-            )
+            if dim_B > dim_Z:
+                raise ComplexInvariantError(
+                    f"coboundaries exceed cocycles at k={k}, d={d}: the complex is broken"
+                )
             rows.append(CohomologyRow(k, d, sl.dim, dim_Z, dim_B))
     return CohomologyReport(rows)
 

@@ -302,6 +302,8 @@ def parse_poly(text: str, n: int, first_index: int = 1) -> Polynomial:
 
     Terms are products of rational constants and variable powers joined by
     ``*``; variables are labelled ``X<first_index>`` .. ``X<first_index+n-1>``.
+    Every term after the first starts with ``+`` or ``-``; juxtaposed factors
+    such as ``X1X2`` or ``2 3`` are a ``ParseError``, not a sum.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -313,6 +315,8 @@ def parse_poly(text: str, n: int, first_index: int = 1) -> Polynomial:
         return i < len(tokens) and tokens[i][0] == kind
 
     while i < len(tokens):
+        if i and not (tokens[i][0] == "op" and tokens[i][1] in "+-"):
+            raise ParseError("expected '+' or '-' before the next term", tokens[i][2])
         sign = 1
         # leading sign of the term
         while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":

@@ -149,7 +149,7 @@ def test_criterion_7_coboundary_oracle_equivalence():
     for S in structures:
         n = S.n
         for k in range(0, min(4, n)):
-            for _ in range(18):
+            for _ in range(19):
                 phi = random_cochain(n, k, 3, rng)
                 if delta(S, phi) != delta_via_forms(S, phi):
                     mismatches += 1

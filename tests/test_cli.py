@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ P1_JSON = json.dumps(
         ],
     }
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 BAD_JSON = json.dumps(
     {
@@ -150,6 +153,26 @@ def test_matrix_csv_export(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "row,col,value"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("matrix_p2_n4_k1_d1.csv",
+         ("matrix", "--catalog", "P2", "--param", "n=4", "--k", "1", "--degree", "1")),
+        ("matrix_rigid_n5_invariant_k2_d3.csv",
+         ("matrix", "--catalog", "rigid", "--param", "n=5", "--k", "2", "--degree", "3",
+          "--invariant", "--exclude-x0")),
+        ("cohomology_p2_n5.json",
+         ("cohomology", "--catalog", "P2", "--param", "n=5", "--format", "json")),
+    ],
+)
+def test_output_matches_golden_bytes(capsys, golden, argv):
+    # goldens recorded when delta_matrix applied delta to each basis element;
+    # the column assembly must print the same bytes
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_catalog_list_and_export(capsys):

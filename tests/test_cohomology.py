@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from polypoisson.catalog import catalog_get
+from polypoisson import cohomology
 from polypoisson.cohomology import (
+    ComplexInvariantError,
     cochain_in_coboundaries,
     cocycle_representatives,
     cohomology_dims,
@@ -254,6 +256,100 @@ def test_delta_matrix_filtered_closure_rigid():
     assert m.shape[1] == src.dim
 
 
+def _assembly_cases():
+    """(structure, k, d, filter kwargs) for the column-by-column oracle check."""
+    cases = []
+    P1 = p1()
+    cases += [(P1, k, d, {}) for k in range(4) for d in range(7)]
+    for n in (3, 4, 5):
+        S = catalog_get("P2", {"n": n})
+        cases += [(S, k, d, {}) for k in range(n + 1) for d in range(4)]
+    for n in (4, 6):
+        S = catalog_get("rigid", {"n": n})
+        invariant = {
+            "weights": tuple(range(n + 1)),
+            "exclude_value_vars": (0,),
+            "exclude_slot_vars": (0,),
+        }
+        # the plain rigid n=6 complex is large; its low corner suffices
+        ks, ds = (range(n + 2), range(3)) if n == 4 else (range(3), range(2))
+        cases += [(S, k, d, {}) for k in ks for d in ds]
+        cases += [(S, k, d, invariant) for k in range(n + 2) for d in range(4)]
+    third = verify(P1.bivector * Fraction(1, 3))
+    cases += [(third, k, d, {}) for k in range(4) for d in range(5)]
+    zero = zero_structure(4)
+    cases += [(zero, k, d, {}) for k in range(5) for d in range(3)]
+    cases.append((P1, 1, -1, {}))  # empty source slice
+    return cases
+
+
+def test_delta_matrix_columns_match_delta_oracle():
+    shapes = set()
+    for S, k, d, filters in _assembly_cases():
+        src = slice_basis(S.n, k, d, **filters)
+        tgt = slice_basis(S.n, k + 1, d + S.homogeneous_degree() - 1, **filters)
+        m = delta_matrix(S, src, tgt)
+        assert len(m.columns) == src.dim
+        for p in range(src.dim):
+            assert m.columns[p] == tgt.to_vector(delta(S, src.element(p))), (S, k, d, p)
+            assert all(type(v) is Fraction for v in m.columns[p].values())
+        if k >= S.n:
+            assert all(not col for col in m.columns)
+        shapes.add((
+            "top" if k == S.n - 1 else "beyond" if k >= S.n else "inner",
+            src.dim > 0,
+            tgt.dim > 0,
+        ))
+    # the sweep reaches the edges: target at top arity, k >= n, empty slices
+    assert ("top", True, True) in shapes
+    assert ("beyond", True, False) in shapes
+    assert ("inner", False, True) in shapes
+    assert ("inner", True, False) in shapes
+
+
+def test_delta_matrix_fractional_coefficients():
+    S = verify(p1().bivector * Fraction(1, 3))
+    m = delta_matrix(S, slice_basis(3, 1, 2))
+    assert any(v.denominator == 3 for col in m.columns for v in col.values())
+    plain = delta_matrix(p1(), slice_basis(3, 1, 2))
+    assert m.columns == tuple(
+        {pos: v / 3 for pos, v in col.items()} for col in plain.columns
+    )
+
+
+def test_delta_matrix_squares_to_zero():
+    structures = [
+        (p1(), {}),
+        (catalog_get("P2", {"n": 4}), {}),
+        (catalog_get("rigid", {"n": 6}), {
+            "weights": tuple(range(7)), "exclude_value_vars": (0,), "exclude_slot_vars": (0,),
+        }),
+    ]
+    products = 0
+    for S, filters in structures:
+        r = S.homogeneous_degree()
+        for k in range(S.n - 1):
+            for d in range(5):
+                first = delta_matrix(S, slice_basis(S.n, k, d, **filters))
+                second = delta_matrix(S, first.target)
+                for col in first.columns:
+                    image: dict[int, Fraction] = {}
+                    for row, val in col.items():
+                        for pos, w in second.columns[row].items():
+                            image[pos] = image.get(pos, 0) + val * w
+                    assert not any(image.values())
+                    products += 1
+                assert second.target.d == d + 2 * (r - 1)
+    assert products > 1000
+
+
+def test_delta_matrix_rejects_a_filter_that_is_not_a_subcomplex():
+    S = catalog_get("P2", {"n": 4})
+    src = slice_basis(4, 1, 1, weights=(1, 0, 0, 0))
+    with pytest.raises(ValueError, match="^coboundary left the filtered slice"):
+        delta_matrix(S, src)
+
+
 def test_invariant_weight_constraint_on_kernel():
     # every invariant 2-cocycle value has the weight of its slot pair, and
     # the (X1, Xn) slot weight is n + 1
@@ -306,6 +402,26 @@ def test_p1_invariant_profile_matches_plain_totals():
     invariant = cohomology_dims(S, ks, ds, weights=(0, 1, 2))
     for k in ks:
         assert plain.total(k) == invariant.total(k)
+
+
+def test_rank_beyond_the_slice_dimension_raises(monkeypatch):
+    # an outgoing rank above dim chi would give a negative dim Z
+    def too_large(cache, k, d):
+        return cache.slice(k, d).dim + 1
+
+    monkeypatch.setattr(cohomology._SliceCache, "outgoing_rank", too_large)
+    with pytest.raises(ComplexInvariantError, match="rank-nullity"):
+        cohomology_dims(p1(), [1], [1])
+
+
+def test_coboundaries_exceeding_cocycles_raise(monkeypatch):
+    # full rank everywhere: dim B of (1, 0) is dim chi of (0, 0) = 1, dim Z is 0
+    def full(cache, k, d):
+        return cache.slice(k, d).dim
+
+    monkeypatch.setattr(cohomology._SliceCache, "outgoing_rank", full)
+    with pytest.raises(ComplexInvariantError, match="coboundaries exceed cocycles"):
+        cohomology_dims(p1(), [1], [0])
 
 
 def test_report_serialization():

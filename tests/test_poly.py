@@ -138,6 +138,40 @@ def test_partials_commute(p):
             assert p.partial(i).partial(j) == p.partial(j).partial(i)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), polys(n=n))),
+       st.sampled_from([0, 1]))
+def test_parse_inverts_format(case, first_index):
+    n, p = case
+    assert parse_poly(format_poly(p, first_index), n, first_index) == p
+
+
+def factors(n):
+    """Text of one factor: an integer, a fraction or a variable power."""
+    return st.one_of(
+        st.integers(0, 99).map(str),
+        st.tuples(st.integers(0, 99), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.tuples(st.integers(1, n), st.integers(1, 5)).map(
+            lambda t: f"X{t[0]}" + (f"^{t[1]}" if t[1] > 1 else "")
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(factors(3), min_size=1, max_size=3), factors(3),
+       st.sampled_from(["", "-", "+"]), st.sampled_from([" ", "  ", "\t"]))
+def test_parse_rejects_juxtaposed_factors(product, factor, sign, gap):
+    parse_poly(sign + "*".join(product + [factor]), 3)  # the product itself is fine
+    with pytest.raises(ParseError):
+        parse_poly(sign + "*".join(product) + gap + factor, 3)
+
+
+def test_parse_juxtaposition_is_not_addition():
+    for bad in ("X1X2", "2 3", "3 X1", "X1^2X2", "1/2 X1 + X2"):
+        with pytest.raises(ParseError):
+            parse_poly(bad, 2)
+
+
 def test_partial_examples():
     n = 3
     assert (V(n, 0) ** 2 * V(n, 1)).partial(0) == 2 * V(n, 0) * V(n, 1)
