@@ -309,14 +309,6 @@ def coordinate_field(n: int, i: int) -> list[Polynomial]:
     return comps
 
 
-def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
-    return a.wedge(b)
-
-
-def exterior_d(a: ExteriorForm) -> ExteriorForm:
-    return a.d()
-
-
 def format_form(form: ExteriorForm, first_index: int = 1) -> str:
     """Text form like ``X2*dX3 - 2*X3*dX2``; tuples listed descending."""
     if form.is_zero:

@@ -1,18 +1,23 @@
 """Exact sparse rational linear algebra: rank, kernels, span membership.
 
-Matrices are lists of sparse rows (dict column -> value).  Rank runs a
-fraction-free elimination: rows are scaled to integers once, updates are
-cross-multiplications followed by a gcd reduction, and pivoting is
-deterministic (columns in ascending order, first available row).  Kernels
-are extracted from the integer echelon form by back-substitution over
-Fractions.  Everything is exact and reproducible across runs.
+Matrices are lists of sparse rows (dict column -> value).  There is one
+fraction-free reduction, and rank, kernels and span tests all use it.
+Each row is scaled to coprime integers and reduced against an echelon
+set: a dict from pivot column to integer row whose smallest column is
+that pivot.  The reduction repeatedly takes the residual's smallest
+column.  When a stored row has that pivot, it cross-multiplies and
+divides the new row by its gcd, every step, which keeps entries small.
+Otherwise the residual is independent and its smallest column becomes a
+new pivot.  Kernels come from the echelon rows by back-substitution over
+Fractions.  The pivot set depends only on the row space, so results are
+exact and do not depend on row order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 SparseRow = dict[int, Fraction]
 IntRow = dict[int, int]
@@ -32,60 +37,63 @@ def _integerize(row: Mapping[int, Fraction]) -> IntRow:
     return ints
 
 
-def _eliminate(rows: Iterable[Mapping[int, Fraction]]) -> tuple[list[IntRow], list[int]]:
-    """Forward elimination; returns echelon rows and their pivot columns."""
-    work = [r for r in (_integerize(row) for row in rows) if r]
-    echelon: list[IntRow] = []
-    pivots: list[int] = []
-    while work:
-        col = min(min(r) for r in work)
-        # first row (in current order) carrying the pivot column
-        pick = next(i for i, r in enumerate(work) if col in r)
-        pivot = work.pop(pick)
-        pv = pivot[col]
-        reduced: list[IntRow] = []
-        for r in work:
-            rv = r.get(col)
-            if rv is None:
-                reduced.append(r)
-                continue
-            new: IntRow = {}
-            for c in r.keys() | pivot.keys():
-                if c == col:
-                    continue
-                val = pv * r.get(c, 0) - rv * pivot.get(c, 0)
-                if val:
-                    new[c] = val
-            if new:
-                g = gcd(*new.values())
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                reduced.append(new)
-        echelon.append(pivot)
-        pivots.append(col)
-        work = reduced
-    return echelon, pivots
+def _reduce(echelon: Mapping[int, IntRow], row: Mapping[int, Fraction]) -> IntRow:
+    """Reduce a row until its smallest column is no pivot; {} means dependent."""
+    cur = _integerize(row)
+    while cur:
+        col = min(cur)
+        pivot = echelon.get(col)
+        if pivot is None:
+            break
+        pv, cv = pivot[col], cur[col]
+        new: IntRow = {}
+        for c in cur.keys() | pivot.keys():
+            val = pv * cur.get(c, 0) - cv * pivot.get(c, 0)
+            if val:
+                new[c] = val
+        if new:
+            g = gcd(*new.values())
+            if g > 1:
+                new = {c: v // g for c, v in new.items()}
+        cur = new
+    return cur
+
+
+def _insert(echelon: dict[int, IntRow], row: Mapping[int, Fraction]) -> bool:
+    """Store the row's residual under its new pivot; True if it was independent."""
+    res = _reduce(echelon, row)
+    if res:
+        echelon[min(res)] = res
+    return bool(res)
+
+
+def _echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, IntRow]:
+    """Echelon rows keyed by pivot column, one per independent row."""
+    echelon: dict[int, IntRow] = {}
+    for row in rows:
+        _insert(echelon, row)
+    return echelon
 
 
 def rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
     """Exact rank over the rationals."""
-    return len(_eliminate(rows)[0])
+    return len(_echelon(rows))
 
 
 def kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[SparseRow]:
     """A basis of the right kernel, one vector per free column, ascending."""
-    echelon, pivots = _eliminate(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    echelon = _echelon(rows)
     # back-substitution order: pivots descending
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i], reverse=True)
+    order = sorted(echelon, reverse=True)
     basis = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in echelon:
+            continue
         vec: SparseRow = {f: Fraction(1)}
-        for i in order:
-            row, p = echelon[i], pivots[i]
+        for p in order:
             if p > f:
                 continue
+            row = echelon[p]
             s = sum((Fraction(v) * vec[c] for c, v in row.items() if c != p and c in vec),
                     Fraction(0))
             if s:
@@ -98,42 +106,19 @@ class SpanTracker:
     """Incremental row space with exact reduction, for complement picking."""
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, IntRow]] = []  # (pivot column, reduced row)
+        self._echelon: dict[int, IntRow] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._echelon)
 
     def residual(self, vector: Mapping[int, Fraction]) -> IntRow:
         """Reduce a vector against the tracked span; {} means dependent."""
-        cur = _integerize(vector)
-        for pivot_col, row in self._rows:
-            cv = cur.get(pivot_col)
-            if not cv:
-                continue
-            pv = row[pivot_col]
-            new: IntRow = {}
-            for c in cur.keys() | row.keys():
-                val = pv * cur.get(c, 0) - cv * row.get(c, 0)
-                if val:
-                    new[c] = val
-            cur = new
-            if not cur:
-                return {}
-        if cur:
-            g = gcd(*cur.values())
-            if g > 1:
-                cur = {c: v // g for c, v in cur.items()}
-        return cur
+        return _reduce(self._echelon, vector)
 
     def add(self, vector: Mapping[int, Fraction]) -> bool:
         """Add a vector; True if it enlarged the span."""
-        res = self.residual(vector)
-        if not res:
-            return False
-        self._rows.append((min(res), res))
-        self._rows.sort(key=lambda item: item[0])
-        return True
+        return _insert(self._echelon, vector)
 
 
 def in_span(vectors: Sequence[Mapping[int, Fraction]], candidate: Mapping[int, Fraction]) -> bool:

@@ -219,9 +219,6 @@ class MultiDerivation:
         return total
 
 
-Bivector = MultiDerivation
-
-
 def bivector_from_entries(
     n: int, entries: Mapping[tuple[int, int], Polynomial]
 ) -> MultiDerivation:

@@ -23,16 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
+from . import linalg
 from .exterior import ExteriorForm
 from .multivector import (
     MultiDerivation,
     bivector_entry,
+    bivector_from_entries,
     bracket_with_coordinate,
     integrability_via_forms,
     jacobi_trisum,
     phi_map,
 )
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, format_poly
 
 
 class IntegrabilityError(ValueError):
@@ -44,7 +46,7 @@ class IntegrabilityError(ValueError):
         self.first_index = first_index
         f = first_index
         super().__init__(
-            f"not integrable: trisum({i + f},{j + f},{k + f}) = {poly}"
+            f"not integrable: trisum({i + f},{j + f},{k + f}) = {format_poly(poly, f)}"
         )
 
 
@@ -120,7 +122,8 @@ class PoissonStructure:
     def __repr__(self) -> str:
         f = self.first_index
         entries = ", ".join(
-            f"P({i + f},{j + f})={p}" for (i, j), p in sorted(self.bivector.values.items())
+            f"P({i + f},{j + f})={format_poly(p, f)}"
+            for (i, j), p in sorted(self.bivector.values.items())
         )
         return f"PoissonStructure(n={self.n}, {entries or '0'})"
 
@@ -210,21 +213,16 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
 
 
 def _matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """A^-1 from the kernel of [A | -I]: the vector ending at column n + m is
+    (column m of A^-1, e_m); a kernel vector ending before column n means A is
+    singular."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [{**{j: Fraction(x) for j, x in enumerate(row) if x}, n + i: Fraction(-1)}
            for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("linear part is not invertible")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    kernel = linalg.kernel_basis(aug, 2 * n)
+    if any(max(vec) < n for vec in kernel):
+        raise ValueError("linear part is not invertible")
+    return [[kernel[m].get(i, Fraction(0)) for m in range(n)] for i in range(n)]
 
 
 class Order2Equivalence:
@@ -376,6 +374,4 @@ def apply_equivalence(structure: PoissonStructure, f: Order2Equivalence) -> Pois
                 )
             if not p.is_zero:
                 entries[(i, j)] = p
-    from .multivector import bivector_from_entries
-
     return verify(bivector_from_entries(n, entries), structure.first_index)

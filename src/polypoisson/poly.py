@@ -223,10 +223,6 @@ class Polynomial:
                 return None
         return found.pop() if found else 0
 
-    def uses_variables(self, banned: Iterable[int]) -> bool:
-        banned = set(banned)
-        return any(exps[i] for exps in self.terms for i in banned)
-
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 

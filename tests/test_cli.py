@@ -224,6 +224,48 @@ def test_reproduce_rigid_k2_explains_its_mismatch(capsys):
     assert check_rigid_k2(range(7, 9))["notes"] == []
 
 
+def test_integrability_error_labels_follow_json_base(capsys):
+    # BAD_JSON written with base 0: the witness must print X0, not X1
+    bad0 = json.dumps(
+        {
+            "n": 3,
+            "base": 0,
+            "entries": [
+                {"i": 0, "j": 1, "poly": "X1"},
+                {"i": 0, "j": 2, "poly": "X2"},
+                {"i": 1, "j": 2, "poly": "X0"},
+            ],
+        }
+    )
+    code, _, err = run(capsys, "bracket", "--json", bad0, "--p", "X0", "--q", "X1")
+    assert code == 1
+    assert err.strip() == "error: not integrable: trisum(0,1,2) = 2*X0"
+
+
+def test_reproduce_rigid_k1_note_labels_follow_first_index(monkeypatch):
+    from polypoisson import reproduce
+    from polypoisson.multivector import MultiDerivation
+
+    published = reproduce.rigid_expected_cochain
+
+    def not_a_cocycle(n):
+        # rescale the second published slot, which breaks the cocycle condition
+        phi = published(n)
+        values = dict(phi.values)
+        idx = sorted(values)[1]
+        values[idx] = values[idx] * 2
+        return MultiDerivation(phi.n, phi.k, values)
+
+    monkeypatch.setattr(reproduce, "rigid_expected_cochain", not_a_cocycle)
+    report = reproduce.check_rigid_k1(range(7, 8))
+    assert [r["computed"] for r in report["rows"]] == [1, False, True, False]
+    # the ring is X0..X7; slots are labelled from 0 like the variables
+    assert report["notes"] == [
+        "n=7: printed coefficients are not a cocycle; kernel representatives: "
+        "phi(1,4)=-X5, phi(3,4)=X7"
+    ]
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "structure.json"
     path.write_text(P1_JSON)

@@ -98,3 +98,87 @@ def test_span_tracker_counts_new_directions():
     assert not tracker.add({0: Fraction(3, 2)})
     assert tracker.add({0: Fraction(1), 1: Fraction(1)})
     assert tracker.rank == 2
+
+
+def dense_kernel_oracle(rows, ncols):
+    """Kernel from the dense Fraction RREF: per free column f, e_f minus the
+    pivot entries of column f."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        pivot = next((r for r in range(r0, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[r0], mat[pivot] = mat[pivot], mat[r0]
+        pv = mat[r0][col]
+        mat[r0] = [x / pv for x in mat[r0]]
+        for r in range(len(mat)):
+            if r != r0 and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y if y else x for x, y in zip(mat[r], mat[r0])]
+        pivots.append(col)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for i, p in enumerate(pivots):
+            if mat[i][f]:
+                vec[p] = -mat[i][f]
+        basis.append(vec)
+    return basis
+
+
+def random_deficient_matrix(rng, nrows, ncols, density):
+    """Random sparse rows, some replaced by combinations of earlier ones."""
+    rows = random_sparse_matrix(rng, nrows, ncols, density)
+    for i in range(1, nrows):
+        if rng.random() < 0.3:
+            a, b = rows[rng.randrange(i)], rows[rng.randrange(i)]
+            s, t = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 3), 2)
+            combo = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
+            rows[i] = {c: v for c, v in combo.items() if v}
+    return rows
+
+
+def test_kernel_basis_equals_dense_rref_kernel():
+    rng = random.Random(4481)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 25), rng.randint(1, 25)
+        density = rng.choice([0.05, 0.1, 0.2, 0.3, 0.4])
+        rows = random_deficient_matrix(rng, nrows, ncols, density)
+        expected = dense_kernel_oracle(rows, ncols)
+        assert linalg.kernel_basis(rows, ncols) == expected
+        # the pivot set is fixed by the row space, so row order cannot matter
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert linalg.kernel_basis(shuffled, ncols) == expected
+
+
+def test_span_tracker_verdicts_match_dense_rank_increments():
+    rng = random.Random(512)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 10)
+        density = rng.choice([0.1, 0.2, 0.4])
+        rows = random_deficient_matrix(rng, nrows, ncols, density)
+        tracker = linalg.SpanTracker()
+        prev = 0
+        for i, row in enumerate(rows):
+            now = dense_rank_oracle(rows[: i + 1], ncols)
+            assert tracker.add(row) == (now > prev)
+            assert tracker.rank == now
+            assert not tracker.residual(row)
+            prev = now
+
+
+def test_rank_of_a_real_coboundary_matrix_matches_dense_oracle():
+    from polypoisson.catalog import catalog_get
+    from polypoisson.cohomology import delta_matrix, slice_basis
+
+    S = catalog_get("P2", {"n": 5})
+    matrix = delta_matrix(S, slice_basis(5, 1, 2))
+    expected = dense_rank_oracle(matrix.columns, matrix.target.dim)
+    assert 0 < expected < matrix.source.dim
+    assert linalg.rank(matrix.columns) == expected
+    assert linalg.rank(matrix.rows()) == expected

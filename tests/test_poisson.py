@@ -44,6 +44,13 @@ def test_verify_witness():
     assert "trisum(1,2,3) = 2*X1" in str(err.value)
 
 
+def test_repr_labels_follow_first_index():
+    # rigid n=7 lives on X0..X7, so {X0, X1} = X1 prints with base-0 labels
+    text = repr(catalog_get("rigid", {"n": 7}))
+    assert text.startswith("PoissonStructure(n=8, P(0,1)=X1, P(0,2)=2*X2,")
+    assert "P(2,5)=X7)" in text and "X8" not in text
+
+
 def test_verify_two_variables_always_integrable(rng):
     for _ in range(10):
         biv = random_bivector(2, 3, rng)
