@@ -5,12 +5,19 @@ indices (the basis forms dX_{i1} ^ ... ^ dX_{ik}) to polynomial coefficients.
 Wedge product, exterior derivative, interior product against a polynomial
 vector field, and alternating evaluation are all exact.
 
+Evaluation is sparse where the integrability test needs it.  A wedge into
+the top degree n pairs each term only with the other factor's term at its
+complement.  ``d`` differentiates each coefficient only in the variables it
+contains.  ``interior_coordinates`` contracts by several coordinate fields
+at once, reading each result term off the one source term it comes from.
+
 Degrees outside 0..n are represented by the zero form rather than an error,
 so iterated contractions can be chained without case splits.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,6 +205,8 @@ class ExteriorForm:
         k = self.k + other.k
         if k > self.n:
             return ExteriorForm.zero(self.n, k)
+        if k == self.n:
+            return self._wedge_top(other)
         out: dict[IndexTuple, Polynomial] = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
@@ -217,11 +226,33 @@ class ExteriorForm:
         result.n, result.k, result.terms = self.n, k, out
         return result
 
+    def _wedge_top(self, other: "ExteriorForm") -> "ExteriorForm":
+        """Wedge into degree n: each term meets only the other's term at its complement.
+
+        Sorting ia + complement(ia) takes sum(ia) - k(k-1)/2 transpositions.
+        """
+        n, k = self.n, self.k
+        total = Polynomial.zero(n)
+        for ia, ca in self.terms.items():
+            # tuple() of a list allocates the final size at once; one grown
+            # from a generator is resized, and the freed tuples pile up in
+            # CPython's per-size free lists, which raised peak memory
+            cb = other.terms.get(tuple([i for i in range(n) if i not in ia]))
+            if cb is None:
+                continue
+            c = ca * cb
+            total = total - c if (sum(ia) - k * (k - 1) // 2) % 2 else total + c
+        result = ExteriorForm.__new__(ExteriorForm)
+        result.n, result.k = n, n
+        result.terms = {} if total.is_zero else {tuple(range(n)): total}
+        return result
+
     def d(self) -> "ExteriorForm":
         """Exterior derivative; satisfies d(d(a)) = 0."""
         out: dict[IndexTuple, Polynomial] = {}
         for idx, coeff in self.terms.items():
-            for i in range(self.n):
+            used = {i for exps in coeff.terms for i, e in enumerate(exps) if e}
+            for i in sorted(used):
                 dc = coeff.partial(i)
                 if dc.is_zero:
                     continue
@@ -282,6 +313,31 @@ class ExteriorForm:
             out[rest] = coeff if pos % 2 == 0 else -coeff
         result = ExteriorForm.__new__(ExteriorForm)
         result.n, result.k, result.terms = self.n, self.k - 1, out
+        return result
+
+    def interior_coordinates(self, idxs: Sequence[int]) -> "ExteriorForm":
+        """Contraction by d/dX_i for each i of the increasing tuple ``idxs``.
+
+        Equals ``interior_coordinate`` applied for i in ascending order.  Each
+        result term R is read off the one term J = R + idxs by lookup, with
+        sign (-1)^#{(i, r) : i in idxs, r in R, r < i}: the cost is the number
+        of (k - len(idxs))-subsets of the other indices, not the number of
+        terms.
+        """
+        idxs = tuple(idxs)
+        m = len(idxs)
+        out: dict[IndexTuple, Polynomial] = {}
+        if m <= self.k:
+            taken = set(idxs)
+            free = [i for i in range(self.n) if i not in taken]
+            for rest in itertools.combinations(free, self.k - m):
+                coeff = self.terms.get(tuple(sorted(idxs + rest)))
+                if coeff is None:
+                    continue
+                flips = sum(m - bisect.bisect_right(idxs, r) for r in rest)
+                out[rest] = -coeff if flips % 2 else coeff
+        result = ExteriorForm.__new__(ExteriorForm)
+        result.n, result.k, result.terms = self.n, max(self.k - m, 0), out
         return result
 
     def evaluate(self, fields: Sequence[Sequence[Polynomial]]) -> Polynomial:

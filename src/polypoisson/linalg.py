@@ -8,9 +8,9 @@ that pivot.  The reduction repeatedly takes the residual's smallest
 column.  When a stored row has that pivot, it cross-multiplies and
 divides the new row by its gcd, every step, which keeps entries small.
 Otherwise the residual is independent and its smallest column becomes a
-new pivot.  Kernels come from the echelon rows by back-substitution over
-Fractions.  The pivot set depends only on the row space, so results are
-exact and do not depend on row order.
+new pivot.  Kernels are read off the echelon rows once they are brought
+to reduced row echelon form over Fractions.  The pivot set depends only
+on the row space, so results are exact and do not depend on row order.
 """
 
 from __future__ import annotations
@@ -81,25 +81,34 @@ def rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
 
 
 def kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[SparseRow]:
-    """A basis of the right kernel, one vector per free column, ascending."""
+    """A basis of the right kernel, one vector per free column, ascending.
+
+    The vector of free column f is 1 at f and -R[p][f] at every pivot p whose
+    reduced row R[p] holds f, listed by descending pivot.
+    """
     echelon = _echelon(rows)
-    # back-substitution order: pivots descending
-    order = sorted(echelon, reverse=True)
-    basis = []
-    for f in range(ncols):
-        if f in echelon:
-            continue
-        vec: SparseRow = {f: Fraction(1)}
-        for p in order:
-            if p > f:
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in echelon}
+    # reduced[p] holds R[p] on the free columns; pivots descending, so every
+    # other pivot column of row p is already reduced
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        acc: dict[int, Fraction] = {}
+        for c, v in row.items():
+            if c == p:
                 continue
-            row = echelon[p]
-            s = sum((Fraction(v) * vec[c] for c, v in row.items() if c != p and c in vec),
-                    Fraction(0))
-            if s:
-                vec[p] = -s / row[p]
-        basis.append(vec)
-    return basis
+            if c in reduced:
+                for g, w in reduced[c].items():
+                    acc[g] = acc.get(g, 0) - v * w
+            else:
+                acc[c] = acc.get(c, 0) + v
+        lead = row[p]
+        reduced[p] = {g: Fraction(v, lead) for g, v in acc.items() if v}
+        for g, v in reduced[p].items():
+            vec = basis.get(g)
+            if vec is not None:
+                vec[p] = -v
+    return list(basis.values())
 
 
 class SpanTracker:

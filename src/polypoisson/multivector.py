@@ -15,6 +15,15 @@ Integrability of a bivector can be tested two independent ways:
   variables, Omega ^ d(Omega) = 0; for more, d(alpha) ^ Omega = 0 for every
   contraction alpha of Omega by n-3 coordinate fields.
 
+Both touch only the bivector's nonzero entries.  A triple none of whose
+three pairs holds an entry has a zero trisum and a zero contraction, so
+both routes visit only the triples that meet an entry, lazily and in
+``itertools.combinations`` order.  The trisum sums r only over the nonzero
+P_{r,first}.  The form route reads each contraction, a 1-form with at most
+three terms, straight off Omega, and its top-degree wedge with Omega pairs
+complementary terms only.  Each route finds its entries on its own: the
+trisum from the bivector, the form route from the terms of Omega.
+
 The two must always agree; the verification layer aborts if they do not.
 """
 
@@ -22,10 +31,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .exterior import ExteriorForm, IndexTuple, _perm_sign, shuffles
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, format_internal
 
 
 class MultiDerivation:
@@ -96,7 +105,8 @@ class MultiDerivation:
         return hash((self.n, self.k, frozenset(self.values.items())))
 
     def __repr__(self) -> str:
-        vals = {idx: str(p) for idx, p in sorted(self.values.items())}
+        """Values by tuple, naming variables by internal index, ``x0``..``x{n-1}``."""
+        vals = {idx: format_internal(p) for idx, p in sorted(self.values.items())}
         return f"MultiDerivation(n={self.n}, k={self.k}, {vals})"
 
     def __add__(self, other: "MultiDerivation") -> "MultiDerivation":
@@ -290,6 +300,26 @@ def bracket_with_coordinate(biv: MultiDerivation, i: int, p: Polynomial) -> Poly
     return total
 
 
+def _triples_meeting(
+    n: int, pairs: Iterable[Sequence[int]]
+) -> Iterator[tuple[int, int, int]]:
+    """Index triples i < j < k containing one of the pairs, in combinations order.
+
+    Lazy, one triple at a time: a triple with no pair among its three is skipped
+    without being built.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j in nbrs[i]:
+                yield from ((i, j, k) for k in range(j + 1, n))
+            else:
+                yield from ((i, j, k) for k in sorted(nbrs[i] | nbrs[j]) if k > j)
+
+
 def jacobi_trisum(
     biv: MultiDerivation,
 ) -> list[tuple[int, int, int, Polynomial]]:
@@ -297,21 +327,27 @@ def jacobi_trisum(
 
     Each is sum_r P_{ri} dP_{jk}/dX_r + P_{rj} dP_{ki}/dX_r + P_{rk} dP_{ij}/dX_r;
     the bivector is integrable iff all of them vanish.  Empty for n < 3.
+    Only triples holding a nonzero entry are visited, and r runs only over
+    the nonzero entries P_{r,first}, read from an adjacency list built once.
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
     n = biv.n
+    # column[f] lists (r, P_{rf}) with P_{rf} != 0, r ascending as in a loop over all r
+    column: list[list[tuple[int, Polynomial]]] = [[] for _ in range(n)]
+    for (a, b), val in biv.values.items():
+        column[b].append((a, val))
+        column[a].append((b, -val))
+    for entries in column:
+        entries.sort(key=lambda entry: entry[0])
     out = []
-    for i, j, k in itertools.combinations(range(n), 3):
+    for i, j, k in _triples_meeting(n, biv.values):
         total = Polynomial.zero(n)
         for first, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
             target = bivector_entry(biv, *pair)
             if target.is_zero:
                 continue
-            for r in range(n):
-                p_rf = bivector_entry(biv, r, first)
-                if p_rf.is_zero:
-                    continue
+            for r, p_rf in column[first]:
                 dt = target.partial(r)
                 if not dt.is_zero:
                     total = total + p_rf * dt
@@ -335,12 +371,12 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
         if a.is_zero != b.is_zero:
             raise AssertionError("wedge-order variants disagree")
         return a.is_zero
-    for idxs in itertools.combinations(range(n), n - 3):
-        alpha = omega
-        for i in idxs:
-            alpha = alpha.interior_coordinate(i)
-        if alpha.is_zero:
-            continue
+    # alpha = i(idxs)Omega is nonzero exactly when the triple T left out of
+    # idxs contains the pair {i, j} missing from some term of Omega
+    everything = range(n)
+    pairs = ([i for i in everything if i not in J] for J in omega.terms)
+    for triple in _triples_meeting(n, pairs):
+        alpha = omega.interior_coordinates([i for i in everything if i not in triple])
         if not alpha.d().wedge(omega).is_zero:
             return False
     return True

@@ -8,7 +8,8 @@ floating point.
 Variables carry internal indices 0..n-1.  Text input and output use labels
 ``X<k>`` where the label of internal index 0 is configurable: ``X1`` by
 default, ``X0`` for the (n+1)-variable rings used by the rigid-algebra
-catalog entries.
+catalog entries.  Bare reprs carry no label base, so they name variables
+by internal index in lower case, ``x0``..``x{n-1}``.
 
 Monomial order is graded lexicographic: higher total degree first, ties
 broken by comparing exponent tuples, so the variable with the smallest
@@ -173,7 +174,8 @@ class Polynomial:
         return not self.terms
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.n}, {self!s})"
+        """``Polynomial(n, ...)`` naming variables by internal index, ``x0``..``x{n-1}``."""
+        return f"Polynomial({self.n}, {format_internal(self)})"
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -184,13 +186,16 @@ class Polynomial:
         """Formal partial derivative with respect to internal variable i."""
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range for n={self.n}")
+        # lowering exponent i is injective on terms, so no two terms collide
         out: dict[Exponents, Fraction] = {}
         for exps, c in self.terms.items():
             e = exps[i]
             if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return Polynomial(self.n, out)
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        p = Polynomial.__new__(Polynomial)
+        p.n = self.n
+        p.terms = out
+        return p
 
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
@@ -401,3 +406,8 @@ def format_poly(p: Polynomial, first_index: int = 1) -> str:
         else:
             pieces.append(f" {sign} {body}")
     return "".join(pieces)
+
+
+def format_internal(p: Polynomial) -> str:
+    """Text form naming variables by internal index, ``x0``..``x{n-1}``, for reprs."""
+    return format_poly(p, 0).replace("X", "x")

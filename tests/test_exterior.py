@@ -98,6 +98,34 @@ def test_wedge_above_top_degree_is_zero(rng):
     assert a.wedge(b).is_zero
 
 
+def pairwise_wedge(a, b):
+    """Brute-force wedge: every term against every term, sign by inversion count."""
+    out = {}
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            joined = ia + ib
+            if len(set(joined)) < len(joined):
+                continue
+            inversions = sum(
+                1 for x in range(len(joined)) for y in range(x + 1, len(joined))
+                if joined[x] > joined[y]
+            )
+            key = tuple(sorted(joined))
+            term = ca * cb * (-1) ** inversions
+            out[key] = out[key] + term if key in out else term
+    return ExteriorForm(a.n, a.k + b.k, out)
+
+
+def test_top_degree_wedge_equals_pairwise_loop(rng):
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        ka = rng.randint(0, n)
+        a = random_form(n, ka, 2, rng, density=rng.choice([0.3, 0.7, 1.0]))
+        b = random_form(n, n - ka, 2, rng, density=rng.choice([0.3, 0.7, 1.0]))
+        assert a.wedge(b) == pairwise_wedge(a, b)
+        assert a.wedge(b).k == n
+
+
 # -- exterior derivative ------------------------------------------------------------
 
 
@@ -174,6 +202,20 @@ def test_interior_coordinate_agrees_with_general(rng):
         a = random_form(n, k, 2, rng)
         for i in range(n):
             assert a.interior_coordinate(i) == a.interior(coordinate_field(n, i))
+
+
+def test_interior_coordinates_equals_iterated_interior_coordinate(rng):
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        a = random_form(n, k, 2, rng, density=rng.choice([0.2, 0.6, 1.0]))
+        idxs = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        iterated = a
+        for i in idxs:
+            iterated = iterated.interior_coordinate(i)
+        contracted = a.interior_coordinates(idxs)
+        assert contracted == iterated
+        assert contracted.k == iterated.k
 
 
 # -- evaluation --------------------------------------------------------------------------

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polypoisson.catalog import catalog_bivector
 from polypoisson.exterior import ExteriorForm
 from polypoisson.multivector import (
     MultiDerivation,
@@ -14,6 +17,7 @@ from polypoisson.multivector import (
     phi_inverse,
     phi_map,
 )
+from polypoisson.poisson import IntegrabilityError, verify
 from polypoisson.poly import Polynomial
 
 from conftest import random_bivector, random_cochain, random_poly
@@ -164,8 +168,6 @@ def test_forms_criterion_examples():
 
 
 def test_forms_criterion_on_four_variable_rigid():
-    from polypoisson.catalog import catalog_bivector
-
     biv = catalog_bivector("rigid", {"n": 4})
     assert jacobi_trisum(biv) == []
     assert integrability_via_forms(biv)
@@ -180,6 +182,79 @@ def test_oracle_equivalence_random_bivectors(rng):
             assert integrability_via_forms(biv) == trisum_ok
             checked += 1
     assert checked >= 200
+
+
+def reference_trisum(biv):
+    """All triples in combinations order, every r, no skipping."""
+    n = biv.n
+    out = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        total = Polynomial.zero(n)
+        for first, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+            target = bivector_entry(biv, *pair)
+            for r in range(n):
+                total = total + bivector_entry(biv, r, first) * target.partial(r)
+        if not total.is_zero:
+            out.append((i, j, k, total))
+    return out
+
+
+@st.composite
+def sparse_bivectors(draw):
+    """(bivector, known_integrable) on 6..9 variables, with few nonzero entries.
+
+    Constant and log-canonical (P_ij = c_ij X_i X_j) bivectors are Poisson;
+    the catalog's rigid family is too.  Random polynomial entries, or one
+    extra linear term on a log-canonical bivector, are usually not.
+    """
+    n = draw(st.integers(6, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2 * n, unique=True))
+    coeffs = [Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 2)))
+              for _ in chosen]
+    kind = draw(st.sampled_from(["constant", "log-canonical", "rigid", "perturbed", "random"]))
+    if kind == "rigid":
+        return catalog_bivector("rigid", {"n": n - 1}) * coeffs[0], True
+    entries = {}
+    for (i, j), c in zip(chosen, coeffs):
+        if kind == "constant":
+            entries[(i, j)] = Polynomial.constant(n, c)
+        elif kind == "random":
+            exps = [0] * n
+            for v in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+                exps[v] += 1
+            entries[(i, j)] = Polynomial.monomial(n, exps, c)
+        else:
+            entries[(i, j)] = c * V(n, i) * V(n, j)
+    if kind == "perturbed":
+        i, j = draw(st.sampled_from(pairs))
+        extra = V(n, draw(st.integers(0, n - 1)))
+        entries[(i, j)] = entries[(i, j)] + extra if (i, j) in entries else extra
+    return bivector_from_entries(n, entries), kind in ("constant", "log-canonical")
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_bivectors())
+def test_sparse_trisum_matches_all_triples_reference(case):
+    biv, known_integrable = case
+    expected = reference_trisum(biv)
+    assert jacobi_trisum(biv) == expected
+    if known_integrable:
+        assert expected == []
+    assert integrability_via_forms(biv) == (not expected)
+    if expected:
+        with pytest.raises(IntegrabilityError) as err:
+            verify(biv, first_index=0)
+        assert err.value.witness == expected[0]
+
+
+def test_bare_reprs_name_variables_by_internal_index():
+    p1 = catalog_bivector("P1")
+    assert repr(p1) == "MultiDerivation(n=3, k=2, {(0, 1): 'x1', (0, 2): '2*x2'})"
+    assert repr(p1.values[(0, 2)]) == "Polynomial(3, 2*x2)"
+    rigid = catalog_bivector("rigid", {"n": 6})
+    assert repr(rigid.values[(0, 1)]) == "Polynomial(7, x1)"
+    assert repr(rigid).startswith("MultiDerivation(n=7, k=2, {(0, 1): 'x1', (0, 2): '2*x2',")
 
 
 def test_bivector_entry_signs():
