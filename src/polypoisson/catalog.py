@@ -47,9 +47,6 @@ class CatalogEntry:
     expect_integrable: Callable[[Params], bool] = lambda _: True
     notes: tuple[str, ...] = ()
 
-    def required_params(self) -> list[str]:
-        return [p.name for p in self.params]
-
 
 def _v3(i: int) -> Polynomial:
     """Variable X_i (1-based label) in three variables."""

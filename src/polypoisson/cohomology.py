@@ -8,9 +8,9 @@ two-sum formula
 
 which ``delta`` evaluates on coordinate tuples.  ``delta_via_forms``
 recomputes the same operator through the exterior-form correspondence
-(shuffle-summed iterated contractions of Omega and of the form of phi); the
-two implementations must agree up to one global sign per (n, k), which is
-resolved once against a fixed probe structure and cached.
+(shuffle-summed iterated contractions of Omega and of the form of phi),
+weighted by two signs that ``form_delta_sign`` gives in closed form from
+n and k.
 
 Finite-dimensional slices fix the arity k and the polynomial degree d of the
 values, optionally filtered by a weight rule (value weight equals the sum of
@@ -48,12 +48,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .exterior import ExteriorForm, IndexTuple, shuffles
-from .multivector import (
-    MultiDerivation,
-    bivector_from_entries,
-    phi_inverse,
-    phi_map,
-)
+from .multivector import MultiDerivation, phi_inverse, phi_map
+
+# verify has no caller here; bench/selftest.py checks that untracing restores
+# cohomology.verify, so the name stays importable from this module
 from .poisson import PoissonStructure, verify
 from .poly import Exponents, Polynomial, grlex_key, monomial_basis
 
@@ -94,17 +92,6 @@ def delta(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
 
 
 # -- the exterior-calculus route ----------------------------------------------
-
-_PROBE_SIGN_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
-
-
-def _probe_structure(n: int) -> PoissonStructure:
-    """Fixed diagonalizable structure used only to pin the sign constants."""
-    entries = {
-        (0, 1): Polynomial.variable(n, 1),
-        (0, 2): Polynomial.variable(n, 2) * 2,
-    }
-    return verify(bivector_from_entries(n, entries))
 
 
 def _form_delta_parts(
@@ -149,59 +136,16 @@ def _form_delta_parts(
 def form_delta_sign(n: int, k: int) -> tuple[int, int]:
     """Sign constants (relative, global) aligning the form route with delta.
 
-    The printed contraction formula carries the d(i(T) Omega)-sum with an
-    (n, k)-dependent sign relative to the Omega ^ d(i(T) form)-sum; both the
-    relative sign and the remaining global sign are pinned here, once per
-    (n, k), by exact comparison on elementary probe cochains over a fixed
-    structure.  Anything but a clean two-sign match raises.
+    The d(i(T) Omega)-sum enters with the relative sign (-1)^k for even n and
+    +1 for odd n, and the whole sum with (-1)^(k(k+1)/2 + n + 1).  Both follow
+    from expanding the two shuffle sums of ``_form_delta_parts`` on an
+    elementary cochain; the derivation is in notes/decisions.md.
     """
-    key = (n, k)
-    if key in _PROBE_SIGN_CACHE:
-        return _PROBE_SIGN_CACHE[key]
     if not 3 <= n or not 0 <= k < n:
         raise ValueError(f"no sign to resolve for n={n}, k={k}")
-    S = _probe_structure(n)
-    probes: list[MultiDerivation] = []
-    monomials = [Polynomial.variable(n, j) for j in range(n)]
-    monomials += [Polynomial.variable(n, j) * Polynomial.variable(n, j) for j in range(n)]
-    if k == 0:
-        probes = [MultiDerivation.from_polynomial(m) for m in monomials]
-    else:
-        for T in itertools.combinations(range(n), k):
-            probes.extend(MultiDerivation.elementary(n, T, m) for m in monomials)
-    trials = []
-    with_a = with_b = 0
-    for probe in probes:
-        reference = delta(S, probe)
-        part_a, part_b = _form_delta_parts(S, probe)
-        if reference.is_zero and part_a.is_zero and part_b.is_zero:
-            continue
-        trials.append((reference, part_a, part_b))
-        with_a += not part_a.is_zero
-        with_b += not part_b.is_zero
-        if len(trials) >= 8 and with_a >= 3 and with_b >= 3:
-            break
-    if not trials:
-        raise AssertionError(f"no informative probes at n={n}, k={k}")
-    candidates = []
-    for rel in (1, -1):
-        for overall in (1, -1):
-            ok = all(
-                phi_inverse(a * rel + b) * overall == ref
-                for ref, a, b in trials
-            )
-            if ok:
-                candidates.append((rel, overall))
-    if not candidates:
-        raise AssertionError(
-            f"form route does not match the coboundary for any sign choice "
-            f"at n={n}, k={k}"
-        )
-    # when one sum vanishes identically the relative sign is immaterial;
-    # prefer the (+1, ...) convention for determinism
-    signs = candidates[0]
-    _PROBE_SIGN_CACHE[key] = signs
-    return signs
+    rel = -1 if n % 2 == 0 and k % 2 else 1
+    overall = -1 if (k * (k + 1) // 2 + n + 1) % 2 else 1
+    return rel, overall
 
 
 def delta_via_forms(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:

@@ -2,8 +2,8 @@
 
 A k-form is a mapping from strictly increasing k-tuples of internal variable
 indices (the basis forms dX_{i1} ^ ... ^ dX_{ik}) to polynomial coefficients.
-Wedge product, exterior derivative, interior product against a polynomial
-vector field, and alternating evaluation are all exact.
+Wedge product, exterior derivative and contraction by coordinate vector
+fields are all exact.
 
 Evaluation is sparse where the integrability test needs it.  A wedge into
 the top degree n pairs each term only with the other factor's term at its
@@ -53,7 +53,7 @@ def shuffles(p: int, q: int) -> list[Shuffle]:
     everything = range(p + q)
     out = []
     for first in itertools.combinations(everything, p):
-        second = tuple(i for i in everything if i not in first)
+        second = tuple([i for i in everything if i not in first])
         perm = first + second
         out.append(Shuffle(perm, _perm_sign(perm)))
     return out
@@ -270,37 +270,8 @@ class ExteriorForm:
         result.n, result.k, result.terms = self.n, self.k + 1, out
         return result
 
-    def interior(self, components: Sequence[Polynomial]) -> "ExteriorForm":
-        """Interior product i(Y) for Y = sum components[i] * d/dX_i.
-
-        i(Y)theta(Z_1,...,Z_{k-1}) = theta(Y, Z_1,...,Z_{k-1}).
-        """
-        if self.k == 0:
-            raise ValueError("interior product of a degree-0 form")
-        if len(components) != self.n:
-            raise ValueError("vector field must have one component per variable")
-        out: dict[IndexTuple, Polynomial] = {}
-        for idx, coeff in self.terms.items():
-            for pos, i in enumerate(idx):
-                comp = components[i]
-                if comp.is_zero:
-                    continue
-                c = coeff * comp
-                if pos % 2:
-                    c = -c
-                rest = idx[:pos] + idx[pos + 1 :]
-                s = out.get(rest)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(rest, None)
-                else:
-                    out[rest] = s
-        result = ExteriorForm.__new__(ExteriorForm)
-        result.n, result.k, result.terms = self.n, self.k - 1, out
-        return result
-
     def interior_coordinate(self, i: int) -> "ExteriorForm":
-        """Fast path: interior product against the coordinate field d/dX_i."""
+        """Interior product against the coordinate field d/dX_i."""
         if self.k == 0:
             return ExteriorForm.zero(self.n, 0)
         out: dict[IndexTuple, Polynomial] = {}
@@ -339,30 +310,6 @@ class ExteriorForm:
         result = ExteriorForm.__new__(ExteriorForm)
         result.n, result.k, result.terms = self.n, max(self.k - m, 0), out
         return result
-
-    def evaluate(self, fields: Sequence[Sequence[Polynomial]]) -> Polynomial:
-        """Alternating evaluation on k polynomial vector fields."""
-        if len(fields) != self.k:
-            raise ValueError(f"expected {self.k} vector fields, got {len(fields)}")
-        total = Polynomial.zero(self.n)
-        for idx, coeff in self.terms.items():
-            # det of the k x k matrix fields[b][idx[a]]
-            det = Polynomial.zero(self.n)
-            for perm in itertools.permutations(range(self.k)):
-                prod = Polynomial.constant(self.n, _perm_sign(perm))
-                for a, b in enumerate(perm):
-                    prod = prod * fields[b][idx[a]]
-                    if prod.is_zero:
-                        break
-                det = det + prod
-            total = total + coeff * det
-        return total
-
-
-def coordinate_field(n: int, i: int) -> list[Polynomial]:
-    comps = [Polynomial.zero(n) for _ in range(n)]
-    comps[i] = Polynomial.constant(n, 1)
-    return comps
 
 
 def format_form(form: ExteriorForm, first_index: int = 1) -> str:

@@ -11,9 +11,10 @@ Integrability of a bivector can be tested two independent ways:
 
 * ``jacobi_trisum`` -- the cyclic sum of P_{ri} dP_{jk}/dX_r over all index
   triples, which must vanish identically;
-* ``integrability_via_forms`` -- the exterior-calculus criterion: for three
-  variables, Omega ^ d(Omega) = 0; for more, d(alpha) ^ Omega = 0 for every
-  contraction alpha of Omega by n-3 coordinate fields.
+* ``integrability_via_forms`` -- the exterior-calculus criterion
+  d(alpha) ^ Omega = 0 for every contraction alpha of Omega by n-3
+  coordinate fields; for three variables alpha is Omega itself and the
+  criterion reads d(Omega) ^ Omega = 0.
 
 Both touch only the bivector's nonzero entries.  A triple none of whose
 three pairs holds an entry has a zero trisum and a zero contraction, so
@@ -29,11 +30,10 @@ The two must always agree; the verification layer aborts if they do not.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exterior import ExteriorForm, IndexTuple, _perm_sign, shuffles
+from .exterior import ExteriorForm, IndexTuple, _perm_sign
 from .poly import Polynomial, Scalar, format_internal
 
 
@@ -144,57 +144,10 @@ class MultiDerivation:
 
     __rmul__ = __mul__
 
-    def value(self, idx: Sequence[int]) -> Polynomial:
-        """Value on a coordinate tuple in any order, with skew sign; 0 on repeats."""
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return Polynomial.zero(self.n)
-        order = tuple(sorted(range(len(idx)), key=lambda a: idx[a]))
-        sign = _perm_sign(order)
-        stored = self.values.get(tuple(sorted(idx)))
-        if stored is None:
-            return Polynomial.zero(self.n)
-        return stored if sign > 0 else -stored
-
     def as_polynomial(self) -> Polynomial:
         if self.k != 0:
             raise ValueError("not a 0-derivation")
         return self.values.get((), Polynomial.zero(self.n))
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, args: Sequence[Polynomial]) -> Polynomial:
-        """Leibniz extension: the unique skew k-derivation through the values.
-
-        Equals sum over increasing tuples S of value(S) * det(d args_b / dX_{s_a}).
-        """
-        if len(args) != self.k:
-            raise ValueError(f"expected {self.k} arguments, got {len(args)}")
-        for a in args:
-            if a.n != self.n:
-                raise ValueError("argument variable count mismatch")
-        if self.k == 0:
-            return self.as_polynomial()
-        total = Polynomial.zero(self.n)
-        jac: dict[tuple[int, int], Polynomial] = {}
-
-        def partial(i: int, b: int) -> Polynomial:
-            key = (i, b)
-            if key not in jac:
-                jac[key] = args[b].partial(i)
-            return jac[key]
-
-        for idx, val in self.values.items():
-            det = Polynomial.zero(self.n)
-            for perm in itertools.permutations(range(self.k)):
-                prod = Polynomial.constant(self.n, _perm_sign(perm))
-                for a, b in enumerate(perm):
-                    prod = prod * partial(idx[a], b)
-                    if prod.is_zero:
-                        break
-                det = det + prod
-            total = total + val * det
-        return total
 
     def evaluate_first(self, first: Polynomial, coords: Sequence[int]) -> Polynomial:
         """Evaluate on (first, X_{c1}, ..., X_{c_{k-1}}) with coordinate tails.
@@ -264,7 +217,7 @@ def phi_map(md: MultiDerivation) -> ExteriorForm:
         return ExteriorForm.zero(n, 0)
     terms: dict[IndexTuple, Polynomial] = {}
     for idx, val in md.values.items():
-        complement = tuple(i for i in range(n) if i not in idx)
+        complement = tuple([i for i in range(n) if i not in idx])
         sign = _perm_sign(idx + complement)
         terms[complement] = val if sign > 0 else -val
     return ExteriorForm(n, n - k, terms)
@@ -276,7 +229,7 @@ def phi_inverse(form: ExteriorForm) -> MultiDerivation:
     k = n - form.k
     values: dict[IndexTuple, Polynomial] = {}
     for idx, coeff in form.terms.items():
-        complement = tuple(i for i in range(n) if i not in idx)
+        complement = tuple([i for i in range(n) if i not in idx])
         sign = _perm_sign(complement + idx)
         values[complement] = coeff if sign > 0 else -coeff
     return MultiDerivation(n, k, values)
@@ -364,13 +317,7 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
     if n < 3:
         raise ValueError("form criterion needs at least three variables")
     omega = phi_map(biv)
-    if n == 3:
-        # for a 1-form and its differential the two orders agree; check both
-        a = omega.wedge(omega.d())
-        b = omega.d().wedge(omega)
-        if a.is_zero != b.is_zero:
-            raise AssertionError("wedge-order variants disagree")
-        return a.is_zero
+    # for n = 3 nothing is contracted, alpha = Omega and the one triple is (0, 1, 2);
     # alpha = i(idxs)Omega is nonzero exactly when the triple T left out of
     # idxs contains the pair {i, j} missing from some term of Omega
     everything = range(n)

@@ -19,6 +19,14 @@ GOLDEN = Path(__file__).parent / "golden"
 # deformed-mu at n = 9 is not Poisson, so verify exits with code 1
 REJECTED_GOLDENS = {"verify_deformed_mu_n9.txt", "verify_deformed_mu_n9.json"}
 
+# one even and one odd variable count; both coboundary routes must print these
+DELTA_GOLDENS = [
+    ("delta_rigid_n5_k2.json", ("rigid", "--param", "n=5"),
+     '{"k": 2, "entries": [{"args": [1, 3], "poly": "X2*X3"}, {"args": [2, 5], "poly": "X4"}]}'),
+    ("delta_p2_n5_k1.json", ("P2", "--param", "n=5"),
+     '{"k": 1, "entries": [{"args": [2], "poly": "X1*X3"}, {"args": [5], "poly": "X4^2"}]}'),
+]
+
 BAD_JSON = json.dumps(
     {
         "n": 3,
@@ -173,12 +181,18 @@ def test_matrix_csv_export(capsys):
          ("verify", "--catalog", "deformed-mu", "--param", "n=9", "--format", "json")),
         ("verify_rigid_n24.json",
          ("verify", "--catalog", "rigid", "--param", "n=24", "--format", "json")),
+        *(
+            (golden, ("delta", "--catalog", *structure, "--cochain", cochain, "--via", via))
+            for golden, structure, cochain in DELTA_GOLDENS
+            for via in ("formula", "forms")
+        ),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv):
     # matrix and cohomology goldens were recorded when delta_matrix applied
     # delta to each basis element, verify goldens when both integrability
-    # routes visited every triple; today's code must print the same bytes
+    # routes visited every triple, delta goldens when form_delta_sign probed
+    # for its signs; today's code must print the same bytes
     code, out, _ = run(capsys, *argv)
     assert code == (1 if golden in REJECTED_GOLDENS else 0)
     assert out.encode() == (GOLDEN / golden).read_bytes()

@@ -4,15 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from polypoisson.exterior import (
-    ExteriorForm,
-    coordinate_field,
-    format_form,
-    shuffles,
-)
+from polypoisson.exterior import ExteriorForm, format_form, shuffles
 from polypoisson.poly import Polynomial, parse_poly
 
 from conftest import random_poly
+from oracles import coordinate_field, evaluate_form, interior
 
 
 def V(n, i):
@@ -172,17 +168,18 @@ def test_d_graded_leibniz(rng):
 def test_interior_examples():
     n = 3
     dx12 = ExteriorForm.basis(n, (0, 1))
-    assert dx12.interior(coordinate_field(n, 0)) == ExteriorForm.basis(n, (1,))
-    assert dx12.interior(coordinate_field(n, 2)).is_zero
+    assert interior(dx12, coordinate_field(n, 0)) == ExteriorForm.basis(n, (1,))
+    assert interior(dx12, coordinate_field(n, 2)).is_zero
     field = [V(n, 1), Polynomial.zero(n), Polynomial.zero(n)]  # X2 d/dX1
     form = ExteriorForm.basis(n, (0, 1), V(n, 2))
-    assert form.interior(field) == ExteriorForm.basis(n, (1,), V(n, 1) * V(n, 2))
+    assert interior(form, field) == ExteriorForm.basis(n, (1,), V(n, 1) * V(n, 2))
 
 
 def test_interior_rejects_zero_forms():
     with pytest.raises(ValueError):
-        ExteriorForm.from_polynomial(Polynomial.constant(3, 1)).interior(
-            coordinate_field(3, 0)
+        interior(
+            ExteriorForm.from_polynomial(Polynomial.constant(3, 1)),
+            coordinate_field(3, 0),
         )
 
 
@@ -192,7 +189,7 @@ def test_interior_squares_to_zero(rng):
         k = rng.randint(2, 4)
         a = random_form(n, k, 2, rng)
         field = [random_poly(n, 2, rng) for _ in range(n)]
-        assert a.interior(field).interior(field).is_zero
+        assert interior(interior(a, field), field).is_zero
 
 
 def test_interior_coordinate_agrees_with_general(rng):
@@ -201,7 +198,7 @@ def test_interior_coordinate_agrees_with_general(rng):
         k = rng.randint(1, 4)
         a = random_form(n, k, 2, rng)
         for i in range(n):
-            assert a.interior_coordinate(i) == a.interior(coordinate_field(n, i))
+            assert a.interior_coordinate(i) == interior(a, coordinate_field(n, i))
 
 
 def test_interior_coordinates_equals_iterated_interior_coordinate(rng):
@@ -226,11 +223,11 @@ def test_evaluate_examples():
     dx12 = ExteriorForm.basis(n, (0, 1))
     e1, e2 = coordinate_field(n, 0), coordinate_field(n, 1)
     one = Polynomial.constant(n, 1)
-    assert dx12.evaluate([e1, e2]) == one
-    assert dx12.evaluate([e2, e1]) == -one
+    assert evaluate_form(dx12, [e1, e2]) == one
+    assert evaluate_form(dx12, [e2, e1]) == -one
     form = ExteriorForm.basis(n, (2,), V(n, 1))  # X2 dX3
     field = [Polynomial.zero(n), Polynomial.zero(n), V(n, 2)]  # X3 d/dX3
-    assert form.evaluate([field]) == V(n, 1) * V(n, 2)
+    assert evaluate_form(form, [field]) == V(n, 1) * V(n, 2)
 
 
 def test_evaluate_alternating(rng):
@@ -239,8 +236,8 @@ def test_evaluate_alternating(rng):
         a = random_form(n, 2, 2, rng)
         f1 = [random_poly(n, 1, rng) for _ in range(n)]
         f2 = [random_poly(n, 1, rng) for _ in range(n)]
-        assert a.evaluate([f1, f2]) == -a.evaluate([f2, f1])
-        assert a.evaluate([f1, f1]).is_zero
+        assert evaluate_form(a, [f1, f2]) == -evaluate_form(a, [f2, f1])
+        assert evaluate_form(a, [f1, f1]).is_zero
 
 
 def test_interior_is_evaluation_in_first_slot(rng):
@@ -249,7 +246,7 @@ def test_interior_is_evaluation_in_first_slot(rng):
         a = random_form(n, 2, 2, rng)
         y = [random_poly(n, 1, rng) for _ in range(n)]
         z = [random_poly(n, 1, rng) for _ in range(n)]
-        assert a.interior(y).evaluate([z]) == a.evaluate([y, z])
+        assert evaluate_form(interior(a, y), [z]) == evaluate_form(a, [y, z])
 
 
 # -- formatting ---------------------------------------------------------------------------
