@@ -53,7 +53,7 @@ from .multivector import MultiDerivation, phi_inverse, phi_map
 # verify has no caller here; bench/selftest.py checks that untracing restores
 # cohomology.verify, so the name stays importable from this module
 from .poisson import PoissonStructure, verify
-from .poly import Exponents, Polynomial, grlex_key, monomial_basis
+from .poly import Exponents, Polynomial, monomial_basis
 
 # -- coboundary ---------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .poly import Polynomial, Scalar, format_poly, grlex_key
+from .poly import Polynomial, Scalar, format_poly
 
 IndexTuple = tuple[int, ...]
 

@@ -8,27 +8,49 @@ that pivot.  The reduction repeatedly takes the residual's smallest
 column.  When a stored row has that pivot, it cross-multiplies and
 divides the new row by its gcd, every step, which keeps entries small.
 Otherwise the residual is independent and its smallest column becomes a
-new pivot.  Kernels are read off the echelon rows once they are brought
-to reduced row echelon form over Fractions.  The pivot set depends only
-on the row space, so results are exact and do not depend on row order.
+new pivot.
+
+So the column labels are the pivot order, and a bad order fills the
+echelon rows in.  ``rank`` first counts how many rows touch each column
+and renumbers the columns sparsest first, ties by label, while it scales
+the rows to integers (a Markowitz-style order; Markowitz 1957,
+LaMacchia-Odlyzko 1990).  Renumbering columns does not change the rank.
+It does change which columns are free, so ``kernel_basis``, whose
+vectors are indexed by the free columns of the RREF, and
+``SpanTracker``, which sees its rows one at a time and cannot count
+ahead, keep the natural order.  Kernels are read off the echelon rows
+once they are brought to reduced row echelon form over Fractions.  For a
+fixed column order the pivot set depends only on the row space, so
+results are exact and do not depend on row order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 SparseRow = dict[int, Fraction]
 IntRow = dict[int, int]
 
 
-def _integerize(row: Mapping[int, Fraction]) -> IntRow:
-    """Scale a rational row to coprime integers."""
+def _integerize(
+    row: Mapping[int, Fraction], relabel: Optional[Mapping[int, int]] = None
+) -> IntRow:
+    """Scale a rational row to coprime integers, columns renamed by relabel."""
     if not row:
         return {}
     denom = lcm(*(v.denominator for v in row.values()))
-    ints = {c: int(v * denom) for c, v in row.items() if v}
+    if relabel is None:
+        ints = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+    else:
+        ints = {
+            relabel[c]: v.numerator * (denom // v.denominator)
+            for c, v in row.items()
+            if v
+        }
     if not ints:
         return {}
     g = gcd(*ints.values())
@@ -37,9 +59,8 @@ def _integerize(row: Mapping[int, Fraction]) -> IntRow:
     return ints
 
 
-def _reduce(echelon: Mapping[int, IntRow], row: Mapping[int, Fraction]) -> IntRow:
-    """Reduce a row until its smallest column is no pivot; {} means dependent."""
-    cur = _integerize(row)
+def _reduce(echelon: Mapping[int, IntRow], cur: IntRow) -> IntRow:
+    """Reduce an integer row until its smallest column is no pivot; {} means dependent."""
     while cur:
         col = min(cur)
         pivot = echelon.get(col)
@@ -59,7 +80,7 @@ def _reduce(echelon: Mapping[int, IntRow], row: Mapping[int, Fraction]) -> IntRo
     return cur
 
 
-def _insert(echelon: dict[int, IntRow], row: Mapping[int, Fraction]) -> bool:
+def _insert(echelon: dict[int, IntRow], row: IntRow) -> bool:
     """Store the row's residual under its new pivot; True if it was independent."""
     res = _reduce(echelon, row)
     if res:
@@ -67,7 +88,7 @@ def _insert(echelon: dict[int, IntRow], row: Mapping[int, Fraction]) -> bool:
     return bool(res)
 
 
-def _echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, IntRow]:
+def _echelon(rows: Iterable[IntRow]) -> dict[int, IntRow]:
     """Echelon rows keyed by pivot column, one per independent row."""
     echelon: dict[int, IntRow] = {}
     for row in rows:
@@ -76,8 +97,13 @@ def _echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, IntRow]:
 
 
 def rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
-    """Exact rank over the rationals."""
-    return len(_echelon(rows))
+    """Exact rank over the rationals, eliminating sparsest columns first."""
+    rows = list(rows)
+    count = Counter(chain.from_iterable(rows))
+    # stable sorts: by count, ties by column label
+    order = sorted(sorted(count), key=count.__getitem__)
+    relabel = {c: i for i, c in enumerate(order)}
+    return len(_echelon(_integerize(row, relabel) for row in rows))
 
 
 def kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[SparseRow]:
@@ -86,7 +112,7 @@ def kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[Spa
     The vector of free column f is 1 at f and -R[p][f] at every pivot p whose
     reduced row R[p] holds f, listed by descending pivot.
     """
-    echelon = _echelon(rows)
+    echelon = _echelon(map(_integerize, rows))
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in echelon}
     # reduced[p] holds R[p] on the free columns; pivots descending, so every
     # other pivot column of row p is already reduced
@@ -123,11 +149,11 @@ class SpanTracker:
 
     def residual(self, vector: Mapping[int, Fraction]) -> IntRow:
         """Reduce a vector against the tracked span; {} means dependent."""
-        return _reduce(self._echelon, vector)
+        return _reduce(self._echelon, _integerize(vector))
 
     def add(self, vector: Mapping[int, Fraction]) -> bool:
         """Add a vector; True if it enlarged the span."""
-        return _insert(self._echelon, vector)
+        return _insert(self._echelon, _integerize(vector))
 
 
 def in_span(vectors: Sequence[Mapping[int, Fraction]], candidate: Mapping[int, Fraction]) -> bool:

@@ -144,11 +144,6 @@ class MultiDerivation:
 
     __rmul__ = __mul__
 
-    def as_polynomial(self) -> Polynomial:
-        if self.k != 0:
-            raise ValueError("not a 0-derivation")
-        return self.values.get((), Polynomial.zero(self.n))
-
     def evaluate_first(self, first: Polynomial, coords: Sequence[int]) -> Polynomial:
         """Evaluate on (first, X_{c1}, ..., X_{c_{k-1}}) with coordinate tails.
 

@@ -21,7 +21,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union

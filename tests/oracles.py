@@ -101,7 +101,7 @@ def evaluate_derivation(phi: MultiDerivation, args: Sequence[Polynomial]) -> Pol
         if a.n != phi.n:
             raise ValueError("argument variable count mismatch")
     if phi.k == 0:
-        return phi.as_polynomial()
+        return phi.values.get((), Polynomial.zero(phi.n))
     total = Polynomial.zero(phi.n)
     jac: dict[tuple[int, int], Polynomial] = {}
 

@@ -158,7 +158,7 @@ def test_delta_via_forms_random(rng):
                 assert delta_via_forms(S, phi) == delta(S, phi)
 
 
-def test_sign_constants_are_cached_and_stable():
+def test_sign_constants_are_stable():
     first = form_delta_sign(3, 1)
     assert form_delta_sign(3, 1) == first
     assert first[0] in (-1, 1) and first[1] in (-1, 1)

@@ -65,6 +65,22 @@ def test_rank_transpose_invariant():
         assert linalg.rank(rows) == linalg.rank(cols)
 
 
+def test_rank_does_not_depend_on_column_labels_or_row_order():
+    # rank renumbers columns by how many rows touch them; relabelling the
+    # columns or shuffling the rows beforehand must not change its answer
+    rng = random.Random(3107)
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 16), rng.randint(1, 16)
+        density = rng.choice([0.05, 0.1, 0.2, 0.4])
+        rows = random_deficient_matrix(rng, nrows, ncols, density)
+        expected = dense_rank_oracle(rows, ncols)
+        assert linalg.rank(rows) == expected
+        labels = rng.sample(range(3 * ncols), ncols)
+        relabelled = [{labels[c]: v for c, v in row.items()} for row in rows]
+        rng.shuffle(relabelled)
+        assert linalg.rank(relabelled) == expected
+
+
 def test_kernel_vectors_annihilate():
     rng = random.Random(7)
     for _ in range(40):
@@ -182,3 +198,18 @@ def test_rank_of_a_real_coboundary_matrix_matches_dense_oracle():
     assert 0 < expected < matrix.source.dim
     assert linalg.rank(matrix.columns) == expected
     assert linalg.rank(matrix.rows()) == expected
+
+
+def test_rank_on_a_fill_heavy_rigid_slice_matches_the_kernel():
+    # in natural order this slice fills its echelon rows in; kernel_basis still
+    # eliminates in that order, so rank-nullity checks the renumbered rank
+    from polypoisson.catalog import catalog_get
+    from polypoisson.cohomology import delta_matrix, slice_basis
+
+    S = catalog_get("rigid", {"n": 8})
+    source = slice_basis(S.n, 2, 4, weights=tuple(range(S.n)),
+                         exclude_value_vars=(0,), exclude_slot_vars=(0,))
+    matrix = delta_matrix(S, source)
+    expected = matrix.source.dim - len(matrix.kernel())
+    assert 0 < expected < matrix.source.dim
+    assert linalg.rank(matrix.columns) == linalg.rank(matrix.rows()) == expected

@@ -16,3 +16,37 @@ def test_no_bare_assert_in_package_source():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# bench/selftest.py checks `cohomology.verify is poisson.verify` after the tracer
+# is removed, so cohomology keeps that import although nothing there calls it
+UNUSED_IMPORT_EXCEPTIONS = {"cohomology.verify"}
+
+
+def _exported(tree):
+    """The names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_import_in_package_source_is_used():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert [name for name in unused if name not in UNUSED_IMPORT_EXCEPTIONS] == []
