@@ -31,19 +31,36 @@ on the slot tuple U, so a column touches only the O(nnz(P) k) targets it
 can reach.  The structure is scaled to integers once per matrix and column
 values are exact ``Fraction``s; ``delta`` is the oracle the columns are
 tested against.  The matrices feed the fraction-free rank/kernel routines.
+
+Tables (``cohomology_dims``) split slices into weight blocks when the
+caller sets no filter and some coordinate X_m brackets diagonally,
+{X_m, X_i} = w_i X_i (internal index 0: X_0 of the rigid family, X_1 of
+P1 and P2).  The cochain x^a on the slots T has weight
+sum_i a_i w_i - sum_{t in T} w_t, the coboundary keeps it, and with
+i phi = phi(X_m, ...) the map delta i + i delta multiplies each block by
+its weight, so every block of weight != 0 is acyclic.  Only the weight-0
+block (the ``weights=w`` slice) is eliminated; the rank the other blocks
+carry follows from dimensions, counted without building a basis, by
+R(k, d) = (dim - dim of the block)(k, d) - R(k - 1, d), R(-1, d) = 0.  With
+a filter, or no diagonal coordinate, the block is the filtered slice and R
+is 0.  Representatives and membership tests always use whole slices.
+
 The reports check dim Z + rank(outgoing) = dim(slice) with a rank inside
-0..dim(slice), and dim B <= dim Z, and raise ``ComplexInvariantError`` when
-either fails, with or without ``python -O``.
+0..dim(slice), dim B <= dim Z, and that each R lies inside 0..(dim of the
+other blocks) and vanishes at k = n; they raise ``ComplexInvariantError``
+when any fails, with or without ``python -O``.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
@@ -225,7 +242,8 @@ def slice_basis(
     """Deterministic basis of the (k, d) slice.
 
     With ``weights``, keeps exactly the elementary cochains whose monomial
-    weight equals the sum of the slot weights (torus invariance).  Banned
+    weight equals the sum of the slot weights (torus invariance; the
+    weight-0 block of ``cohomology_dims`` uses this filter).  Banned
     value variables drop monomials; banned slot variables drop tuples.
     """
     if not 0 <= k <= n:
@@ -241,20 +259,47 @@ def slice_basis(
     basis = []
     if d >= 0:
         plain = monomial_basis(n, d, exclude_vars=value_banned)
+        by_weight: dict[int, list[Exponents]] = {}
+        if wt is not None:
+            for e in plain:
+                by_weight.setdefault(sum(map(mul, e, wt)), []).append(e)
         for idx in itertools.combinations(slots, k):
-            if wt is None:
-                monos = plain
-            else:
-                target = sum(wt[i] for i in idx)
-                monos = [
-                    e for e in plain
-                    if sum(a * w for a, w in zip(e, wt)) == target
-                ]
+            monos = plain if wt is None else by_weight.get(sum(wt[i] for i in idx), ())
             basis.extend((idx, e) for e in monos)
     index = {pair: pos for pos, pair in enumerate(basis)}
     return GradedSlice(
         n, k, d, wt, value_banned, slot_banned, tuple(basis), index
     )
+
+
+def slice_dims(
+    n: int,
+    d: int,
+    weights: Optional[Sequence[int]] = None,
+    exclude_value_vars: Iterable[int] = (),
+    exclude_slot_vars: Iterable[int] = (),
+) -> list[int]:
+    """``slice_basis(n, k, d, ...).dim`` for k = 0..n, counted without a basis.
+
+    Slot tuples are counted per weight sum by the subset recursion, and each
+    count is multiplied by the number of degree-d monomials of that weight.
+    Without ``weights`` every weight is 0, and the count is
+    C(#slots, k) * C(#value variables + d - 1, d).
+    """
+    wt = tuple(weights) if weights is not None else (0,) * n
+    slot_banned = frozenset(exclude_slot_vars)
+    monos = Counter(
+        sum(map(mul, e, wt)) for e in monomial_basis(n, d, exclude_vars=exclude_value_vars)
+    )
+    # tuples[k][s]: number of k-element slot tuples whose weights sum to s
+    tuples: list[Counter] = [Counter({0: 1})] + [Counter() for _ in range(n)]
+    for i in range(n):
+        if i in slot_banned:
+            continue
+        for k in range(n, 0, -1):
+            for s, count in tuples[k - 1].items():
+                tuples[k][s + wt[i]] += count
+    return [sum(count * monos[s] for s, count in by_sum.items()) for by_sum in tuples]
 
 
 # -- coboundary matrices --------------------------------------------------------
@@ -442,7 +487,6 @@ class ComplexInvariantError(RuntimeError):
     """A dimension identity of the complex failed: a bug, never a property of the input."""
 
 
-
 @dataclass(frozen=True)
 class CohomologyRow:
     k: int
@@ -497,7 +541,45 @@ class CohomologyReport:
         return "\n".join(lines)
 
 
+def _diagonal_weights(S: PoissonStructure) -> Optional[tuple[int, ...]]:
+    """Torus weights of the first coordinate that brackets diagonally.
+
+    Returns w, scaled to integers by the lcm of its denominators, for the
+    first internal index m with {X_m, X_i} = w_i X_i for every i and w not
+    all zero; None when there is no such m.  Scaling keeps the weight-0
+    block.
+    """
+    n = S.n
+    for m in range(n):
+        w = []
+        for i in range(n):
+            terms = S.entry(m, i).terms
+            if len(terms) > 1:
+                break
+            if terms:
+                ((exps, c),) = terms.items()
+                if exps != tuple(int(j == i) for j in range(n)):
+                    break
+                w.append(c)
+            else:
+                w.append(0)
+        else:
+            if any(w):
+                scale = lcm(*(c.denominator for c in w))
+                return tuple(int(c * scale) for c in w)
+    return None
+
+
 class _SliceCache:
+    """Slices, counted dimensions and outgoing ranks of one filtered complex.
+
+    ``block(k, d)`` is the weight-0 block of slice (k, d): with no filter from
+    the caller it is cut by the diagonal weights of the structure, and
+    otherwise (or with no diagonal coordinate) it is the filtered slice
+    itself.  Only blocks are eliminated; ``correction`` adds the rank that
+    the acyclic blocks of weight != 0 carry, from dimensions alone.
+    """
+
     def __init__(
         self,
         S: PoissonStructure,
@@ -508,32 +590,81 @@ class _SliceCache:
         self.r = S.homogeneous_degree()
         self.weights = tuple(weights) if weights is not None else None
         self.banned = frozenset(exclude_vars)
-        self._slices: dict[tuple[int, int], GradedSlice] = {}
+        self._slices: dict[tuple, GradedSlice] = {}
+        self._dims: dict[tuple, list[int]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
+        self._corrections: dict[tuple[int, int], int] = {}
 
-    def slice(self, k: int, d: int) -> GradedSlice:
-        key = (k, d)
+    @cached_property
+    def block_weights(self) -> Optional[tuple[int, ...]]:
+        if self.weights is None and not self.banned:
+            return _diagonal_weights(self.S)
+        return self.weights
+
+    def _slice(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> GradedSlice:
+        key = (weights, k, d)
         if key not in self._slices:
             self._slices[key] = slice_basis(
                 self.S.n,
                 k,
                 d,
-                weights=self.weights,
+                weights=weights,
                 exclude_value_vars=self.banned,
                 exclude_slot_vars=self.banned,
             )
         return self._slices[key]
 
+    def _dim(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> int:
+        if not 0 <= k <= self.S.n:
+            return 0
+        key = (weights, d)
+        if key not in self._dims:
+            self._dims[key] = slice_dims(self.S.n, d, weights, self.banned, self.banned)
+        return self._dims[key][k]
+
+    def slice(self, k: int, d: int) -> GradedSlice:
+        return self._slice(self.weights, k, d)
+
+    def block(self, k: int, d: int) -> GradedSlice:
+        return self._slice(self.block_weights, k, d)
+
+    def dim(self, k: int, d: int) -> int:
+        return self._dim(self.weights, k, d)
+
+    def block_dim(self, k: int, d: int) -> int:
+        return self._dim(self.block_weights, k, d)
+
+    def correction(self, k: int, d: int) -> int:
+        """Rank of the coboundary on the blocks of weight != 0 of slice (k, d).
+
+        Each such block is acyclic, so its outgoing rank is its dimension
+        minus its incoming rank; summed over the blocks this is
+        R(k, d) = (dim - block_dim)(k, d) - R(k - 1, d), with R(-1, d) = 0.
+        A diagonal coordinate forces r = 1, so d stays fixed along k.
+        """
+        if k < 0:
+            return 0
+        key = (k, d)
+        if key not in self._corrections:
+            off_block = self.dim(k, d) - self.block_dim(k, d)
+            value = off_block - self.correction(k - 1, d)
+            if not 0 <= value <= off_block:
+                raise ComplexInvariantError(
+                    f"weight blocks fail at k={k}, d={d}: their coboundary would "
+                    f"have rank {value} on {off_block} cochains"
+                )
+            self._corrections[key] = value
+        return self._corrections[key]
+
     def outgoing_rank(self, k: int, d: int) -> int:
         key = (k, d)
         if key not in self._ranks:
-            src = self.slice(k, d)
-            if src.dim == 0 or k >= self.S.n:
-                self._ranks[key] = 0
-            else:
-                self._ranks[key] = delta_matrix(
-                    self.S, src, self.slice(k + 1, d + self.r - 1)
+            block_rank = 0
+            if k < self.S.n and self.block_dim(k, d):
+                block_rank = delta_matrix(
+                    self.S, self.block(k, d), self.block(k + 1, d + self.r - 1)
                 ).rank()
+            self._ranks[key] = block_rank + self.correction(k, d)
         return self._ranks[key]
 
 
@@ -549,19 +680,33 @@ def cohomology_dims(
     ``exclude_vars`` removes the given variables from both value monomials
     and slots (the invariant-subcomplex reduction); ``weights`` switches on
     the torus-weight filter.
+
+    With neither, and a coordinate X_m with {X_m, X_i} = w_i X_i, only the
+    weight-0 block of each slice is eliminated; the blocks of weight != 0
+    are acyclic and their ranks follow from counted dimensions (see the
+    module docstring and ``_SliceCache.correction``).  Besides rank-nullity
+    and B <= Z, each correction must lie in range and the corrections must
+    vanish at k = n, where the complex of the other blocks ends.
     """
     cache = _SliceCache(S, weights, exclude_vars)
+    ds = sorted(set(ds))
+    for d in ds:
+        left = cache.correction(S.n, d)
+        if left:
+            raise ComplexInvariantError(
+                f"weight blocks do not close at d={d}: rank {left} left over at k={S.n}"
+            )
     rows = []
     for k in sorted(set(ks)):
-        for d in sorted(set(ds)):
-            sl = cache.slice(k, d)
+        for d in ds:
+            dim_chi = cache.dim(k, d)
             out_rank = cache.outgoing_rank(k, d)
-            if not 0 <= out_rank <= sl.dim:
+            if not 0 <= out_rank <= dim_chi:
                 raise ComplexInvariantError(
                     f"rank-nullity fails at k={k}, d={d}: the outgoing coboundary "
-                    f"has rank {out_rank} on a slice of dimension {sl.dim}"
+                    f"has rank {out_rank} on a slice of dimension {dim_chi}"
                 )
-            dim_Z = sl.dim - out_rank
+            dim_Z = dim_chi - out_rank
             if k == 0:
                 dim_B = 0
             else:
@@ -571,7 +716,7 @@ def cohomology_dims(
                 raise ComplexInvariantError(
                     f"coboundaries exceed cocycles at k={k}, d={d}: the complex is broken"
                 )
-            rows.append(CohomologyRow(k, d, sl.dim, dim_Z, dim_B))
+            rows.append(CohomologyRow(k, d, dim_chi, dim_Z, dim_B))
     return CohomologyReport(rows)
 
 
@@ -638,7 +783,7 @@ def cochain_in_coboundaries(
 
 
 def normalize_cocycle(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
-    """Subtract a coboundary so the (X_1, X_i) slots vanish for 1 < i < n-?.
+    """Subtract a coboundary so the (X_1, X_i) slots vanish for 2 <= i <= n-2.
 
     Works for structures with {X_1, X_i} = X_{i+1} on internal indices
     1 <= i <= n-2 (the rigid family on X_0..X_n); the class of phi is

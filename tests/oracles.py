@@ -12,14 +12,24 @@ another way:
 * ``interior``, ``evaluate_form`` and ``coordinate_field`` are the interior
   product against a general polynomial vector field and the alternating
   evaluation of a form (the package contracts by coordinate fields only).
+* ``full_elimination_dims`` is the cohomology table from ranks of whole
+  slices; ``cohomology_dims`` eliminates only weight-0 blocks.
+  ``insert_first`` is the contraction that makes the other blocks acyclic.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
-from polypoisson.cohomology import _form_delta_parts, delta
+from polypoisson.cohomology import (
+    CohomologyReport,
+    CohomologyRow,
+    _form_delta_parts,
+    delta,
+    delta_matrix,
+    slice_basis,
+)
 from polypoisson.exterior import ExteriorForm, IndexTuple, _perm_sign
 from polypoisson.multivector import MultiDerivation, bivector_from_entries, phi_inverse
 from polypoisson.poisson import PoissonStructure, verify
@@ -180,3 +190,46 @@ def coordinate_field(n: int, i: int) -> list[Polynomial]:
     comps = [Polynomial.zero(n) for _ in range(n)]
     comps[i] = Polynomial.constant(n, 1)
     return comps
+
+
+# -- cohomology by whole-slice elimination -------------------------------------
+
+
+def full_elimination_dims(
+    S: PoissonStructure,
+    ks: Iterable[int],
+    ds: Iterable[int],
+    weights: Optional[Sequence[int]] = None,
+    exclude_vars: Iterable[int] = (),
+) -> CohomologyReport:
+    """dim chi / Z / B / H per (k, d), each rank from the whole filtered slice."""
+    n, r = S.n, S.homogeneous_degree()
+    banned = tuple(exclude_vars)
+
+    def whole(k: int, d: int):
+        return slice_basis(n, k, d, weights, banned, banned)
+
+    def rank(k: int, d: int) -> int:
+        if d < 0 or k >= n or not whole(k, d).dim:
+            return 0
+        return delta_matrix(S, whole(k, d), whole(k + 1, d + r - 1)).rank()
+
+    rows = []
+    for k in ks:
+        for d in ds:
+            dim_chi = whole(k, d).dim
+            dim_B = rank(k - 1, d - r + 1) if k > 0 else 0
+            rows.append(CohomologyRow(k, d, dim_chi, dim_chi - rank(k, d), dim_B))
+    return CohomologyReport(rows)
+
+
+def insert_first(phi: MultiDerivation, m: int) -> MultiDerivation:
+    """The (k-1)-derivation phi(X_m, ...); needs k >= 1."""
+    if phi.k == 0:
+        raise ValueError("a 0-derivation has no slot to insert into")
+    values = {}
+    for T, val in phi.values.items():
+        if m in T:
+            pos = T.index(m)
+            values[T[:pos] + T[pos + 1 :]] = val * (-1 if pos % 2 else 1)
+    return MultiDerivation(phi.n, phi.k - 1, values)

@@ -186,13 +186,20 @@ def test_matrix_csv_export(capsys):
             for golden, structure, cochain in DELTA_GOLDENS
             for via in ("formula", "forms")
         ),
+        ("cohomology_rigid_n6_k3_d2.json",
+         ("cohomology", "--catalog", "rigid", "--param", "n=6", "--kmax", "3", "--cutoff", "2",
+          "--format", "json")),
+        ("cohomology_p1_k3_d6.txt",
+         ("cohomology", "--catalog", "P1", "--kmax", "3", "--cutoff", "6")),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv):
     # matrix and cohomology goldens were recorded when delta_matrix applied
     # delta to each basis element, verify goldens when both integrability
     # routes visited every triple, delta goldens when form_delta_sign probed
-    # for its signs; today's code must print the same bytes
+    # for its signs, and the plain rigid and P1 cohomology goldens when
+    # cohomology_dims eliminated whole slices; today's code must print the
+    # same bytes
     code, out, _ = run(capsys, *argv)
     assert code == (1 if golden in REJECTED_GOLDENS else 0)
     assert out.encode() == (GOLDEN / golden).read_bytes()

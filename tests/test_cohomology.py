@@ -25,7 +25,12 @@ from polypoisson.poisson import verify
 from polypoisson.poly import Polynomial
 
 from conftest import random_cochain, random_poly
-from oracles import evaluate_derivation, probe_form_delta_sign
+from oracles import (
+    evaluate_derivation,
+    full_elimination_dims,
+    insert_first,
+    probe_form_delta_sign,
+)
 
 
 def V(n, i):
@@ -443,6 +448,145 @@ def test_report_serialization():
     assert all(set(r) == {"k", "d", "dim_chi", "dim_Z", "dim_B", "dim_H"} for r in rows)
     text = report.to_text()
     assert "totals over d" in text
+
+
+# -- weight blocks ------------------------------------------------------------------------------
+
+
+def _weight(weights, T, exps):
+    """Weight of the elementary cochain x^exps on the slots T."""
+    return sum(a * w for a, w in zip(exps, weights)) - sum(weights[t] for t in T)
+
+
+def _diagonal_structures():
+    """(structure, m, w) with {X_m, X_i} = w_i X_i, for the homotopy checks."""
+    return [
+        (p1(), 0, (0, 1, 2)),
+        (catalog_get("P2", {"n": 4}), 0, (0, 1, 2, 3)),
+        (catalog_get("rigid", {"n": 5}), 0, (0, 1, 2, 3, 4, 5)),
+    ]
+
+
+def test_diagonal_weights_detection():
+    for S, _, w in _diagonal_structures():
+        assert cohomology._diagonal_weights(S) == w
+    third = verify(catalog_get("P2", {"n": 4}).bivector * Fraction(1, 3))
+    assert cohomology._diagonal_weights(third) == (0, 1, 2, 3)
+    assert cohomology._diagonal_weights(catalog_get("L2")) == (0, 1, -1)
+    for S in (catalog_get("L1"), catalog_get("L4"), zero_structure(3)):
+        assert cohomology._diagonal_weights(S) is None
+
+
+def test_weight_block_tables_match_full_elimination():
+    cases = [(p1(), range(4), range(7))]
+    cases += [(catalog_get("P2", {"n": n}), range(n + 1), range(4)) for n in range(3, 7)]
+    cases += [(catalog_get("rigid", {"n": n}), range(4), range(3)) for n in (4, 5, 6)]
+    cases.append((verify(catalog_get("P2", {"n": 4}).bivector * Fraction(1, 3)),
+                   range(5), range(4)))  # fractional weights
+    cases.append((catalog_get("L2"), range(4), range(5)))  # a negative weight
+    cases.append((catalog_get("L3", {"alpha": 0}), range(4), range(5)))  # w_2 = 0
+    for S, ks, ds in cases:
+        assert cohomology._diagonal_weights(S) is not None
+        assert cohomology_dims(S, ks, ds).rows == full_elimination_dims(S, ks, ds).rows
+
+
+def test_tables_without_a_diagonal_coordinate_match_full_elimination():
+    cases = [
+        (catalog_get("L1"), range(4), range(5)),
+        (catalog_get("L4"), range(4), range(5)),
+        (verify(bivector_from_entries(3, {(0, 1): V(3, 2) ** 2})), range(4), range(4)),
+        (zero_structure(3), range(5), range(3)),
+    ]
+    for S, ks, ds in cases:
+        assert cohomology._diagonal_weights(S) is None
+        assert cohomology_dims(S, ks, ds).rows == full_elimination_dims(S, ks, ds).rows
+
+
+def test_filtered_tables_match_full_elimination():
+    # weights= or exclude_vars= from the caller: the block is the filtered slice
+    S = catalog_get("rigid", {"n": 5})
+    weights = tuple(range(6))
+    for filters in ({"weights": weights, "exclude_vars": (0,)}, {"weights": weights}):
+        assert (cohomology_dims(S, range(7), range(4), **filters).rows
+                == full_elimination_dims(S, range(7), range(4), **filters).rows)
+
+
+def test_insertion_is_a_homotopy_to_the_weight():
+    # delta(i phi) + i(delta phi) = weight(phi) phi on every elementary cochain
+    cases = 0
+    for S, m, w in _diagonal_structures():
+        for k in range(S.n + 1):
+            for d in range(3):
+                sl = slice_basis(S.n, k, d)
+                for pos, (T, exps) in enumerate(sl.basis):
+                    phi = sl.element(pos)
+                    lhs = insert_first(delta(S, phi), m)
+                    if k:
+                        lhs = lhs + delta(S, insert_first(phi, m))
+                    assert lhs == phi * _weight(w, T, exps)
+                    cases += 1
+    assert cases > 2000
+
+
+def test_cocycles_of_nonzero_weight_are_coboundaries_of_their_insertion():
+    checked = 0
+    for S, m, w in _diagonal_structures():
+        for k in range(1, S.n):
+            for d in range(3):
+                whole = slice_basis(S.n, k, d)
+                by_weight = {}
+                for T, exps in whole.basis:
+                    by_weight.setdefault(_weight(w, T, exps), []).append((T, exps))
+                target = slice_basis(S.n, k + 1, d)
+                for lam, basis in by_weight.items():
+                    if lam == 0:
+                        continue
+                    block = cohomology.GradedSlice(
+                        S.n, k, d, None, frozenset(), frozenset(), tuple(basis),
+                        {pair: pos for pos, pair in enumerate(basis)},
+                    )
+                    for vec in delta_matrix(S, block, target).kernel():
+                        c = block.from_vector(vec)
+                        assert c == delta(S, insert_first(c, m)) * Fraction(1, lam)
+                        checked += 1
+    assert checked > 100
+
+
+def test_counted_dims_match_the_basis():
+    for n in range(1, 7):
+        cache = cohomology._SliceCache(zero_structure(n), None, ())
+        filtered = cohomology._SliceCache(zero_structure(n), tuple(range(n)), (0,))
+        for k in range(n + 2):
+            for d in range(-1, 5):
+                plain = slice_basis(n, k, d).dim
+                assert cache.dim(k, d) == plain
+                if 0 <= k <= n and d >= 0:
+                    assert plain == math.comb(n, k) * math.comb(n + d - 1, d)
+                invariant = slice_basis(n, k, d, tuple(range(n)), (0,), (0,)).dim
+                assert filtered.dim(k, d) == invariant
+
+
+def test_weight_block_rank_out_of_range_raises(monkeypatch):
+    # a block larger than its slice leaves a negative rank for the other weights
+    def too_large(cache, k, d):
+        return cache.dim(k, d) + 1
+
+    monkeypatch.setattr(cohomology._SliceCache, "block_dim", too_large)
+    with pytest.raises(ComplexInvariantError, match="weight blocks fail"):
+        cohomology_dims(p1(), [1], [1])
+
+
+def test_weight_blocks_that_do_not_close_raise(monkeypatch):
+    # one spare cochain at k = n breaks the Euler characteristic of the
+    # blocks of weight != 0; every correction stays in range
+    real_dim = cohomology._SliceCache.dim
+
+    def padded(cache, k, d):
+        return real_dim(cache, k, d) + (k == cache.S.n)
+
+    monkeypatch.setattr(cohomology._SliceCache, "dim", padded)
+    with pytest.raises(ComplexInvariantError, match="do not close"):
+        cohomology_dims(p1(), [1], [1])
 
 
 # -- representatives ---------------------------------------------------------------------------
