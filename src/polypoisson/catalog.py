@@ -59,11 +59,7 @@ def _c3(value: Fraction | int) -> Polynomial:
 
 def _one_form(coeffs: Sequence[Polynomial]) -> ExteriorForm:
     """A 1-form C1 dX1 + C2 dX2 + C3 dX3 in three variables."""
-    form = ExteriorForm.zero(3, 1)
-    for i, c in enumerate(coeffs):
-        if not c.is_zero:
-            form = form + ExteriorForm.basis(3, (i,), c)
-    return form
+    return ExteriorForm(3, 1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def _decode(coeffs: Sequence[Polynomial]) -> MultiDerivation:

@@ -17,7 +17,7 @@ from .catalog import CATALOG, catalog_bivector, catalog_get
 from .cohomology import cohomology_dims, delta, delta_matrix, delta_via_forms, slice_basis
 from .multivector import MultiDerivation, bivector_from_entries
 from .poisson import IntegrabilityError, PoissonStructure, verify
-from .poly import ParseError, format_poly, parse_poly
+from .poly import ParseError, add_into, format_poly, parse_poly
 from .reproduce import CHECKS, run_check
 
 USAGE_ERROR = 2
@@ -158,14 +158,27 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
+def _cochain_slots(args: Sequence, k: int, n: int, base: int) -> tuple[int, ...]:
+    """Internal slot tuple of one cochain entry; errors quote the labels as typed."""
+    labels = [int(a) for a in args]
+    if len(labels) != k:
+        raise ValueError(f"args {labels} have length {len(labels)}, expected k={k}")
+    if not all(base <= a < base + n for a in labels):
+        raise ValueError(f"args {labels} out of range {base}..{base + n - 1}")
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise ValueError(f"args {labels} are not strictly increasing")
+    return tuple(a - base for a in labels)
+
+
 def _cochain_from_json(data: dict, n: int, base: int) -> MultiDerivation:
+    """Entries that repeat one ``args`` are summed."""
     try:
         k = int(data["k"])
-        values = {}
-        for item in data.get("entries", []):
-            idx = tuple(int(a) - base for a in item["args"])
-            poly = parse_poly(item["poly"], n, first_index=base)
-            values[idx] = values[idx] + poly if idx in values else poly
+        values = add_into({}, (
+            (_cochain_slots(item["args"], k, n, base),
+             parse_poly(item["poly"], n, first_index=base))
+            for item in data.get("entries", [])
+        ))
         return MultiDerivation(n, k, values)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed cochain JSON: {exc}") from exc

@@ -70,7 +70,7 @@ from .multivector import MultiDerivation, phi_inverse, phi_map
 # verify has no caller here; bench/selftest.py checks that untracing restores
 # cohomology.verify, so the name stays importable from this module
 from .poisson import PoissonStructure, verify
-from .poly import Exponents, Polynomial, monomial_basis
+from .poly import Exponents, Polynomial, _checked_vars, add_into, monomial_basis
 
 # -- coboundary ---------------------------------------------------------------
 
@@ -119,34 +119,30 @@ def _form_delta_parts(
     Per shuffle sigma with first run F and second run T, the first sum
     collects i(F)[d(i(T) Omega) ^ form(phi)] and the second
     i(F)[Omega ^ d(i(T) form(phi))], each weighted by sgn(sigma) and by the
-    prefactor (-1)^{(n-k)(n-k+1)/2}.  Iterated interiors compose rightmost
-    first.
+    prefactor (-1)^{(n-k)(n-k+1)/2}.  Here i(F) = i(f_1) ... i(f_m) composes
+    rightmost first, but ``interior_coordinates`` contracts in ascending
+    order, f_1 first.  Reversing m anticommuting contractions costs
+    (-1)^{m(m-1)/2}, so the prefactor also carries that sign for m = k + 1
+    (the run F) and for m = n - k - 1 (the run T).
     """
     n, k = S.n, phi.k
     omega = S.omega()
     form_phi = phi_map(phi)
-    epsilon = -1 if ((n - k) * (n - k + 1) // 2) % 2 else 1
+    m1, m2 = k + 1, n - k - 1
+    flips = (n - k) * (n - k + 1) // 2 + m1 * (m1 - 1) // 2 + m2 * (m2 - 1) // 2
+    epsilon = -1 if flips % 2 else 1
     part_a = ExteriorForm.zero(n, n - k - 1)
     part_b = ExteriorForm.zero(n, n - k - 1)
-    for sh in shuffles(k + 1, n - k - 1):
-        first = sh.perm[: k + 1]
-        second = sh.perm[k + 1 :]
-        contracted_omega = omega
-        for i in reversed(second):
-            contracted_omega = contracted_omega.interior_coordinate(i)
+    for sh in shuffles(m1, m2):
+        first, second = sh.perm[:m1], sh.perm[m1:]
+        contracted_omega = omega.interior_coordinates(second)
         if not contracted_omega.is_zero:
             inner = contracted_omega.d().wedge(form_phi)
-            for i in reversed(first):
-                inner = inner.interior_coordinate(i)
-            part_a = part_a + inner * sh.sign
-        contracted_phi = form_phi
-        for i in reversed(second):
-            contracted_phi = contracted_phi.interior_coordinate(i)
+            part_a = part_a + inner.interior_coordinates(first) * sh.sign
+        contracted_phi = form_phi.interior_coordinates(second)
         if not contracted_phi.is_zero:
             inner = omega.wedge(contracted_phi.d())
-            for i in reversed(first):
-                inner = inner.interior_coordinate(i)
-            part_b = part_b + inner * sh.sign
+            part_b = part_b + inner.interior_coordinates(first) * sh.sign
     return part_a * epsilon, part_b * epsilon
 
 
@@ -223,11 +219,10 @@ class GradedSlice:
         return vec
 
     def from_vector(self, vec: Mapping[int, Fraction]) -> MultiDerivation:
-        values: dict[IndexTuple, Polynomial] = {}
-        for pos, coeff in vec.items():
-            idx, exps = self.basis[pos]
-            mono = Polynomial.monomial(self.n, exps, coeff)
-            values[idx] = values[idx] + mono if idx in values else mono
+        pairs = ((self.basis[pos], coeff) for pos, coeff in vec.items())
+        values = add_into({}, (
+            (idx, Polynomial.monomial(self.n, exps, coeff)) for (idx, exps), coeff in pairs
+        ))
         return MultiDerivation(self.n, self.k, values)
 
 
@@ -246,14 +241,10 @@ def slice_basis(
     weight-0 block of ``cohomology_dims`` uses this filter).  Banned
     value variables drop monomials; banned slot variables drop tuples.
     """
+    value_banned = _checked_vars(n, exclude_value_vars)
+    slot_banned = _checked_vars(n, exclude_slot_vars)
     if not 0 <= k <= n:
-        basis: list[tuple[IndexTuple, Exponents]] = []
-        return GradedSlice(
-            n, k, d, None, frozenset(exclude_value_vars), frozenset(exclude_slot_vars),
-            tuple(basis), {},
-        )
-    value_banned = frozenset(exclude_value_vars)
-    slot_banned = frozenset(exclude_slot_vars)
+        return GradedSlice(n, k, d, None, value_banned, slot_banned, (), {})
     wt = tuple(weights) if weights is not None else None
     slots = [i for i in range(n) if i not in slot_banned]
     basis = []
@@ -287,7 +278,7 @@ def slice_dims(
     C(#slots, k) * C(#value variables + d - 1, d).
     """
     wt = tuple(weights) if weights is not None else (0,) * n
-    slot_banned = frozenset(exclude_slot_vars)
+    slot_banned = _checked_vars(n, exclude_slot_vars)
     monos = Counter(
         sum(map(mul, e, wt)) for e in monomial_basis(n, d, exclude_vars=exclude_value_vars)
     )

@@ -1,15 +1,19 @@
 """Exterior forms with polynomial coefficients on affine coordinate space.
 
 A k-form is a mapping from strictly increasing k-tuples of internal variable
-indices (the basis forms dX_{i1} ^ ... ^ dX_{ik}) to polynomial coefficients.
-Wedge product, exterior derivative and contraction by coordinate vector
-fields are all exact.
+indices (the basis forms dX_{i1} ^ ... ^ dX_{ik}) to nonzero polynomial
+coefficients.  Wedge product, exterior derivative and contraction by
+coordinate vector fields are all exact.  Sums, wedges and derivatives
+collect their terms with ``poly.add_into``, the accumulator shared by every
+sparse type, so no zero coefficient is stored.  Forms and multiderivations
+validate their index tuples with the same ``_checked_terms``.
 
 Evaluation is sparse where the integrability test needs it.  A wedge into
 the top degree n pairs each term only with the other factor's term at its
 complement.  ``d`` differentiates each coefficient only in the variables it
-contains.  ``interior_coordinates`` contracts by several coordinate fields
-at once, reading each result term off the one source term it comes from.
+contains.  ``interior_coordinates`` is the one contraction: it contracts by
+several coordinate fields at once, in ascending index order, reading each
+result term off the one source term it comes from.
 
 Degrees outside 0..n are represented by the zero form rather than an error,
 so iterated contractions can be chained without case splits.
@@ -21,9 +25,9 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .poly import Polynomial, Scalar, format_poly
+from .poly import Polynomial, Scalar, add_into, format_poly
 
 IndexTuple = tuple[int, ...]
 
@@ -81,6 +85,27 @@ def _merge_sign(a: IndexTuple, b: IndexTuple) -> tuple[int, Optional[IndexTuple]
     return sign, tuple(merged)
 
 
+def _checked_terms(
+    n: int, k: int, terms: Mapping[IndexTuple, Polynomial]
+) -> Iterator[tuple[IndexTuple, Polynomial]]:
+    """The (index tuple, polynomial) pairs of a k-form or k-derivation, validated.
+
+    Each tuple has length k and strictly increasing entries in 0..n-1, and
+    each polynomial is in n variables.
+    """
+    for idx, value in terms.items():
+        idx = tuple(idx)
+        if len(idx) != k:
+            raise ValueError(f"index tuple {idx} has length != {k}")
+        if any(not 0 <= i < n for i in idx):
+            raise ValueError(f"index out of range in {idx}")
+        if any(idx[a] >= idx[a + 1] for a in range(k - 1)):
+            raise ValueError(f"index tuple {idx} is not strictly increasing")
+        if value.n != n:
+            raise ValueError(f"value at {idx} is in {value.n} variables, not {n}")
+        yield idx, value
+
+
 class ExteriorForm:
     """Immutable exterior k-form with Polynomial coefficients."""
 
@@ -94,23 +119,16 @@ class ExteriorForm:
     ) -> None:
         self.n = n
         self.k = k
-        clean: dict[IndexTuple, Polynomial] = {}
+        self.terms: dict[IndexTuple, Polynomial] = {}
         if terms and 0 <= k <= n:
-            for idx, coeff in terms.items():
-                idx = tuple(idx)
-                if len(idx) != k:
-                    raise ValueError(f"index tuple {idx} has length != {k}")
-                if any(not 0 <= i < n for i in idx):
-                    raise ValueError(f"index out of range in {idx}")
-                if any(idx[a] >= idx[a + 1] for a in range(len(idx) - 1)):
-                    raise ValueError(f"index tuple {idx} is not strictly increasing")
-                if coeff.n != n:
-                    raise ValueError("coefficient variable count mismatch")
-                if not coeff.is_zero:
-                    clean[idx] = clean[idx] + coeff if idx in clean else coeff
-                    if clean[idx].is_zero:
-                        del clean[idx]
-        self.terms = clean
+            add_into(self.terms, _checked_terms(n, k, terms))
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, terms: dict[IndexTuple, Polynomial]) -> "ExteriorForm":
+        """Wrap terms that are already valid and free of zeros, without checks."""
+        form = cls.__new__(cls)
+        form.n, form.k, form.terms = n, k, terms
+        return form
 
     @classmethod
     def zero(cls, n: int, k: int) -> "ExteriorForm":
@@ -162,26 +180,15 @@ class ExteriorForm:
             return self
         if self.k != other.k:
             raise ValueError(f"cannot add forms of degree {self.k} and {other.k}")
-        merged = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = merged.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero:
-                merged.pop(idx, None)
-            else:
-                merged[idx] = s
-        out = ExteriorForm.__new__(ExteriorForm)
-        out.n, out.k, out.terms = self.n, self.k, merged
-        return out
+        return ExteriorForm._trusted(
+            self.n, self.k, add_into(dict(self.terms), other.terms.items())
+        )
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
         return self + (-other)
 
     def __neg__(self) -> "ExteriorForm":
-        out = ExteriorForm.__new__(ExteriorForm)
-        out.n, out.k = self.n, self.k
-        out.terms = {i: -c for i, c in self.terms.items()}
-        return out
+        return ExteriorForm._trusted(self.n, self.k, {i: -c for i, c in self.terms.items()})
 
     def __mul__(self, scalar: Union[Polynomial, Scalar]) -> "ExteriorForm":
         if isinstance(scalar, Polynomial):
@@ -191,10 +198,8 @@ class ExteriorForm:
         s = Fraction(scalar)
         if not s:
             return ExteriorForm.zero(self.n, self.k)
-        out = ExteriorForm.__new__(ExteriorForm)
-        out.n, out.k = self.n, self.k
-        out.terms = {i: c * s for i, c in self.terms.items()}
-        return out
+        terms = {i: c * s for i, c in self.terms.items()}
+        return ExteriorForm._trusted(self.n, self.k, terms)
 
     __rmul__ = __mul__
 
@@ -207,24 +212,16 @@ class ExteriorForm:
             return ExteriorForm.zero(self.n, k)
         if k == self.n:
             return self._wedge_top(other)
-        out: dict[IndexTuple, Polynomial] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                sign, merged = _merge_sign(ia, ib)
-                if merged is None:
-                    continue
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = out.get(merged)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(merged, None)
-                else:
-                    out[merged] = s
-        result = ExteriorForm.__new__(ExteriorForm)
-        result.n, result.k, result.terms = self.n, k, out
-        return result
+
+        def products() -> Iterator[tuple[IndexTuple, Polynomial]]:
+            for ia, ca in self.terms.items():
+                for ib, cb in other.terms.items():
+                    sign, merged = _merge_sign(ia, ib)
+                    if merged is not None:
+                        c = ca * cb
+                        yield merged, c if sign > 0 else -c
+
+        return ExteriorForm._trusted(self.n, k, add_into({}, products()))
 
     def _wedge_top(self, other: "ExteriorForm") -> "ExteriorForm":
         """Wedge into degree n: each term meets only the other's term at its complement.
@@ -242,55 +239,27 @@ class ExteriorForm:
                 continue
             c = ca * cb
             total = total - c if (sum(ia) - k * (k - 1) // 2) % 2 else total + c
-        result = ExteriorForm.__new__(ExteriorForm)
-        result.n, result.k = n, n
-        result.terms = {} if total.is_zero else {tuple(range(n)): total}
-        return result
+        return ExteriorForm._trusted(n, n, {tuple(range(n)): total} if total else {})
 
     def d(self) -> "ExteriorForm":
         """Exterior derivative; satisfies d(d(a)) = 0."""
-        out: dict[IndexTuple, Polynomial] = {}
-        for idx, coeff in self.terms.items():
-            used = {i for exps in coeff.terms for i, e in enumerate(exps) if e}
-            for i in sorted(used):
-                dc = coeff.partial(i)
-                if dc.is_zero:
-                    continue
-                sign, merged = _merge_sign((i,), idx)
-                if merged is None:
-                    continue
-                c = dc if sign > 0 else -dc
-                s = out.get(merged)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(merged, None)
-                else:
-                    out[merged] = s
-        result = ExteriorForm.__new__(ExteriorForm)
-        result.n, result.k, result.terms = self.n, self.k + 1, out
-        return result
 
-    def interior_coordinate(self, i: int) -> "ExteriorForm":
-        """Interior product against the coordinate field d/dX_i."""
-        if self.k == 0:
-            return ExteriorForm.zero(self.n, 0)
-        out: dict[IndexTuple, Polynomial] = {}
-        for idx, coeff in self.terms.items():
-            try:
-                pos = idx.index(i)
-            except ValueError:
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            out[rest] = coeff if pos % 2 == 0 else -coeff
-        result = ExteriorForm.__new__(ExteriorForm)
-        result.n, result.k, result.terms = self.n, self.k - 1, out
-        return result
+        def partials() -> Iterator[tuple[IndexTuple, Polynomial]]:
+            for idx, coeff in self.terms.items():
+                used = {i for exps in coeff.terms for i, e in enumerate(exps) if e}
+                for i in sorted(used):
+                    sign, merged = _merge_sign((i,), idx)
+                    if merged is not None:
+                        dc = coeff.partial(i)
+                        yield merged, dc if sign > 0 else -dc
+
+        return ExteriorForm._trusted(self.n, self.k + 1, add_into({}, partials()))
 
     def interior_coordinates(self, idxs: Sequence[int]) -> "ExteriorForm":
         """Contraction by d/dX_i for each i of the increasing tuple ``idxs``.
 
-        Equals ``interior_coordinate`` applied for i in ascending order.  Each
-        result term R is read off the one term J = R + idxs by lookup, with
+        The contractions apply in ascending order, the smallest index first.
+        Each result term R is read off the one term J = R + idxs by lookup, with
         sign (-1)^#{(i, r) : i in idxs, r in R, r < i}: the cost is the number
         of (k - len(idxs))-subsets of the other indices, not the number of
         terms.
@@ -307,9 +276,7 @@ class ExteriorForm:
                     continue
                 flips = sum(m - bisect.bisect_right(idxs, r) for r in rest)
                 out[rest] = -coeff if flips % 2 else coeff
-        result = ExteriorForm.__new__(ExteriorForm)
-        result.n, result.k, result.terms = self.n, max(self.k - m, 0), out
-        return result
+        return ExteriorForm._trusted(self.n, max(self.k - m, 0), out)
 
 
 def format_form(form: ExteriorForm, first_index: int = 1) -> str:

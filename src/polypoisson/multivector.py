@@ -33,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exterior import ExteriorForm, IndexTuple, _perm_sign
-from .poly import Polynomial, Scalar, format_internal
+from .exterior import ExteriorForm, IndexTuple, _checked_terms, _perm_sign
+from .poly import Polynomial, Scalar, add_into, format_internal
 
 
 class MultiDerivation:
@@ -57,23 +57,18 @@ class MultiDerivation:
             raise ValueError("arity must be non-negative")
         self.n = n
         self.k = k
-        clean: dict[IndexTuple, Polynomial] = {}
+        self.values: dict[IndexTuple, Polynomial] = {}
         if values and k <= n:
-            for idx, poly in values.items():
-                idx = tuple(idx)
-                if len(idx) != k:
-                    raise ValueError(f"tuple {idx} has length != {k}")
-                if any(not 0 <= i < n for i in idx):
-                    raise ValueError(f"index out of range in {idx}")
-                if any(idx[a] >= idx[a + 1] for a in range(k - 1)):
-                    raise ValueError(f"tuple {idx} is not strictly increasing")
-                if poly.n != n:
-                    raise ValueError("value variable count mismatch")
-                if not poly.is_zero:
-                    clean[idx] = clean[idx] + poly if idx in clean else poly
-                    if clean[idx].is_zero:
-                        del clean[idx]
-        self.values = clean
+            add_into(self.values, _checked_terms(n, k, values))
+
+    @classmethod
+    def _trusted(
+        cls, n: int, k: int, values: dict[IndexTuple, Polynomial]
+    ) -> "MultiDerivation":
+        """Wrap values that are already valid and free of zeros, without checks."""
+        md = cls.__new__(cls)
+        md.n, md.k, md.values = n, k, values
+        return md
 
     @classmethod
     def zero(cls, n: int, k: int) -> "MultiDerivation":
@@ -112,35 +107,22 @@ class MultiDerivation:
     def __add__(self, other: "MultiDerivation") -> "MultiDerivation":
         if self.n != other.n or self.k != other.k:
             raise ValueError("mismatched multiderivations")
-        merged = dict(self.values)
-        for idx, p in other.values.items():
-            s = merged.get(idx)
-            s = p if s is None else s + p
-            if s.is_zero:
-                merged.pop(idx, None)
-            else:
-                merged[idx] = s
-        out = MultiDerivation.__new__(MultiDerivation)
-        out.n, out.k, out.values = self.n, self.k, merged
-        return out
+        return MultiDerivation._trusted(
+            self.n, self.k, add_into(dict(self.values), other.values.items())
+        )
 
     def __sub__(self, other: "MultiDerivation") -> "MultiDerivation":
         return self + (-other)
 
     def __neg__(self) -> "MultiDerivation":
-        out = MultiDerivation.__new__(MultiDerivation)
-        out.n, out.k = self.n, self.k
-        out.values = {i: -p for i, p in self.values.items()}
-        return out
+        return MultiDerivation._trusted(self.n, self.k, {i: -p for i, p in self.values.items()})
 
     def __mul__(self, scalar: Scalar) -> "MultiDerivation":
         s = Fraction(scalar)
         if not s:
             return MultiDerivation.zero(self.n, self.k)
-        out = MultiDerivation.__new__(MultiDerivation)
-        out.n, out.k = self.n, self.k
-        out.values = {i: p * s for i, p in self.values.items()}
-        return out
+        values = {i: p * s for i, p in self.values.items()}
+        return MultiDerivation._trusted(self.n, self.k, values)
 
     __rmul__ = __mul__
 
@@ -181,13 +163,10 @@ def bivector_from_entries(
     n: int, entries: Mapping[tuple[int, int], Polynomial]
 ) -> MultiDerivation:
     """Build a bivector from entries P_{ij} on pairs i < j of internal indices."""
-    values: dict[IndexTuple, Polynomial] = {}
-    for (i, j), poly in entries.items():
+    for i, j in entries:
         if i >= j:
             raise ValueError(f"entry ({i},{j}) must have i < j")
-        key = (i, j)
-        values[key] = values[key] + poly if key in values else poly
-    return MultiDerivation(n, 2, values)
+    return MultiDerivation(n, 2, entries)
 
 
 def bivector_entry(biv: MultiDerivation, i: int, j: int) -> Polynomial:

@@ -372,6 +372,5 @@ def apply_equivalence(structure: PoissonStructure, f: Order2Equivalence) -> Pois
                     f"transformed entry P({i + structure.first_index},"
                     f"{j + structure.first_index}) has degree {p.total_degree()}"
                 )
-            if not p.is_zero:
-                entries[(i, j)] = p
+            entries[(i, j)] = p
     return verify(bivector_from_entries(n, entries), structure.first_index)

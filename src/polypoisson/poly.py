@@ -37,6 +37,22 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+def add_into(out: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, value) pair into ``out``, dropping a key whose sum is zero.
+
+    Uses only ``+`` and truthiness, so the values may be ``Fraction``s or
+    ``Polynomial``s; a zero value never lands in ``out``.  Returns ``out``.
+    """
+    for key, value in items:
+        s = out.get(key)
+        s = value if s is None else s + value
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     """Sort key realizing graded lex order with X1 > X2 > ... ."""
     return (sum(exps), exps)
@@ -51,22 +67,21 @@ class Polynomial:
         if n < 0:
             raise ValueError("variable count must be non-negative")
         self.n = n
-        clean: dict[Exponents, Fraction] = {}
+        self.terms: dict[Exponents, Fraction] = {}
         if terms:
-            for exps, coeff in terms.items():
+            for exps in terms:
                 if len(exps) != n:
                     raise ValueError(f"exponent tuple {exps} has length != {n}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
-                if c:
-                    key = tuple(exps)
-                    c += clean.get(key, Fraction(0))
-                    if c:
-                        clean[key] = c
-                    else:
-                        clean.pop(key, None)
-        self.terms = clean
+            add_into(self.terms, ((tuple(e), Fraction(c)) for e, c in terms.items()))
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap terms that are already valid and free of zeros, without checks."""
+        p = cls.__new__(cls)
+        p.n, p.terms = n, terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -99,50 +114,26 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        p = Polynomial.__new__(Polynomial)
-        p.n = self.n
-        p.terms = out
-        return p
+        return Polynomial._trusted(self.n, add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.n = self.n
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check(other)
-            out: dict[Exponents, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(key, Fraction(0)) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            p = Polynomial.__new__(Polynomial)
-            p.n = self.n
-            p.terms = out
-            return p
+            return Polynomial._trusted(self.n, add_into({}, (
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            )))
         c = Fraction(other)
         if not c:
             return Polynomial.zero(self.n)
-        p = Polynomial.__new__(Polynomial)
-        p.n = self.n
-        p.terms = {e: c * v for e, v in self.terms.items()}
-        return p
+        return Polynomial._trusted(self.n, {e: c * v for e, v in self.terms.items()})
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         return self * other
@@ -191,10 +182,7 @@ class Polynomial:
             e = exps[i]
             if e:
                 out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
-        p = Polynomial.__new__(Polynomial)
-        p.n = self.n
-        p.terms = out
-        return p
+        return Polynomial._trusted(self.n, out)
 
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
@@ -247,32 +235,30 @@ def _compositions(n: int, d: int) -> Iterator[Exponents]:
             yield (first,) + rest
 
 
-def monomial_basis(
-    n: int,
-    d: int,
-    weights: Optional[Sequence[int]] = None,
-    target_weight: Optional[int] = None,
-    exclude_vars: Iterable[int] = (),
-) -> list[Exponents]:
+def _checked_vars(n: int, indices: Iterable[int]) -> frozenset[int]:
+    """The excluded variable indices as a set; each must lie in 0..n-1."""
+    out = frozenset(indices)
+    bad = sorted(i for i in out if not 0 <= i < n)
+    if bad:
+        names = ", ".join(map(str, bad))
+        raise ValueError(f"excluded variable index {names} out of range 0..{n - 1}")
+    return out
+
+
+def monomial_basis(n: int, d: int, exclude_vars: Iterable[int] = ()) -> list[Exponents]:
     """All degree-d monomials in n variables, ascending in graded lex order.
 
-    With ``weights``/``target_weight``, keeps only monomials whose weight is
-    exactly the target.  ``exclude_vars`` drops monomials touching any of the
-    given internal variable indices.  The unfiltered count is C(n+d-1, d).
+    ``exclude_vars`` drops monomials touching any of the given internal
+    variable indices, each in 0..n-1.  The unfiltered count is C(n+d-1, d).
     """
+    banned = _checked_vars(n, exclude_vars)
     if d < 0:
         return []
-    banned = set(exclude_vars)
-    if weights is not None and len(weights) != n:
-        raise ValueError("weight vector length must equal the variable count")
-    out = []
-    for exps in _compositions(n, d):
-        if banned and any(exps[i] for i in banned):
-            continue
-        if weights is not None and target_weight is not None:
-            if sum(e * w for e, w in zip(exps, weights)) != target_weight:
-                continue
-        out.append(exps)
+    out = [
+        exps
+        for exps in _compositions(n, d)
+        if not (banned and any(exps[i] for i in banned))
+    ]
     out.sort(key=grlex_key)
     return out
 

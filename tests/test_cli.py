@@ -104,6 +104,40 @@ def test_delta_via_forms_agrees(capsys):
     assert json.loads(out1)["entries"] == []
 
 
+def test_delta_sums_entries_that_repeat_args(capsys):
+    def delta_of(*entries):
+        cochain = json.dumps(
+            {"k": 1, "entries": [{"args": args, "poly": poly} for args, poly in entries]}
+        )
+        code, out, _ = run(capsys, "delta", "--catalog", "P1", "--cochain", cochain)
+        assert code == 0
+        return out
+
+    summed = delta_of(([2], "3*X1*X3"), ([3], "X2"))
+    assert delta_of(([2], "X1*X3"), ([3], "X2"), ([2], "2*X1*X3")) == summed
+    assert json.loads(summed)["entries"]
+    zero = delta_of()
+    assert delta_of(([2], "X1*X3"), ([2], "-X1*X3")) == zero
+    assert json.loads(zero) == {"base": 1, "entries": [], "k": 2}
+
+
+@pytest.mark.parametrize(
+    "k, args, message",
+    [
+        (2, [3, 1], "args [3, 1] are not strictly increasing"),
+        (2, [2, 2], "args [2, 2] are not strictly increasing"),
+        (2, [0, 1], "args [0, 1] out of range 1..3"),
+        (2, [1, 4], "args [1, 4] out of range 1..3"),
+        (2, [3], "args [3] have length 1, expected k=2"),
+    ],
+)
+def test_delta_cochain_errors_name_labels(capsys, k, args, message):
+    cochain = json.dumps({"k": k, "entries": [{"args": args, "poly": "X1"}]})
+    code, _, err = run(capsys, "delta", "--catalog", "P1", "--cochain", cochain)
+    assert code == 2
+    assert message in err
+
+
 def test_cohomology_table_p2(capsys):
     code, out, _ = run(
         capsys, "cohomology", "--catalog", "P2", "--param", "n=2",

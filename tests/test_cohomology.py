@@ -18,11 +18,12 @@ from polypoisson.cohomology import (
     form_delta_sign,
     normalize_cocycle,
     slice_basis,
+    slice_dims,
 )
 from polypoisson.exterior import ExteriorForm
 from polypoisson.multivector import MultiDerivation, bivector_from_entries, phi_inverse
 from polypoisson.poisson import verify
-from polypoisson.poly import Polynomial
+from polypoisson.poly import Polynomial, monomial_basis
 
 from conftest import random_cochain, random_poly
 from oracles import (
@@ -564,6 +565,25 @@ def test_counted_dims_match_the_basis():
                     assert plain == math.comb(n, k) * math.comb(n + d - 1, d)
                 invariant = slice_basis(n, k, d, tuple(range(n)), (0,), (0,)).dim
                 assert filtered.dim(k, d) == invariant
+
+
+@pytest.mark.parametrize("bad", [3, 7, -1, -3])
+def test_excluded_variables_out_of_range_raise(bad):
+    # a negative index must not wrap around and ban the last variable
+    with pytest.raises(ValueError, match=f"excluded variable index {bad} out of range 0..2"):
+        monomial_basis(3, 2, exclude_vars=(bad,))
+    for k in (0, 2, 4):
+        for d in (-1, 2):
+            with pytest.raises(ValueError, match=f"index {bad} "):
+                slice_basis(3, k, d, exclude_value_vars=(bad,))
+            with pytest.raises(ValueError, match=f"index {bad} "):
+                slice_basis(3, k, d, exclude_slot_vars=(0, bad))
+    with pytest.raises(ValueError, match=f"index {bad} "):
+        slice_dims(3, 2, exclude_value_vars=(bad,))
+    with pytest.raises(ValueError, match=f"index {bad} "):
+        slice_dims(3, 2, exclude_slot_vars=(bad,))
+    with pytest.raises(ValueError, match=f"index {bad} "):
+        cohomology_dims(p1(), [1], [1], exclude_vars=(bad,))
 
 
 def test_weight_block_rank_out_of_range_raises(monkeypatch):

@@ -234,16 +234,6 @@ def test_monomial_basis_strictly_increasing():
         assert len(set(keys)) == len(keys)
 
 
-def test_monomial_basis_weight_filter():
-    # independent enumeration: all degree-2 monomials, keep weight 4
-    expected = set()
-    for m in monomial_basis(3, 2):
-        if m[0] * 1 + m[1] * 2 + m[2] * 3 == 4:
-            expected.add(m)
-    got = monomial_basis(3, 2, weights=(1, 2, 3), target_weight=4)
-    assert set(got) == expected == {(1, 0, 1), (0, 2, 0)}
-
-
 def test_monomial_basis_exclusion():
     got = monomial_basis(3, 2, exclude_vars=(0,))
     assert all(m[0] == 0 for m in got)
