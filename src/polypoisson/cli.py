@@ -63,6 +63,8 @@ def _bivector_from_json(data: dict) -> tuple[MultiDerivation, int]:
                 raise CliError(f"entry indices ({item['i']},{item['j']}) out of range")
             if i >= j:
                 raise CliError("entries must have i < j")
+            if (i, j) in entries:
+                raise CliError(f"entry ({item['i']},{item['j']}) appears more than once")
             entries[(i, j)] = parse_poly(item["poly"], n, first_index=base)
         return bivector_from_entries(n, entries), base
     except (KeyError, TypeError, ValueError) as exc:

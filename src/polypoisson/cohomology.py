@@ -45,6 +45,16 @@ R(k, d) = (dim - dim of the block)(k, d) - R(k - 1, d), R(-1, d) = 0.  With
 a filter, or no diagonal coordinate, the block is the filtered slice and R
 is 0.  Representatives and membership tests always use whole slices.
 
+Each verified structure keeps one complex (``_SliceCache``) per filter,
+made on first use by ``_complex`` and shared by ``cohomology_dims``,
+``cocycle_representatives`` and ``cochain_in_coboundaries``.  What persists
+in it: counted dimensions, ranks, corrections, block slices, and per (k, d)
+the echelon of the incoming coboundaries (the boundary echelon).  What does
+not: coboundary matrices, and whole slices other than blocks; each query
+rebuilds those.  A representatives query stops once it holds
+dim H = dim Z - rank B classes, and raises ``ComplexInvariantError`` when
+that count is negative.
+
 The reports check dim Z + rank(outgoing) = dim(slice) with a rank inside
 0..dim(slice), dim B <= dim Z, and that each R lies inside 0..(dim of the
 other blocks) and vanishes at k = n; they raise ``ComplexInvariantError``
@@ -562,29 +572,38 @@ def _diagonal_weights(S: PoissonStructure) -> Optional[tuple[int, ...]]:
 
 
 class _SliceCache:
-    """Slices, counted dimensions and outgoing ranks of one filtered complex.
+    """Slices, counted dimensions, ranks and boundary echelons of one filtered complex.
+
+    ``_complex`` makes one per structure and filter and keeps it on the
+    structure, so every cohomology query of a session shares it.  It keeps
+    counted dimensions, outgoing ranks, corrections, block slices and
+    boundary echelons.  It keeps no coboundary matrix, and no whole slice
+    that differs from its block: queries rebuild those.
 
     ``block(k, d)`` is the weight-0 block of slice (k, d): with no filter from
     the caller it is cut by the diagonal weights of the structure, and
     otherwise (or with no diagonal coordinate) it is the filtered slice
     itself.  Only blocks are eliminated; ``correction`` adds the rank that
     the acyclic blocks of weight != 0 carry, from dimensions alone.
+    ``boundaries(k, d)`` is the echelon of the coboundaries inside the whole
+    slice (k, d), which representatives and membership tests reduce against.
     """
 
     def __init__(
         self,
         S: PoissonStructure,
-        weights: Optional[Sequence[int]],
-        exclude_vars: Iterable[int],
+        weights: Optional[tuple[int, ...]],
+        banned: frozenset[int],
     ) -> None:
         self.S = S
         self.r = S.homogeneous_degree()
-        self.weights = tuple(weights) if weights is not None else None
-        self.banned = frozenset(exclude_vars)
-        self._slices: dict[tuple, GradedSlice] = {}
+        self.weights = weights
+        self.banned = banned
+        self._blocks: dict[tuple[int, int], GradedSlice] = {}
         self._dims: dict[tuple, list[int]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
         self._corrections: dict[tuple[int, int], int] = {}
+        self._boundaries: dict[tuple[int, int], linalg.SpanTracker] = {}
 
     @cached_property
     def block_weights(self) -> Optional[tuple[int, ...]]:
@@ -593,17 +612,14 @@ class _SliceCache:
         return self.weights
 
     def _slice(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> GradedSlice:
-        key = (weights, k, d)
-        if key not in self._slices:
-            self._slices[key] = slice_basis(
-                self.S.n,
-                k,
-                d,
-                weights=weights,
-                exclude_value_vars=self.banned,
-                exclude_slot_vars=self.banned,
-            )
-        return self._slices[key]
+        return slice_basis(
+            self.S.n,
+            k,
+            d,
+            weights=weights,
+            exclude_value_vars=self.banned,
+            exclude_slot_vars=self.banned,
+        )
 
     def _dim(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> int:
         if not 0 <= k <= self.S.n:
@@ -614,10 +630,15 @@ class _SliceCache:
         return self._dims[key][k]
 
     def slice(self, k: int, d: int) -> GradedSlice:
+        if self.weights == self.block_weights:
+            return self.block(k, d)
         return self._slice(self.weights, k, d)
 
     def block(self, k: int, d: int) -> GradedSlice:
-        return self._slice(self.block_weights, k, d)
+        key = (k, d)
+        if key not in self._blocks:
+            self._blocks[key] = self._slice(self.block_weights, k, d)
+        return self._blocks[key]
 
     def dim(self, k: int, d: int) -> int:
         return self._dim(self.weights, k, d)
@@ -658,6 +679,43 @@ class _SliceCache:
             self._ranks[key] = block_rank + self.correction(k, d)
         return self._ranks[key]
 
+    def boundaries(
+        self, k: int, d: int, target: Optional[GradedSlice] = None
+    ) -> linalg.SpanTracker:
+        """Echelon of the image of the coboundary from (k - 1, d - r + 1) in (k, d).
+
+        Built once, from one matrix, in the natural column order of the whole
+        slice (k, d), and then kept.  ``target`` is that slice, when the
+        caller has already built it.
+        """
+        key = (k, d)
+        if key not in self._boundaries:
+            tracker = linalg.SpanTracker()
+            prev_d = d - self.r + 1
+            if k > 0 and prev_d >= 0:
+                if target is None:
+                    target = self.slice(k, d)
+                incoming = delta_matrix(self.S, self.slice(k - 1, prev_d), target)
+                for column in incoming.columns:
+                    tracker.add(column)
+            self._boundaries[key] = tracker
+        return self._boundaries[key]
+
+
+def _complex(
+    S: PoissonStructure,
+    weights: Optional[Sequence[int]],
+    exclude_vars: Iterable[int],
+) -> _SliceCache:
+    """The one ``_SliceCache`` of S for this filter, made on first use."""
+    key = (
+        tuple(weights) if weights is not None else None,
+        _checked_vars(S.n, exclude_vars),
+    )
+    if key not in S._complexes:
+        S._complexes[key] = _SliceCache(S, *key)
+    return S._complexes[key]
+
 
 def cohomology_dims(
     S: PoissonStructure,
@@ -679,7 +737,7 @@ def cohomology_dims(
     and B <= Z, each correction must lie in range and the corrections must
     vanish at k = n, where the complex of the other blocks ends.
     """
-    cache = _SliceCache(S, weights, exclude_vars)
+    cache = _complex(S, weights, exclude_vars)
     ds = sorted(set(ds))
     for d in ds:
         left = cache.correction(S.n, d)
@@ -723,7 +781,7 @@ def cocycle_representatives(
     Each representative is fixed only up to a nonzero scalar and a
     coboundary; it is not normalised to any published generator.
     """
-    cache = _SliceCache(S, weights, exclude_vars)
+    cache = _complex(S, weights, exclude_vars)
     sl = cache.slice(k, d)
     if sl.dim == 0:
         return []
@@ -734,14 +792,19 @@ def cocycle_representatives(
     else:
         out_matrix = delta_matrix(S, sl, cache.slice(k + 1, d + cache.r - 1))
         kernel_vectors = out_matrix.kernel()
-    tracker = linalg.SpanTracker()
-    if k > 0 and d - cache.r + 1 >= 0:
-        incoming = delta_matrix(S, cache.slice(k - 1, d - cache.r + 1), sl)
-        for column in incoming.columns:
-            tracker.add(column)
+    boundaries = cache.boundaries(k, d, sl)
+    dim_H = len(kernel_vectors) - boundaries.rank
+    if dim_H < 0:
+        raise ComplexInvariantError(
+            f"coboundaries exceed cocycles at k={k}, d={d}: the complex is broken"
+        )
+    # the first dim_H independent kernel vectors fill Z, so the rest are dependent
+    complement = boundaries.copy()
     reps = []
     for vec in kernel_vectors:
-        if tracker.add(vec):
+        if len(reps) == dim_H:
+            break
+        if complement.add(vec):
             reps.append(sl.from_vector(vec))
     return reps
 
@@ -753,7 +816,7 @@ def cochain_in_coboundaries(
     weights: Optional[Sequence[int]] = None,
     exclude_vars: Iterable[int] = (),
 ) -> bool:
-    """Exact class-triviality test by rank augmentation."""
+    """Exact class-triviality test: phi reduces to zero against the coboundaries."""
     if phi.is_zero:
         return True
     degrees = {p.total_degree() for p in phi.values.values()}
@@ -761,13 +824,10 @@ def cochain_in_coboundaries(
         if len(degrees) != 1:
             raise ValueError("cochain is not degree-homogeneous; pass d explicitly")
         d = degrees.pop()
-    cache = _SliceCache(S, weights, exclude_vars)
+    cache = _complex(S, weights, exclude_vars)
     sl = cache.slice(phi.k, d)
     vec = sl.to_vector(phi)
-    if phi.k == 0 or d - cache.r + 1 < 0:
-        return False
-    incoming = delta_matrix(S, cache.slice(phi.k - 1, d - cache.r + 1), sl)
-    return linalg.in_span(incoming.columns, vec)
+    return not cache.boundaries(phi.k, d, sl).residual(vec)
 
 
 # -- cocycle normalization for the rigid family ----------------------------------

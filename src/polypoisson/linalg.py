@@ -155,6 +155,16 @@ class SpanTracker:
         """Add a vector; True if it enlarged the span."""
         return _insert(self._echelon, _integerize(vector))
 
+    def copy(self) -> SpanTracker:
+        """An independent tracker of the same span.
+
+        Shallow: ``_insert`` stores new rows but never changes a stored one,
+        so the two trackers may share rows.
+        """
+        other = SpanTracker()
+        other._echelon = dict(self._echelon)
+        return other
+
 
 def in_span(vectors: Sequence[Mapping[int, Fraction]], candidate: Mapping[int, Fraction]) -> bool:
     """Whether candidate lies in the span of the given vectors."""

@@ -61,7 +61,7 @@ class PoissonStructure:
     instance and the bracket refuses to run otherwise.
     """
 
-    __slots__ = ("n", "bivector", "verified", "first_index", "_omega")
+    __slots__ = ("n", "bivector", "verified", "first_index", "_omega", "_complexes")
 
     def __init__(self, bivector: MultiDerivation, _token: object = None, first_index: int = 1) -> None:
         if _token is not _VERIFIED_TOKEN:
@@ -71,6 +71,9 @@ class PoissonStructure:
         self.verified = True
         self.first_index = first_index
         self._omega: Optional[ExteriorForm] = None
+        # filtered coboundary complexes, one per (weights, excluded variables);
+        # only cohomology fills it
+        self._complexes: dict = {}
 
     def entry(self, i: int, j: int) -> Polynomial:
         return bivector_entry(self.bivector, i, j)

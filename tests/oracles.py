@@ -15,11 +15,15 @@ another way:
 * ``full_elimination_dims`` is the cohomology table from ranks of whole
   slices; ``cohomology_dims`` eliminates only weight-0 blocks.
   ``insert_first`` is the contraction that makes the other blocks acyclic.
+* ``greedy_representatives`` tries every kernel vector against freshly
+  built coboundaries; ``cocycle_representatives`` reuses the structure's
+  boundary echelon and stops once it holds dim H classes.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from polypoisson.cohomology import (
@@ -31,6 +35,7 @@ from polypoisson.cohomology import (
     slice_basis,
 )
 from polypoisson.exterior import ExteriorForm, IndexTuple, _perm_sign
+from polypoisson.linalg import SpanTracker
 from polypoisson.multivector import MultiDerivation, bivector_from_entries, phi_inverse
 from polypoisson.poisson import PoissonStructure, verify
 from polypoisson.poly import Polynomial
@@ -221,6 +226,34 @@ def full_elimination_dims(
             dim_B = rank(k - 1, d - r + 1) if k > 0 else 0
             rows.append(CohomologyRow(k, d, dim_chi, dim_chi - rank(k, d), dim_B))
     return CohomologyReport(rows)
+
+
+def greedy_representatives(
+    S: PoissonStructure,
+    k: int,
+    d: int,
+    weights: Optional[Sequence[int]] = None,
+    exclude_vars: Iterable[int] = (),
+) -> list[MultiDerivation]:
+    """Complement of B inside Z: every kernel vector that enlarges the span."""
+    n, r = S.n, S.homogeneous_degree()
+    banned = tuple(exclude_vars)
+
+    def whole(k: int, d: int):
+        return slice_basis(n, k, d, weights, banned, banned)
+
+    sl = whole(k, d)
+    if sl.dim == 0:
+        return []
+    if k >= n:
+        kernel = [{i: Fraction(1)} for i in range(sl.dim)]
+    else:
+        kernel = delta_matrix(S, sl, whole(k + 1, d + r - 1)).kernel()
+    tracker = SpanTracker()
+    if k > 0 and d - r + 1 >= 0:
+        for column in delta_matrix(S, whole(k - 1, d - r + 1), sl).columns:
+            tracker.add(column)
+    return [sl.from_vector(vec) for vec in kernel if tracker.add(vec)]
 
 
 def insert_first(phi: MultiDerivation, m: int) -> MultiDerivation:

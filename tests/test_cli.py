@@ -63,6 +63,18 @@ def test_verify_malformed_json_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("base, pair", [(1, (1, 2)), (0, (0, 2))])
+def test_verify_rejects_a_repeated_entry(capsys, base, pair):
+    # a second entry for one (i, j) is an error, not a silent replacement
+    i, j = pair
+    entries = [{"i": i, "j": j, "poly": "X2"}, {"i": i, "j": j, "poly": "X1"}]
+    data = json.dumps({"n": 3, "base": base, "entries": entries})
+    for command in ("verify", "cohomology"):
+        code, out, err = run(capsys, command, "--json", data)
+        assert code == 2 and out == ""
+        assert f"entry ({i},{j}) appears more than once" in err
+
+
 def test_verify_missing_source_exits_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

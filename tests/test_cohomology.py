@@ -29,6 +29,7 @@ from conftest import random_cochain, random_poly
 from oracles import (
     evaluate_derivation,
     full_elimination_dims,
+    greedy_representatives,
     insert_first,
     probe_form_delta_sign,
 )
@@ -555,8 +556,8 @@ def test_cocycles_of_nonzero_weight_are_coboundaries_of_their_insertion():
 
 def test_counted_dims_match_the_basis():
     for n in range(1, 7):
-        cache = cohomology._SliceCache(zero_structure(n), None, ())
-        filtered = cohomology._SliceCache(zero_structure(n), tuple(range(n)), (0,))
+        cache = cohomology._complex(zero_structure(n), None, ())
+        filtered = cohomology._complex(zero_structure(n), tuple(range(n)), (0,))
         for k in range(n + 2):
             for d in range(-1, 5):
                 plain = slice_basis(n, k, d).dim
@@ -649,6 +650,117 @@ def test_representatives_are_cocycles_with_independent_classes(rng):
         assert delta(S, rep).is_zero
         assert not cochain_in_coboundaries(S, rep, d=2)
     assert len(reps) == cohomology_dims(S, [2], [2]).row(2, 2).dim_H
+
+
+def test_representatives_match_the_full_greedy_loop():
+    # the early exit must not change which kernel vectors are picked; P1 has
+    # dim H <= 1 on these slices, P2 n=4 up to 4
+    for S, ds in ((p1(), range(13)), (catalog_get("P2", {"n": 4}), range(4))):
+        for k in range(4):
+            for d in ds:
+                assert cocycle_representatives(S, k, d) == greedy_representatives(S, k, d)
+    rigid = catalog_get("rigid", {"n": 6})
+    weights = tuple(range(7))
+    for d in range(4):
+        got = cocycle_representatives(rigid, 2, d, weights, (0,))
+        assert got == greedy_representatives(rigid, 2, d, weights, (0,))
+
+
+def test_boundaries_beyond_the_cocycles_raise(monkeypatch):
+    # an echelon spanning the whole slice leaves dim Z - rank B < 0
+    def everything(cache, k, d, target=None):
+        tracker = linalg.SpanTracker()
+        for i in range(cache.slice(k, d).dim):
+            tracker.add({i: Fraction(1)})
+        return tracker
+
+    monkeypatch.setattr(cohomology._SliceCache, "boundaries", everything)
+    with pytest.raises(ComplexInvariantError, match="coboundaries exceed cocycles"):
+        cocycle_representatives(p1(), 1, 1)
+
+
+# -- one complex per structure ----------------------------------------------------------------
+
+# name, params, weights, excluded variables, arities, degrees
+SHARED_CASES = [
+    ("P1", None, None, (), range(4), range(9)),
+    ("P2", {"n": 4}, None, (), range(4), range(4)),
+    ("rigid", {"n": 6}, tuple(range(7)), (0,), range(4), range(4)),
+]
+
+
+def _mixed_queries(name, params, weights, banned, ks, ds, rng):
+    """Cohomology queries of every kind in a seeded order, each a function of S."""
+    S = catalog_get(name, params)
+    r = S.homogeneous_degree()
+    queries = [lambda T: cohomology_dims(T, ks, ds, weights, banned).to_json_rows()]
+    for k in ks:
+        for d in ds:
+            queries.append(
+                lambda T, k=k, d=d: cohomology_dims(T, [k], [d], weights, banned).to_json_rows()
+            )
+            queries.append(lambda T, k=k, d=d: cocycle_representatives(T, k, d, weights, banned))
+            phis = cocycle_representatives(S, k, d, weights, banned)
+            source = slice_basis(S.n, k - 1, d - r + 1, weights, banned, banned)
+            if k and source.dim:
+                positions = rng.sample(range(source.dim), min(3, source.dim))
+                psi = source.from_vector({p: Fraction(rng.randint(1, 5)) for p in positions})
+                cob = delta(S, psi)
+                phis += [cob] + [rep + cob for rep in phis]
+            for phi in phis:
+                queries.append(
+                    lambda T, phi=phi, d=d: cochain_in_coboundaries(T, phi, d, weights, banned)
+                )
+    rng.shuffle(queries)
+    return queries
+
+
+@pytest.mark.parametrize("case", SHARED_CASES, ids=[c[0] for c in SHARED_CASES])
+def test_interleaved_queries_match_fresh_structures(case):
+    name, params = case[0], case[1]
+    queries = _mixed_queries(*case, random.Random(2024))
+    shared = catalog_get(name, params)
+    answers = [query(shared) for query in queries]
+    assert answers == [query(catalog_get(name, params)) for query in queries]
+    assert len(shared._complexes) == 1
+    assert any(a is True for a in answers) and any(a is False for a in answers)
+
+
+def test_filters_on_one_structure_do_not_share_state():
+    S = catalog_get("rigid", {"n": 6})
+    ks, ds = range(4), range(3)
+    filters = [(None, ()), (tuple(range(7)), ()), (tuple(range(7)), (0,))]
+    # interleave the three filters, table and representatives alike
+    got = {}
+    for d in ds:
+        for weights, banned in filters:
+            got[weights, banned, d] = (
+                cohomology_dims(S, ks, [d], weights, banned).to_json_rows(),
+                [cocycle_representatives(S, k, d, weights, banned) for k in ks],
+            )
+    assert len(S._complexes) == 3
+    for (weights, banned, d), answer in got.items():
+        fresh = catalog_get("rigid", {"n": 6})
+        assert answer == (
+            cohomology_dims(fresh, ks, [d], weights, banned).to_json_rows(),
+            [cocycle_representatives(fresh, k, d, weights, banned) for k in ks],
+        )
+    tables = [got[w, b, 2][0] for w, b in filters]
+    assert tables[0] != tables[1] != tables[2]
+
+
+def test_a_bad_excluded_index_stores_no_complex():
+    S = p1()
+    phi = cocycle_representatives(p1(), 2, 1)[0]
+    queries = [
+        lambda: cohomology_dims(S, [1], [1], exclude_vars=(3,)),
+        lambda: cocycle_representatives(S, 1, 1, exclude_vars=(0, 5)),
+        lambda: cochain_in_coboundaries(S, phi, d=1, exclude_vars=(-1,)),
+    ]
+    for query in queries:
+        with pytest.raises(ValueError, match="excluded variable index"):
+            query()
+    assert S._complexes == {}
 
 
 # -- normalization ------------------------------------------------------------------------------

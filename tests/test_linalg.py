@@ -116,6 +116,26 @@ def test_span_tracker_counts_new_directions():
     assert tracker.rank == 2
 
 
+def test_span_tracker_copy_is_independent():
+    rng = random.Random(77)
+    for _ in range(20):
+        rows = random_sparse_matrix(rng, rng.randint(1, 6), 8, 0.3)
+        extra = random_sparse_matrix(rng, 8, 8, 0.4)
+        tracker = linalg.SpanTracker()
+        for row in rows:
+            tracker.add(row)
+        copied = tracker.copy()
+        assert copied.rank == tracker.rank
+        for row in extra:
+            copied.add(row)
+        assert copied.rank == dense_rank_oracle(rows + extra, 8)
+        # adding to the copy leaves the original's span as it was
+        assert tracker.rank == dense_rank_oracle(rows, 8)
+        for row in extra:
+            grown = dense_rank_oracle(rows + [row], 8) > tracker.rank
+            assert bool(tracker.residual(row)) == grown
+
+
 def dense_kernel_oracle(rows, ncols):
     """Kernel from the dense Fraction RREF: per free column f, e_f minus the
     pivot entries of column f."""

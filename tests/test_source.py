@@ -50,3 +50,27 @@ def test_every_import_in_package_source_is_used():
         used |= _exported(tree)
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert [name for name in unused if name not in UNUSED_IMPORT_EXCEPTIONS] == []
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_slice_cache_is_built_only_by_its_accessor():
+    # every cohomology query shares the structure's complex, so a second
+    # construction site would bring back a per-call cache
+    sites = []
+    accessor = None
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "_SliceCache":
+                sites.append((path.name, node.lineno))
+            if path.name == "cohomology.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "_complex":
+                accessor = node
+    assert accessor is not None
+    assert len(sites) == 1
+    name, line = sites[0]
+    assert name == "cohomology.py" and accessor.lineno <= line <= accessor.end_lineno
