@@ -32,28 +32,30 @@ can reach.  The structure is scaled to integers once per matrix and column
 values are exact ``Fraction``s; ``delta`` is the oracle the columns are
 tested against.  The matrices feed the fraction-free rank/kernel routines.
 
-Tables (``cohomology_dims``) split slices into weight blocks when the
-caller sets no filter and some coordinate X_m brackets diagonally,
-{X_m, X_i} = w_i X_i (internal index 0: X_0 of the rigid family, X_1 of
-P1 and P2).  The cochain x^a on the slots T has weight
-sum_i a_i w_i - sum_{t in T} w_t, the coboundary keeps it, and with
-i phi = phi(X_m, ...) the map delta i + i delta multiplies each block by
-its weight, so every block of weight != 0 is acyclic.  Only the weight-0
-block (the ``weights=w`` slice) is eliminated; the rank the other blocks
-carry follows from dimensions, counted without building a basis, by
-R(k, d) = (dim - dim of the block)(k, d) - R(k - 1, d), R(-1, d) = 0.  With
-a filter, or no diagonal coordinate, the block is the filtered slice and R
-is 0.  Representatives and membership tests always use whole slices.
+Every query splits slices into weight blocks when the caller sets no
+filter and some coordinate X_m brackets diagonally, {X_m, X_i} = w_i X_i
+(internal index 0: X_0 of the rigid family, X_1 of P1 and P2).  The cochain
+x^a on the slots T has weight sum_i a_i w_i - sum_{t in T} w_t, the
+coboundary keeps it, and with i phi = phi(X_m, ...) the map delta i + i delta
+multiplies each block by its weight, so every block of weight != 0 is
+acyclic.  Only the weight-0 block (the ``weights=w`` slice) is ever built.
+Tables eliminate it, and the rank the other blocks carry follows from
+dimensions, counted without building a basis, by
+R(k, d) = (dim - dim of the block)(k, d) - R(k - 1, d), R(-1, d) = 0.
+Representatives are picked inside the block, and a membership test reduces
+the block part of a cochain and checks that the rest is a cocycle.  With a
+filter, or no diagonal coordinate, the block is the filtered slice and R
+is 0.
 
 Each verified structure keeps one complex (``_SliceCache``) per filter,
 made on first use by ``_complex`` and shared by ``cohomology_dims``,
-``cocycle_representatives`` and ``cochain_in_coboundaries``.  What persists
-in it: counted dimensions, ranks, corrections, block slices, and per (k, d)
-the echelon of the incoming coboundaries (the boundary echelon).  What does
-not: coboundary matrices, and whole slices other than blocks; each query
-rebuilds those.  A representatives query stops once it holds
-dim H = dim Z - rank B classes, and raises ``ComplexInvariantError`` when
-that count is negative.
+``cocycle_representatives`` and ``cochain_in_coboundaries``.  It keeps
+counted dimensions, ranks, corrections, blocks, and per (k, d) the echelon
+of the coboundaries inside the block (the boundary echelon), but no
+coboundary matrix.  Tables and representatives share one ``row(k, d)``; a
+representatives query returns [] when its dim H is 0, stops once it holds
+dim H classes, and raises ``ComplexInvariantError`` unless the block's
+kernel less its boundary rank is dim H.
 
 The reports check dim Z + rank(outgoing) = dim(slice) with a rank inside
 0..dim(slice), dim B <= dim Z, and that each R lies inside 0..(dim of the
@@ -572,21 +574,20 @@ def _diagonal_weights(S: PoissonStructure) -> Optional[tuple[int, ...]]:
 
 
 class _SliceCache:
-    """Slices, counted dimensions, ranks and boundary echelons of one filtered complex.
+    """Weight-0 blocks, counted dimensions, ranks and boundary echelons of one complex.
 
     ``_complex`` makes one per structure and filter and keeps it on the
     structure, so every cohomology query of a session shares it.  It keeps
-    counted dimensions, outgoing ranks, corrections, block slices and
-    boundary echelons.  It keeps no coboundary matrix, and no whole slice
-    that differs from its block: queries rebuild those.
+    counted dimensions, outgoing ranks, corrections, blocks and boundary
+    echelons, and no coboundary matrix.
 
-    ``block(k, d)`` is the weight-0 block of slice (k, d): with no filter from
-    the caller it is cut by the diagonal weights of the structure, and
-    otherwise (or with no diagonal coordinate) it is the filtered slice
-    itself.  Only blocks are eliminated; ``correction`` adds the rank that
-    the acyclic blocks of weight != 0 carry, from dimensions alone.
-    ``boundaries(k, d)`` is the echelon of the coboundaries inside the whole
-    slice (k, d), which representatives and membership tests reduce against.
+    ``block(k, d)``, the only slice it builds, is the weight-0 block of slice
+    (k, d): cut by the diagonal weights of the structure when the caller
+    sets no filter, and otherwise (or with no diagonal coordinate) the
+    filtered slice itself.  ``correction`` adds the rank that the acyclic
+    blocks of weight != 0 carry, from counted dimensions alone.  ``row(k, d)``
+    is the table row of slice (k, d), and ``boundaries(k, d)`` the echelon of
+    the coboundaries inside block (k, d).
     """
 
     def __init__(
@@ -611,16 +612,6 @@ class _SliceCache:
             return _diagonal_weights(self.S)
         return self.weights
 
-    def _slice(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> GradedSlice:
-        return slice_basis(
-            self.S.n,
-            k,
-            d,
-            weights=weights,
-            exclude_value_vars=self.banned,
-            exclude_slot_vars=self.banned,
-        )
-
     def _dim(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> int:
         if not 0 <= k <= self.S.n:
             return 0
@@ -629,15 +620,12 @@ class _SliceCache:
             self._dims[key] = slice_dims(self.S.n, d, weights, self.banned, self.banned)
         return self._dims[key][k]
 
-    def slice(self, k: int, d: int) -> GradedSlice:
-        if self.weights == self.block_weights:
-            return self.block(k, d)
-        return self._slice(self.weights, k, d)
-
     def block(self, k: int, d: int) -> GradedSlice:
         key = (k, d)
         if key not in self._blocks:
-            self._blocks[key] = self._slice(self.block_weights, k, d)
+            self._blocks[key] = slice_basis(
+                self.S.n, k, d, self.block_weights, self.banned, self.banned
+            )
         return self._blocks[key]
 
     def dim(self, k: int, d: int) -> int:
@@ -679,23 +667,36 @@ class _SliceCache:
             self._ranks[key] = block_rank + self.correction(k, d)
         return self._ranks[key]
 
-    def boundaries(
-        self, k: int, d: int, target: Optional[GradedSlice] = None
-    ) -> linalg.SpanTracker:
-        """Echelon of the image of the coboundary from (k - 1, d - r + 1) in (k, d).
+    def row(self, k: int, d: int) -> CohomologyRow:
+        """dim chi / Z / B of slice (k, d); checks rank-nullity and B <= Z."""
+        dim_chi = self.dim(k, d)
+        out_rank = self.outgoing_rank(k, d)
+        if not 0 <= out_rank <= dim_chi:
+            raise ComplexInvariantError(
+                f"rank-nullity fails at k={k}, d={d}: the outgoing coboundary "
+                f"has rank {out_rank} on a slice of dimension {dim_chi}"
+            )
+        dim_Z = dim_chi - out_rank
+        prev_d = d - self.r + 1
+        dim_B = self.outgoing_rank(k - 1, prev_d) if k and prev_d >= 0 else 0
+        if dim_B > dim_Z:
+            raise ComplexInvariantError(
+                f"coboundaries exceed cocycles at k={k}, d={d}: the complex is broken"
+            )
+        return CohomologyRow(k, d, dim_chi, dim_Z, dim_B)
 
-        Built once, from one matrix, in the natural column order of the whole
-        slice (k, d), and then kept.  ``target`` is that slice, when the
-        caller has already built it.
+    def boundaries(self, k: int, d: int) -> linalg.SpanTracker:
+        """Echelon of the image of the coboundary from (k - 1, d - r + 1) in block (k, d).
+
+        Built once, from the matrix between the two blocks in the natural
+        column order of block (k, d), and then kept.
         """
         key = (k, d)
         if key not in self._boundaries:
             tracker = linalg.SpanTracker()
             prev_d = d - self.r + 1
             if k > 0 and prev_d >= 0:
-                if target is None:
-                    target = self.slice(k, d)
-                incoming = delta_matrix(self.S, self.slice(k - 1, prev_d), target)
+                incoming = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d))
                 for column in incoming.columns:
                     tracker.add(column)
             self._boundaries[key] = tracker
@@ -745,28 +746,7 @@ def cohomology_dims(
             raise ComplexInvariantError(
                 f"weight blocks do not close at d={d}: rank {left} left over at k={S.n}"
             )
-    rows = []
-    for k in sorted(set(ks)):
-        for d in ds:
-            dim_chi = cache.dim(k, d)
-            out_rank = cache.outgoing_rank(k, d)
-            if not 0 <= out_rank <= dim_chi:
-                raise ComplexInvariantError(
-                    f"rank-nullity fails at k={k}, d={d}: the outgoing coboundary "
-                    f"has rank {out_rank} on a slice of dimension {dim_chi}"
-                )
-            dim_Z = dim_chi - out_rank
-            if k == 0:
-                dim_B = 0
-            else:
-                prev_d = d - cache.r + 1
-                dim_B = cache.outgoing_rank(k - 1, prev_d) if prev_d >= 0 else 0
-            if dim_B > dim_Z:
-                raise ComplexInvariantError(
-                    f"coboundaries exceed cocycles at k={k}, d={d}: the complex is broken"
-                )
-            rows.append(CohomologyRow(k, d, dim_chi, dim_Z, dim_B))
-    return CohomologyReport(rows)
+    return CohomologyReport(cache.row(k, d) for k in sorted(set(ks)) for d in ds)
 
 
 def cocycle_representatives(
@@ -779,24 +759,24 @@ def cocycle_representatives(
     """A basis of a complement of the coboundaries inside the cocycles.
 
     Each representative is fixed only up to a nonzero scalar and a
-    coboundary; it is not normalised to any published generator.
+    coboundary; it is not normalised to any published generator.  Kernel
+    vectors of the other blocks are coboundaries, so the greedy pick runs
+    on the weight-0 block alone, and only when dim H is not 0.
     """
     cache = _complex(S, weights, exclude_vars)
-    sl = cache.slice(k, d)
-    if sl.dim == 0:
+    dim_H = cache.row(k, d).dim_H
+    if not dim_H:
         return []
+    block = cache.block(k, d)
     if k >= S.n:
-        kernel_vectors: list[dict[int, Fraction]] = [
-            {i: Fraction(1)} for i in range(sl.dim)
-        ]
+        kernel_vectors = [{i: Fraction(1)} for i in range(block.dim)]
     else:
-        out_matrix = delta_matrix(S, sl, cache.slice(k + 1, d + cache.r - 1))
-        kernel_vectors = out_matrix.kernel()
-    boundaries = cache.boundaries(k, d, sl)
-    dim_H = len(kernel_vectors) - boundaries.rank
-    if dim_H < 0:
+        kernel_vectors = delta_matrix(S, block, cache.block(k + 1, d + cache.r - 1)).kernel()
+    boundaries = cache.boundaries(k, d)
+    if len(kernel_vectors) - boundaries.rank != dim_H:
         raise ComplexInvariantError(
-            f"coboundaries exceed cocycles at k={k}, d={d}: the complex is broken"
+            f"the block at k={k}, d={d} has {len(kernel_vectors)} cocycles and "
+            f"{boundaries.rank} coboundaries, but dim H is {dim_H}: the complex is broken"
         )
     # the first dim_H independent kernel vectors fill Z, so the rest are dependent
     complement = boundaries.copy()
@@ -805,7 +785,7 @@ def cocycle_representatives(
         if len(reps) == dim_H:
             break
         if complement.add(vec):
-            reps.append(sl.from_vector(vec))
+            reps.append(block.from_vector(vec))
     return reps
 
 
@@ -816,7 +796,13 @@ def cochain_in_coboundaries(
     weights: Optional[Sequence[int]] = None,
     exclude_vars: Iterable[int] = (),
 ) -> bool:
-    """Exact class-triviality test: phi reduces to zero against the coboundaries."""
+    """Exact class-triviality test of a cochain of slice (phi.k, d).
+
+    With phi_0 its part in the weight-0 block, phi is a coboundary exactly
+    when phi_0 reduces to zero against the boundary echelon and
+    delta(phi - phi_0) = 0, since cocycles of weight != 0 are coboundaries.
+    With a filter, or no diagonal coordinate, the block is the whole slice.
+    """
     if phi.is_zero:
         return True
     degrees = {p.total_degree() for p in phi.values.values()}
@@ -825,9 +811,19 @@ def cochain_in_coboundaries(
             raise ValueError("cochain is not degree-homogeneous; pass d explicitly")
         d = degrees.pop()
     cache = _complex(S, weights, exclude_vars)
-    sl = cache.slice(phi.k, d)
-    vec = sl.to_vector(phi)
-    return not cache.boundaries(phi.k, d, sl).residual(vec)
+    if phi.n != S.n:
+        raise ValueError("cochain does not match the slice shape")
+    block = cache.block(phi.k, d)
+    vec: dict[int, Fraction] = {}
+    for idx, poly in phi.values.items():
+        for exps, coeff in poly.terms.items():
+            pos = block.index.get((idx, exps))
+            if pos is not None:
+                vec[pos] = coeff
+            elif cache.block_weights == cache.weights or sum(exps) != d:
+                raise ValueError(f"cochain term {idx}:{exps} lies outside the slice")
+    rest = phi - block.from_vector(vec)
+    return delta(S, rest).is_zero and not cache.boundaries(phi.k, d).residual(vec)
 
 
 # -- cocycle normalization for the rigid family ----------------------------------

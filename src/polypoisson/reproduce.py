@@ -18,9 +18,7 @@ from .cohomology import (
     cocycle_representatives,
     cohomology_dims,
     delta,
-    delta_matrix,
     normalize_cocycle,
-    slice_basis,
 )
 from .exterior import ExteriorForm
 from .multivector import MultiDerivation, phi_inverse
@@ -129,8 +127,7 @@ def p2_rank_formula(n: int) -> int:
 
 def p2_delta1_rank(n: int) -> int:
     S = catalog_get("P2", {"n": n})
-    source = slice_basis(n, 1, 2)
-    return delta_matrix(S, source).rank()
+    return cohomology_dims(S, [2], [2]).row(2, 2).dim_B
 
 
 def check_p2_b22(ns: range = range(2, 9)) -> Report:

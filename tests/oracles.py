@@ -15,9 +15,10 @@ another way:
 * ``full_elimination_dims`` is the cohomology table from ranks of whole
   slices; ``cohomology_dims`` eliminates only weight-0 blocks.
   ``insert_first`` is the contraction that makes the other blocks acyclic.
-* ``greedy_representatives`` tries every kernel vector against freshly
-  built coboundaries; ``cocycle_representatives`` reuses the structure's
-  boundary echelon and stops once it holds dim H classes.
+* ``greedy_representatives`` tries every kernel vector of the whole slice
+  against freshly built coboundaries; ``cocycle_representatives`` works in
+  the weight-0 block, reuses the structure's boundary echelon and stops
+  once it holds dim H classes.
 """
 
 from __future__ import annotations

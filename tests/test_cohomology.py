@@ -426,7 +426,7 @@ def test_p1_invariant_profile_matches_plain_totals():
 def test_rank_beyond_the_slice_dimension_raises(monkeypatch):
     # an outgoing rank above dim chi would give a negative dim Z
     def too_large(cache, k, d):
-        return cache.slice(k, d).dim + 1
+        return cache.dim(k, d) + 1
 
     monkeypatch.setattr(cohomology._SliceCache, "outgoing_rank", too_large)
     with pytest.raises(ComplexInvariantError, match="rank-nullity"):
@@ -436,7 +436,7 @@ def test_rank_beyond_the_slice_dimension_raises(monkeypatch):
 def test_coboundaries_exceeding_cocycles_raise(monkeypatch):
     # full rank everywhere: dim B of (1, 0) is dim chi of (0, 0) = 1, dim Z is 0
     def full(cache, k, d):
-        return cache.slice(k, d).dim
+        return cache.dim(k, d)
 
     monkeypatch.setattr(cohomology._SliceCache, "outgoing_rank", full)
     with pytest.raises(ComplexInvariantError, match="coboundaries exceed cocycles"):
@@ -653,10 +653,20 @@ def test_representatives_are_cocycles_with_independent_classes(rng):
 
 
 def test_representatives_match_the_full_greedy_loop():
-    # the early exit must not change which kernel vectors are picked; P1 has
-    # dim H <= 1 on these slices, P2 n=4 up to 4
-    for S, ds in ((p1(), range(13)), (catalog_get("P2", {"n": 4}), range(4))):
-        for k in range(4):
+    # the block loop and its early exit must pick what the whole-slice loop
+    # picks; P1 has dim H <= 1 on these slices, P2 n=4 up to 4
+    third = verify(catalog_get("P2", {"n": 4}).bivector * Fraction(1, 3))
+    cases = [
+        (p1(), range(4), range(13)),
+        (catalog_get("P2", {"n": 4}), range(4), range(4)),
+        (catalog_get("rigid", {"n": 6}), range(4), range(3)),
+        (catalog_get("rigid", {"n": 7}), [2], range(3)),
+        (third, range(5), range(4)),  # fractional weights
+        (catalog_get("L2"), range(4), range(5)),  # a negative weight
+        (catalog_get("L3", {"alpha": 0}), range(4), range(5)),  # w_2 = 0
+    ]
+    for S, ks, ds in cases:
+        for k in ks:
             for d in ds:
                 assert cocycle_representatives(S, k, d) == greedy_representatives(S, k, d)
     rigid = catalog_get("rigid", {"n": 6})
@@ -666,17 +676,76 @@ def test_representatives_match_the_full_greedy_loop():
         assert got == greedy_representatives(rigid, 2, d, weights, (0,))
 
 
+def test_no_kernel_is_built_for_a_slice_without_classes(monkeypatch):
+    empty = [r for r in cohomology_dims(p1(), range(4), range(13)).rows if not r.dim_H]
+    assert len(empty) == 46
+
+    def refuse(rows, ncols):
+        raise AssertionError("kernel built for a slice with dim H = 0")
+
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    S = p1()
+    for r in empty:
+        assert cocycle_representatives(S, r.k, r.d) == []
+
+
 def test_boundaries_beyond_the_cocycles_raise(monkeypatch):
-    # an echelon spanning the whole slice leaves dim Z - rank B < 0
-    def everything(cache, k, d, target=None):
+    # an echelon spanning the whole slice leaves fewer classes than dim H
+    def everything(cache, k, d):
         tracker = linalg.SpanTracker()
-        for i in range(cache.slice(k, d).dim):
+        for i in range(cache.dim(k, d)):
             tracker.add({i: Fraction(1)})
         return tracker
 
     monkeypatch.setattr(cohomology._SliceCache, "boundaries", everything)
-    with pytest.raises(ComplexInvariantError, match="coboundaries exceed cocycles"):
+    with pytest.raises(ComplexInvariantError, match="but dim H is 1"):
         cocycle_representatives(p1(), 1, 1)
+
+
+# -- membership ----------------------------------------------------------------------------------
+
+
+def test_membership_matches_the_whole_slice_span():
+    # on-block parts (random or coboundaries) plus off-block parts
+    # (coboundaries or random, so mostly not cocycles)
+    rng = random.Random(2025)
+    verdicts = set()
+    for S in (p1(), catalog_get("P2", {"n": 4}), catalog_get("rigid", {"n": 6})):
+        w = cohomology._diagonal_weights(S)
+        assert S.homogeneous_degree() == 1
+
+        def pick(sl, on_block):
+            positions = [p for p, (T, e) in enumerate(sl.basis)
+                         if (_weight(w, T, e) == 0) == on_block]
+            chosen = rng.sample(positions, min(2, len(positions)))
+            return sl.from_vector({p: Fraction(rng.choice([-2, -1, 1, 3])) for p in chosen})
+
+        for k in range(1, 4):
+            for d in range(4):
+                whole, source = slice_basis(S.n, k, d), slice_basis(S.n, k - 1, d)
+                incoming = delta_matrix(S, source, whole).columns
+                for _ in range(3):
+                    on = rng.choice([pick(whole, True), delta(S, pick(source, True))])
+                    off = rng.choice([delta(S, pick(source, False)), pick(whole, False)])
+                    phi = on + off
+                    got = cochain_in_coboundaries(S, phi, d)
+                    assert got == linalg.in_span(incoming, whole.to_vector(phi))
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_membership_rejects_cochains_outside_the_slice():
+    S = p1()
+    with pytest.raises(ValueError, match="cochain does not match the slice shape"):
+        cochain_in_coboundaries(S, MultiDerivation(4, 1, {(0,): V(4, 1)}))
+    # x1 on slot 0 has weight 1, so it passes the block; x2^2 has degree 2
+    mixed = MultiDerivation(3, 1, {(0,): V(3, 1), (1,): V(3, 2) ** 2})
+    with pytest.raises(ValueError, match=r"\(1,\):\(0, 0, 2\) lies outside the slice"):
+        cochain_in_coboundaries(S, mixed, d=1)
+    rigid = catalog_get("rigid", {"n": 5})
+    for phi in (MultiDerivation(6, 1, {(1,): V(6, 0)}), MultiDerivation(6, 1, {(0,): V(6, 1)})):
+        with pytest.raises(ValueError, match="lies outside the slice"):
+            cochain_in_coboundaries(rigid, phi, exclude_vars=(0,))
 
 
 # -- one complex per structure ----------------------------------------------------------------
