@@ -44,21 +44,32 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
         if "=" not in pair:
             raise CliError(f"--param expects name=value, got {pair!r}")
         name, _, value = pair.partition("=")
+        name = name.strip()
+        if name in out:
+            raise CliError(f"--param {name} appears more than once")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad parameter value {value!r}: {exc}") from exc
     return out
 
 
+def _json_int(value, name: str, least: Optional[int] = None) -> int:
+    """A JSON integer, at least ``least``; floats and booleans are rejected."""
+    if type(value) is not int or (least is not None and value < least):
+        kind = "an integer" if least is None else f"an integer >= {least}"
+        raise CliError(f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _bivector_from_json(data: dict) -> tuple[MultiDerivation, int]:
     try:
-        n = int(data["n"])
-        base = int(data.get("base", 1))
+        n = _json_int(data["n"], "n", least=1)
+        base = _json_int(data.get("base", 1), "base")
         entries = {}
         for item in data.get("entries", []):
-            i = int(item["i"]) - base
-            j = int(item["j"]) - base
+            i = _json_int(item["i"], "i") - base
+            j = _json_int(item["j"], "j") - base
             if not (0 <= i < n and 0 <= j < n):
                 raise CliError(f"entry indices ({item['i']},{item['j']}) out of range")
             if i >= j:
@@ -68,8 +79,6 @@ def _bivector_from_json(data: dict) -> tuple[MultiDerivation, int]:
             entries[(i, j)] = parse_poly(item["poly"], n, first_index=base)
         return bivector_from_entries(n, entries), base
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CliError):
-            raise
         raise CliError(f"malformed bivector JSON: {exc}") from exc
 
 
@@ -162,7 +171,7 @@ def _cmd_bracket(args) -> int:
 
 def _cochain_slots(args: Sequence, k: int, n: int, base: int) -> tuple[int, ...]:
     """Internal slot tuple of one cochain entry; errors quote the labels as typed."""
-    labels = [int(a) for a in args]
+    labels = [_json_int(a, "each of args") for a in args]
     if len(labels) != k:
         raise ValueError(f"args {labels} have length {len(labels)}, expected k={k}")
     if not all(base <= a < base + n for a in labels):
@@ -175,7 +184,7 @@ def _cochain_slots(args: Sequence, k: int, n: int, base: int) -> tuple[int, ...]
 def _cochain_from_json(data: dict, n: int, base: int) -> MultiDerivation:
     """Entries that repeat one ``args`` are summed."""
     try:
-        k = int(data["k"])
+        k = _json_int(data["k"], "k")
         values = add_into({}, (
             (_cochain_slots(item["args"], k, n, base),
              parse_poly(item["poly"], n, first_index=base))

@@ -50,12 +50,13 @@ is 0.
 Each verified structure keeps one complex (``_SliceCache``) per filter,
 made on first use by ``_complex`` and shared by ``cohomology_dims``,
 ``cocycle_representatives`` and ``cochain_in_coboundaries``.  It keeps
-counted dimensions, ranks, corrections, blocks, and per (k, d) the echelon
-of the coboundaries inside the block (the boundary echelon), but no
-coboundary matrix.  Tables and representatives share one ``row(k, d)``; a
-representatives query returns [] when its dim H is 0, stops once it holds
-dim H classes, and raises ``ComplexInvariantError`` unless the block's
-kernel less its boundary rank is dim H.
+counted dimensions, corrections, blocks, and per (k, d) the echelon of the
+coboundaries inside the block (the boundary echelon), whose rank is also
+the outgoing block rank of (k - 1, d - r + 1), but no coboundary matrix.
+Tables and representatives share one ``row(k, d)``; a representatives
+query returns [] when its dim H is 0, stops once it holds dim H classes,
+and raises ``ComplexInvariantError`` unless the block's kernel less its
+boundary rank is dim H.
 
 The reports check dim Z + rank(outgoing) = dim(slice) with a rank inside
 0..dim(slice), dim B <= dim Z, and that each R lies inside 0..(dim of the
@@ -574,12 +575,13 @@ def _diagonal_weights(S: PoissonStructure) -> Optional[tuple[int, ...]]:
 
 
 class _SliceCache:
-    """Weight-0 blocks, counted dimensions, ranks and boundary echelons of one complex.
+    """Weight-0 blocks, counted dimensions and boundary echelons of one complex.
 
     ``_complex`` makes one per structure and filter and keeps it on the
     structure, so every cohomology query of a session shares it.  It keeps
-    counted dimensions, outgoing ranks, corrections, blocks and boundary
-    echelons, and no coboundary matrix.
+    counted dimensions, corrections, blocks and boundary echelons, and no
+    coboundary matrix; an outgoing rank is read off the boundary echelon
+    one step up.
 
     ``block(k, d)``, the only slice it builds, is the weight-0 block of slice
     (k, d): cut by the diagonal weights of the structure when the caller
@@ -602,7 +604,6 @@ class _SliceCache:
         self.banned = banned
         self._blocks: dict[tuple[int, int], GradedSlice] = {}
         self._dims: dict[tuple, list[int]] = {}
-        self._ranks: dict[tuple[int, int], int] = {}
         self._corrections: dict[tuple[int, int], int] = {}
         self._boundaries: dict[tuple[int, int], linalg.SpanTracker] = {}
 
@@ -657,15 +658,11 @@ class _SliceCache:
         return self._corrections[key]
 
     def outgoing_rank(self, k: int, d: int) -> int:
-        key = (k, d)
-        if key not in self._ranks:
-            block_rank = 0
-            if k < self.S.n and self.block_dim(k, d):
-                block_rank = delta_matrix(
-                    self.S, self.block(k, d), self.block(k + 1, d + self.r - 1)
-                ).rank()
-            self._ranks[key] = block_rank + self.correction(k, d)
-        return self._ranks[key]
+        """Rank of the coboundary out of slice (k, d): the boundary rank one step up."""
+        block_rank = 0
+        if k < self.S.n and self.block_dim(k, d):
+            block_rank = self.boundaries(k + 1, d + self.r - 1).rank
+        return block_rank + self.correction(k, d)
 
     def row(self, k: int, d: int) -> CohomologyRow:
         """dim chi / Z / B of slice (k, d); checks rank-nullity and B <= Z."""
@@ -688,18 +685,16 @@ class _SliceCache:
     def boundaries(self, k: int, d: int) -> linalg.SpanTracker:
         """Echelon of the image of the coboundary from (k - 1, d - r + 1) in block (k, d).
 
-        Built once, from the matrix between the two blocks in the natural
-        column order of block (k, d), and then kept.
+        Built once, in ``linalg.SpanTracker``'s column order, and kept; its
+        rank is also the outgoing block rank of (k - 1, d - r + 1).
         """
         key = (k, d)
         if key not in self._boundaries:
-            tracker = linalg.SpanTracker()
             prev_d = d - self.r + 1
+            columns: Sequence[dict[int, Fraction]] = ()
             if k > 0 and prev_d >= 0:
-                incoming = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d))
-                for column in incoming.columns:
-                    tracker.add(column)
-            self._boundaries[key] = tracker
+                columns = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d)).columns
+            self._boundaries[key] = linalg.SpanTracker(columns)
         return self._boundaries[key]
 
 

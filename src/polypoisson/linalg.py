@@ -11,17 +11,17 @@ Otherwise the residual is independent and its smallest column becomes a
 new pivot.
 
 So the column labels are the pivot order, and a bad order fills the
-echelon rows in.  ``rank`` first counts how many rows touch each column
-and renumbers the columns sparsest first, ties by label, while it scales
-the rows to integers (a Markowitz-style order; Markowitz 1957,
-LaMacchia-Odlyzko 1990).  Renumbering columns does not change the rank.
-It does change which columns are free, so ``kernel_basis``, whose
-vectors are indexed by the free columns of the RREF, and
-``SpanTracker``, which sees its rows one at a time and cannot count
-ahead, keep the natural order.  Kernels are read off the echelon rows
-once they are brought to reduced row echelon form over Fractions.  For a
-fixed column order the pivot set depends only on the row space, so
-results are exact and do not depend on row order.
+echelon rows in.  ``SpanTracker`` renumbers the columns of its initial rows
+sparsest first, ties by label, while it scales them to integers (a
+Markowitz-style order; Markowitz 1957, LaMacchia-Odlyzko 1990), keeps that
+numbering for later vectors, and numbers a column no initial row touches
+when it first appears.  Renumbering changes neither the rank nor span
+membership, so ``rank`` and ``in_span`` are trackers seeded with their
+rows.  It does change which columns are free, so ``kernel_basis``, whose
+vectors are indexed by the free columns of the RREF, keeps the natural
+order and reads them off the echelon rows brought to reduced form over
+Fractions.  For a fixed column order the pivot set depends only on the
+row space, so results are exact and do not depend on row order.
 """
 
 from __future__ import annotations
@@ -30,27 +30,18 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 SparseRow = dict[int, Fraction]
 IntRow = dict[int, int]
 
 
-def _integerize(
-    row: Mapping[int, Fraction], relabel: Optional[Mapping[int, int]] = None
-) -> IntRow:
-    """Scale a rational row to coprime integers, columns renamed by relabel."""
+def _integerize(row: Mapping[int, Fraction], relabel: Mapping[int, int] | range) -> IntRow:
+    """Scale a rational row to coprime integers, column c renamed relabel[c]."""
     if not row:
         return {}
     denom = lcm(*(v.denominator for v in row.values()))
-    if relabel is None:
-        ints = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
-    else:
-        ints = {
-            relabel[c]: v.numerator * (denom // v.denominator)
-            for c, v in row.items()
-            if v
-        }
+    ints = {relabel[c]: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
     if not ints:
         return {}
     g = gcd(*ints.values())
@@ -98,12 +89,7 @@ def _echelon(rows: Iterable[IntRow]) -> dict[int, IntRow]:
 
 def rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
     """Exact rank over the rationals, eliminating sparsest columns first."""
-    rows = list(rows)
-    count = Counter(chain.from_iterable(rows))
-    # stable sorts: by count, ties by column label
-    order = sorted(sorted(count), key=count.__getitem__)
-    relabel = {c: i for i, c in enumerate(order)}
-    return len(_echelon(_integerize(row, relabel) for row in rows))
+    return SpanTracker(rows).rank
 
 
 def kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[SparseRow]:
@@ -112,7 +98,8 @@ def kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[Spa
     The vector of free column f is 1 at f and -R[p][f] at every pivot p whose
     reduced row R[p] holds f, listed by descending pivot.
     """
-    echelon = _echelon(map(_integerize, rows))
+    # range(ncols)[c] == c: the natural order
+    echelon = _echelon(_integerize(row, range(ncols)) for row in rows)
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in echelon}
     # reduced[p] holds R[p] on the free columns; pivots descending, so every
     # other pivot column of row p is already reduced
@@ -137,11 +124,25 @@ def kernel_basis(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[Spa
     return list(basis.values())
 
 
-class SpanTracker:
-    """Incremental row space with exact reduction, for complement picking."""
+class _Relabel(dict):
+    """Column numbers; a column seen for the first time gets the next one."""
 
-    def __init__(self) -> None:
-        self._echelon: dict[int, IntRow] = {}
+    def __missing__(self, column: int) -> int:
+        self[column] = number = len(self)
+        return number
+
+
+class SpanTracker:
+    """Incremental row space in the column order of its initial rows (module docstring)."""
+
+    def __init__(self, rows: Iterable[Mapping[int, Fraction]] = ()) -> None:
+        rows = list(rows)
+        count = Counter(chain.from_iterable(rows))
+        # stable sorts: by count, ties by column label
+        self._relabel = _Relabel(
+            (c, i) for i, c in enumerate(sorted(sorted(count), key=count.__getitem__))
+        )
+        self._echelon = _echelon(_integerize(row, self._relabel) for row in rows)
 
     @property
     def rank(self) -> int:
@@ -149,26 +150,25 @@ class SpanTracker:
 
     def residual(self, vector: Mapping[int, Fraction]) -> IntRow:
         """Reduce a vector against the tracked span; {} means dependent."""
-        return _reduce(self._echelon, _integerize(vector))
+        return _reduce(self._echelon, _integerize(vector, self._relabel))
 
     def add(self, vector: Mapping[int, Fraction]) -> bool:
         """Add a vector; True if it enlarged the span."""
-        return _insert(self._echelon, _integerize(vector))
+        return _insert(self._echelon, _integerize(vector, self._relabel))
 
     def copy(self) -> SpanTracker:
-        """An independent tracker of the same span.
+        """An independent tracker of the same span, in the same column order.
 
         Shallow: ``_insert`` stores new rows but never changes a stored one,
-        so the two trackers may share rows.
+        and a column keeps its number once it has one, so the two trackers
+        may share rows and numbering.
         """
         other = SpanTracker()
+        other._relabel = self._relabel
         other._echelon = dict(self._echelon)
         return other
 
 
 def in_span(vectors: Sequence[Mapping[int, Fraction]], candidate: Mapping[int, Fraction]) -> bool:
     """Whether candidate lies in the span of the given vectors."""
-    tracker = SpanTracker()
-    for v in vectors:
-        tracker.add(v)
-    return not tracker.residual(candidate)
+    return not SpanTracker(vectors).residual(candidate)

@@ -324,22 +324,6 @@ class Order2Equivalence:
             quad.append(-q)
         return Order2Equivalence(self.n, inv, quad)
 
-    def compose(self, other: "Order2Equivalence") -> "Order2Equivalence":
-        """The equivalence p -> self.apply(other.apply(p))."""
-        if self.n != other.n:
-            raise ValueError("mismatched variable count")
-        linear = []
-        quad = []
-        for i in range(self.n):
-            image = self.apply(other.image_of_variable(i))
-            lin = image.homogeneous_component(1)
-            row = [Fraction(0)] * self.n
-            for exps, c in lin.terms.items():
-                row[exps.index(1)] = c
-            linear.append(row)
-            quad.append(image.homogeneous_component(2))
-        return Order2Equivalence(self.n, linear, quad)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Order2Equivalence)

@@ -75,6 +75,61 @@ def test_verify_rejects_a_repeated_entry(capsys, base, pair):
         assert f"entry ({i},{j}) appears more than once" in err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 3, "entries": [{"i": 1.9, "j": 2, "poly": "X3"}]}, "i must be an integer, got 1.9"),
+        ({"n": 3, "entries": [{"i": 1, "j": 2.0, "poly": "X3"}]}, "j must be an integer, got 2.0"),
+        ({"n": 3, "entries": [{"i": True, "j": 2, "poly": "X3"}]},
+         "i must be an integer, got true"),
+        ({"n": -1, "entries": []}, "n must be an integer >= 1, got -1"),
+        ({"n": 0, "entries": []}, "n must be an integer >= 1, got 0"),
+        ({"n": True, "entries": []}, "n must be an integer >= 1, got true"),
+        ({"n": 3.0, "entries": []}, "n must be an integer >= 1, got 3.0"),
+        ({"n": "3", "entries": []}, 'n must be an integer >= 1, got "3"'),
+        ({"n": 3, "base": False, "entries": []}, "base must be an integer, got false"),
+        ({"n": 3, "base": 0.5, "entries": []}, "base must be an integer, got 0.5"),
+    ],
+    ids=["float-i", "float-j", "bool-i", "negative-n", "zero-n", "bool-n", "float-n",
+         "string-n", "bool-base", "float-base"],
+)
+def test_verify_rejects_numbers_that_are_not_json_integers(capsys, data, message):
+    # int() would truncate 1.9 to 1 and read true as 1, so these verified
+    # the wrong structure (or one on -1 variables) and exited 0
+    code, out, err = run(capsys, "verify", "--json", json.dumps(data))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "cochain, message",
+    [
+        ({"k": 1.0, "entries": [{"args": [2], "poly": "X1"}]}, "k must be an integer, got 1.0"),
+        ({"k": True, "entries": [{"args": [2], "poly": "X1"}]}, "k must be an integer, got true"),
+        ({"k": 1, "entries": [{"args": [2.5], "poly": "X1"}]},
+         "each of args must be an integer, got 2.5"),
+        ({"k": 1, "entries": [{"args": [True], "poly": "X1"}]},
+         "each of args must be an integer, got true"),
+        ({"k": 1, "entries": [{"args": "2", "poly": "X1"}]},
+         'each of args must be an integer, got "2"'),
+    ],
+    ids=["float-k", "bool-k", "float-arg", "bool-arg", "string-args"],
+)
+def test_delta_rejects_numbers_that_are_not_json_integers(capsys, cochain, message):
+    code, out, err = run(capsys, "delta", "--catalog", "P1", "--cochain", json.dumps(cochain))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_a_repeated_param_is_rejected(capsys):
+    # the second value used to replace the first without a word
+    for command in ("verify", "cohomology"):
+        code, out, err = run(capsys, command, "--catalog", "P2",
+                             "--param", "n=4", "--param", " n =5")
+        assert code == 2 and out == ""
+        assert "--param n appears more than once" in err
+
+
 def test_verify_missing_source_exits_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -689,17 +690,46 @@ def test_no_kernel_is_built_for_a_slice_without_classes(monkeypatch):
         assert cocycle_representatives(S, r.k, r.d) == []
 
 
-def test_boundaries_beyond_the_cocycles_raise(monkeypatch):
-    # an echelon spanning the whole slice leaves fewer classes than dim H
-    def everything(cache, k, d):
-        tracker = linalg.SpanTracker()
-        for i in range(cache.dim(k, d)):
-            tracker.add({i: Fraction(1)})
-        return tracker
+def test_each_block_matrix_is_assembled_once_per_session(monkeypatch):
+    # one echelon per coboundary edge serves the outgoing rank, dim B and the
+    # membership test; only a representatives query assembles the outgoing
+    # matrix of a slice with classes once more, for its kernel
+    assembled = collections.Counter()
+    assemble = cohomology.delta_matrix
 
-    monkeypatch.setattr(cohomology._SliceCache, "boundaries", everything)
-    with pytest.raises(ComplexInvariantError, match="but dim H is 1"):
-        cocycle_representatives(p1(), 1, 1)
+    def counted(S, source, target=None):
+        matrix = assemble(S, source, target)
+        assembled[(source.k, source.d), (matrix.target.k, matrix.target.d)] += 1
+        return matrix
+
+    monkeypatch.setattr(cohomology, "delta_matrix", counted)
+    S = p1()
+    table = cohomology_dims(S, range(4), range(13))
+    reps = {(k, d): cocycle_representatives(S, k, d) for k in range(4) for d in range(13)}
+    for (k, d), found in reps.items():
+        for phi in found:
+            assert not cochain_in_coboundaries(S, phi, d=d)
+        if k:
+            source = slice_basis(S.n, k - 1, d)
+            for position in range(min(source.dim, 3)):
+                boundary = delta(S, source.element(position))
+                assert cochain_in_coboundaries(S, boundary, d=d)
+    with_classes = {(r.k, r.d) for r in table.rows if r.dim_H and r.k < S.n}
+    assert with_classes and assembled
+    for (source, target), count in assembled.items():
+        assert count == (2 if source in with_classes else 1), (source, target)
+
+
+def test_boundaries_beyond_the_cocycles_raise(monkeypatch):
+    # a kernel one vector short of Z (or one beyond it) leaves a count of
+    # classes that disagrees with the table's dim H; the boundary echelon
+    # also gives the table its ranks, so the fake goes into the kernel
+    kernel = cohomology.DeltaMatrix.kernel
+    for change in (lambda vectors: vectors[1:], lambda vectors: vectors + [{0: Fraction(1)}]):
+        monkeypatch.setattr(cohomology.DeltaMatrix, "kernel",
+                            lambda matrix: change(kernel(matrix)))
+        with pytest.raises(ComplexInvariantError, match="but dim H is 1"):
+            cocycle_representatives(p1(), 1, 1)
 
 
 # -- membership ----------------------------------------------------------------------------------

@@ -118,19 +118,28 @@ def test_span_tracker_counts_new_directions():
 
 def test_span_tracker_copy_is_independent():
     rng = random.Random(77)
-    for _ in range(20):
+    for trial in range(40):
         rows = random_sparse_matrix(rng, rng.randint(1, 6), 8, 0.3)
         extra = random_sparse_matrix(rng, 8, 8, 0.4)
-        tracker = linalg.SpanTracker()
-        for row in rows:
-            tracker.add(row)
+        if trial < 20:
+            tracker = linalg.SpanTracker()
+            for row in rows:
+                tracker.add(row)
+        else:
+            # seeded on columns 0..4 only, so the extra rows bring new columns
+            rows = [{c: v for c, v in row.items() if c < 5} for row in rows]
+            tracker = linalg.SpanTracker(rows)
+        before = [tracker.residual(row) for row in extra]
         copied = tracker.copy()
         assert copied.rank == tracker.rank
+        # the copy keeps the column numbering, so it reduces to the same rows
+        assert [copied.residual(row) for row in extra] == before
         for row in extra:
             copied.add(row)
         assert copied.rank == dense_rank_oracle(rows + extra, 8)
-        # adding to the copy leaves the original's span as it was
+        # adding to the copy leaves the original's span and its numbers as they were
         assert tracker.rank == dense_rank_oracle(rows, 8)
+        assert [tracker.residual(row) for row in extra] == before
         for row in extra:
             grown = dense_rank_oracle(rows + [row], 8) > tracker.rank
             assert bool(tracker.residual(row)) == grown
@@ -194,14 +203,26 @@ def test_kernel_basis_equals_dense_rref_kernel():
 
 def test_span_tracker_verdicts_match_dense_rank_increments():
     rng = random.Random(512)
-    for _ in range(40):
+    for trial in range(80):
         nrows, ncols = rng.randint(1, 14), rng.randint(1, 10)
         density = rng.choice([0.1, 0.2, 0.4])
         rows = random_deficient_matrix(rng, nrows, ncols, density)
-        tracker = linalg.SpanTracker()
-        prev = 0
-        for i, row in enumerate(rows):
+        seeded = 0
+        if trial >= 40:
+            # seed with a prefix that never touches some columns; the later
+            # rows do, so those columns are numbered after the counted ones
+            seeded = rng.randint(1, nrows)
+            hidden = set(rng.sample(range(ncols), rng.randint(1, ncols)))
+            rows[:seeded] = [{c: v for c, v in row.items() if c not in hidden}
+                             for row in rows[:seeded]]
+        tracker = linalg.SpanTracker(rows[:seeded])
+        prev = dense_rank_oracle(rows[:seeded], ncols)
+        assert tracker.rank == prev
+        for row in rows[:seeded]:
+            assert not tracker.residual(row)
+        for i, row in enumerate(rows[seeded:], seeded):
             now = dense_rank_oracle(rows[: i + 1], ncols)
+            assert bool(tracker.residual(row)) == (now > prev)
             assert tracker.add(row) == (now > prev)
             assert tracker.rank == now
             assert not tracker.residual(row)

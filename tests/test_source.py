@@ -74,3 +74,36 @@ def test_slice_cache_is_built_only_by_its_accessor():
     assert len(sites) == 1
     name, line = sites[0]
     assert name == "cohomology.py" and accessor.lineno <= line <= accessor.end_lineno
+
+
+def _enclosing_calls(tree, called):
+    """Qualified name of the function or class around each call that ``called`` accepts."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            if isinstance(child, ast.Call) and called(child):
+                found.append(name)
+            visit(child, name)
+
+    visit(tree, "")
+    return found
+
+
+def test_each_coboundary_edge_has_one_assembly_and_one_elimination():
+    # the boundary echelon gives both dim B and the outgoing rank one step
+    # below, so the complex assembles block matrices in one place, and the
+    # module ranks a matrix only when a caller asks a DeltaMatrix for it
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
+    assemblies = _enclosing_calls(tree, lambda call: _called_name(call) == "delta_matrix")
+    inside = [name for name in assemblies if name.startswith("_SliceCache.")]
+    assert inside == ["_SliceCache.boundaries"]
+    ranks = _enclosing_calls(
+        tree,
+        lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "rank"
+        and isinstance(call.func.value, ast.Name) and call.func.value.id == "linalg",
+    )
+    assert ranks == ["DeltaMatrix.rank"]
