@@ -67,10 +67,8 @@ def _decode(coeffs: Sequence[Polynomial]) -> MultiDerivation:
 
 
 def _need(params: Params, *names: str) -> list[Fraction]:
-    missing = [m for m in names if m not in params]
-    if missing:
-        raise ValueError(f"missing parameters: {', '.join(missing)}")
-    return [Fraction(params[m]) for m in names]
+    """The named values of parameters that ``_coerce_params`` has checked."""
+    return [params[m] for m in names]
 
 
 # -- concrete families ---------------------------------------------------------
@@ -85,8 +83,6 @@ def _p1(_: Params) -> MultiDerivation:
 def _p2(params: Params) -> MultiDerivation:
     (n,) = _need(params, "n")
     n = int(n)
-    if n < 2:
-        raise ValueError("P2 needs n >= 2")
     entries = {
         (0, i): Polynomial.variable(n, i) * (i)
         for i in range(1, n)
@@ -97,8 +93,6 @@ def _p2(params: Params) -> MultiDerivation:
 def _rigid(params: Params) -> MultiDerivation:
     (n,) = _need(params, "n")
     n = int(n)
-    if n < 3:
-        raise ValueError("the rigid family needs n >= 3")
     nv = n + 1  # variables X0..Xn, internal indices equal labels
     entries: dict[tuple[int, int], Polynomial] = {}
     for i in range(1, n + 1):
@@ -113,8 +107,6 @@ def _rigid(params: Params) -> MultiDerivation:
 def _deformed_mu(params: Params) -> MultiDerivation:
     (n,) = _need(params, "n")
     n = int(n)
-    if n < 7:
-        raise ValueError("the deformed multiplication is stated for n >= 7")
     nv = n + 1
     X = lambda i: Polynomial.variable(nv, i)
     entries: dict[tuple[int, int], Polynomial] = {}

@@ -1,8 +1,10 @@
 """Command-line interface: verify, bracket, delta, cohomology, catalog, reproduce.
 
-Exit codes: 0 success, 1 mathematical negative (non-integrable input or a
-reproduction mismatch), 2 usage/parse/IO errors.  Output is deterministic:
-identical invocations print identical bytes.
+Exit codes: 0 success, 1 mathematical negative (non-integrable input, mixed
+entry degrees or a reproduction mismatch), 2 usage/parse/IO errors.  Any
+other ``ValueError`` a command raises, such as a bad catalog parameter, is a
+usage error: it prints one ``error:`` line and exits 2.  Output is
+deterministic: identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .catalog import CATALOG, catalog_bivector, catalog_get
-from .cohomology import cohomology_dims, delta, delta_matrix, delta_via_forms, slice_basis
+from .cohomology import (
+    cohomology_dims, delta, delta_matrix, delta_via_forms, diagonal_weights, slice_basis,
+)
 from .multivector import MultiDerivation, bivector_from_entries
 from .poisson import IntegrabilityError, PoissonStructure, verify
 from .poly import ParseError, add_into, format_poly, parse_poly
@@ -22,14 +26,6 @@ from .reproduce import CHECKS, run_check
 
 USAGE_ERROR = 2
 MATH_NEGATIVE = 1
-
-# weights of the diagonal torus action, for --invariant without --weights
-_CATALOG_WEIGHTS = {
-    "P1": lambda params: (0, 1, 2),
-    "P2": lambda params: tuple(range(int(params["n"]))),
-    "rigid": lambda params: tuple(range(int(params["n"]) + 1)),
-    "deformed-mu": lambda params: tuple(range(int(params["n"]) + 1)),
-}
 
 
 class CliError(Exception):
@@ -82,7 +78,7 @@ def _bivector_from_json(data: dict) -> tuple[MultiDerivation, int]:
         raise CliError(f"malformed bivector JSON: {exc}") from exc
 
 
-def _load_structure(args) -> tuple[PoissonStructure, dict[str, Fraction], Optional[str]]:
+def _load_structure(args) -> PoissonStructure:
     params = _parse_params(getattr(args, "param", None))
     sources = [s for s in ("catalog", "file", "json") if getattr(args, s, None)]
     if getattr(args, "json", None) and len(sources) > 1:
@@ -90,15 +86,9 @@ def _load_structure(args) -> tuple[PoissonStructure, dict[str, Fraction], Option
     if not sources:
         raise CliError("provide a structure with --catalog, --file, or --json")
     if getattr(args, "catalog", None):
-        name = args.catalog
-        if name not in CATALOG:
-            raise CliError(f"unknown catalog entry {name!r}")
-        try:
-            return catalog_get(name, params), params, name
-        except IntegrabilityError:
-            raise
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(str(exc)) from exc
+        if args.catalog not in CATALOG:
+            raise CliError(f"unknown catalog entry {args.catalog!r}")
+        return catalog_get(args.catalog, params)
     if getattr(args, "file", None):
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -113,21 +103,37 @@ def _load_structure(args) -> tuple[PoissonStructure, dict[str, Fraction], Option
         except json.JSONDecodeError as exc:
             raise CliError(f"malformed JSON: {exc}") from exc
     bivector, base = _bivector_from_json(data)
-    return verify(bivector, first_index=base), params, None
+    return verify(bivector, first_index=base)
 
 
-def _structure_weights(args, S, params, catalog_name) -> Optional[tuple[int, ...]]:
-    if getattr(args, "weights", None):
+def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...]], tuple[int, ...]]:
+    """The structure of ``cohomology`` or ``matrix``, its weights and excluded variables.
+
+    ``--invariant`` takes the ``--weights`` given, or else the weights of the
+    structure's diagonal coordinate.
+    """
+    if args.weights and not args.invariant:
+        raise CliError("--weights needs --invariant")
+    S = _load_structure(args)
+    degrees = S.entry_degrees()
+    if len(degrees) > 1:
+        raise CliError(
+            f"structure entries mix degrees {degrees}; split by degree", MATH_NEGATIVE
+        )
+    weights = None
+    if args.weights:
         try:
             weights = tuple(int(w) for w in args.weights.split(","))
         except ValueError as exc:
             raise CliError(f"bad --weights: {exc}") from exc
         if len(weights) != S.n:
             raise CliError(f"--weights needs {S.n} integers")
-        return weights
-    if catalog_name in _CATALOG_WEIGHTS:
-        return _CATALOG_WEIGHTS[catalog_name](params)
-    raise CliError("--invariant needs --weights for structures outside the catalog")
+    elif args.invariant:
+        weights = diagonal_weights(S)
+        if weights is None:
+            raise CliError("--invariant needs --weights: the structure has no diagonal "
+                           "coordinate")
+    return S, weights, (0,) if args.exclude_x0 else ()
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -135,7 +141,7 @@ def _structure_weights(args, S, params, catalog_name) -> Optional[tuple[int, ...
 
 def _cmd_verify(args) -> int:
     try:
-        S, _, _ = _load_structure(args)
+        S = _load_structure(args)
     except IntegrabilityError as exc:
         i, j, k, poly = exc.witness
         f = exc.first_index
@@ -158,7 +164,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    S, _, _ = _load_structure(args)
+    S = _load_structure(args)
     f = S.first_index
     try:
         p = parse_poly(args.p, S.n, first_index=f)
@@ -207,7 +213,7 @@ def _cochain_to_json(md: MultiDerivation, base: int) -> dict:
 
 
 def _cmd_delta(args) -> int:
-    S, _, _ = _load_structure(args)
+    S = _load_structure(args)
     base = S.first_index
     try:
         data = json.loads(args.cochain)
@@ -223,14 +229,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    S, params, catalog_name = _load_structure(args)
-    degrees = S.entry_degrees()
-    if len(degrees) > 1:
-        print(
-            f"error: structure entries mix degrees {degrees}; split by degree",
-            file=sys.stderr,
-        )
-        return MATH_NEGATIVE
+    S, weights, exclude = _filtered_structure(args)
     if args.k is not None:
         ks = [args.k]
     else:
@@ -239,10 +238,6 @@ def _cmd_cohomology(args) -> int:
         ds = [args.degree]
     else:
         ds = list(range(0, args.cutoff + 1))
-    weights = None
-    if args.invariant:
-        weights = _structure_weights(args, S, params, catalog_name)
-    exclude = (0,) if args.exclude_x0 else ()
     report = cohomology_dims(S, ks, ds, weights=weights, exclude_vars=exclude)
     if args.format == "json":
         print(json.dumps(report.to_json_rows(), sort_keys=True))
@@ -256,11 +251,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    S, params, catalog_name = _load_structure(args)
-    weights = None
-    if args.invariant:
-        weights = _structure_weights(args, S, params, catalog_name)
-    exclude = (0,) if args.exclude_x0 else ()
+    S, weights, exclude = _filtered_structure(args)
     source = slice_basis(
         S.n, args.k, args.degree,
         weights=weights, exclude_value_vars=exclude, exclude_slot_vars=exclude,
@@ -360,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, help="arity range 0..kmax")
     p.add_argument("--degree", type=int, help="single polynomial degree")
     p.add_argument("--cutoff", type=int, default=6, help="degree range 0..cutoff (default 6)")
-    p.add_argument("--invariant", action="store_true", help="restrict to torus-invariant cochains")
+    p.add_argument("--invariant", action="store_true",
+                   help="restrict to torus-invariant cochains; the weights default to "
+                        "those of the diagonal coordinate {X_m, X_i} = w_i X_i")
     p.add_argument("--weights", help="comma-separated torus weights, one per variable")
     p.add_argument("--exclude-x0", action="store_true", dest="exclude_x0",
                    help="drop the first variable from slots and values")
@@ -403,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IntegrabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_NEGATIVE
-    except ParseError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -34,13 +34,15 @@ tested against.  The matrices feed the fraction-free rank/kernel routines.
 
 Every query splits slices into weight blocks when the caller sets no
 filter and some coordinate X_m brackets diagonally, {X_m, X_i} = w_i X_i
-(internal index 0: X_0 of the rigid family, X_1 of P1 and P2).  The cochain
-x^a on the slots T has weight sum_i a_i w_i - sum_{t in T} w_t, the
-coboundary keeps it, and with i phi = phi(X_m, ...) the map delta i + i delta
-multiplies each block by its weight, so every block of weight != 0 is
-acyclic.  Only the weight-0 block (the ``weights=w`` slice) is ever built.
-Tables eliminate it, and the rank the other blocks carry follows from
-dimensions, counted without building a basis, by
+(internal index 0: X_0 of the rigid family, X_1 of P1 and P2).
+``diagonal_weights`` reads w off the bracket; it is the one source of torus
+weights, also for the CLI's ``--invariant`` and the reproduction checks.
+The cochain x^a on the slots T has weight sum_i a_i w_i - sum_{t in T} w_t,
+the coboundary keeps it, and with i phi = phi(X_m, ...) the map
+delta i + i delta multiplies each block by its weight, so every block of
+weight != 0 is acyclic.  Only the weight-0 block (the ``weights=w`` slice)
+is ever built.  Tables eliminate it, and the rank the other blocks carry
+follows from dimensions, counted without building a basis, by
 R(k, d) = (dim - dim of the block)(k, d) - R(k - 1, d), R(-1, d) = 0.
 Representatives are picked inside the block, and a membership test reduces
 the block part of a cochain and checks that the rest is a cocycle.  With a
@@ -545,7 +547,7 @@ class CohomologyReport:
         return "\n".join(lines)
 
 
-def _diagonal_weights(S: PoissonStructure) -> Optional[tuple[int, ...]]:
+def diagonal_weights(S: PoissonStructure) -> Optional[tuple[int, ...]]:
     """Torus weights of the first coordinate that brackets diagonally.
 
     Returns w, scaled to integers by the lcm of its denominators, for the
@@ -610,7 +612,7 @@ class _SliceCache:
     @cached_property
     def block_weights(self) -> Optional[tuple[int, ...]]:
         if self.weights is None and not self.banned:
-            return _diagonal_weights(self.S)
+            return diagonal_weights(self.S)
         return self.weights
 
     def _dim(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> int:

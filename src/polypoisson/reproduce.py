@@ -18,6 +18,7 @@ from .cohomology import (
     cocycle_representatives,
     cohomology_dims,
     delta,
+    diagonal_weights,
     normalize_cocycle,
 )
 from .exterior import ExteriorForm
@@ -48,7 +49,6 @@ def _finish(check_id: str, rows: list[dict], notes: list[str]) -> Report:
 
 # -- P1: totals over the degree profile ----------------------------------------
 
-P1_WEIGHTS = (0, 1, 2)
 P1_EXPECTED_TOTALS = {0: 1, 1: 3, 2: 2, 3: 0}
 
 
@@ -66,7 +66,7 @@ def check_p1_example(cutoff: int = 6) -> Report:
     ks = range(0, 4)
     ds = range(0, cutoff + 1)
     plain = cohomology_dims(S, ks, ds)
-    invariant = cohomology_dims(S, ks, ds, weights=P1_WEIGHTS)
+    invariant = cohomology_dims(S, ks, ds, weights=diagonal_weights(S))
     notes = []
     plain_totals = {k: plain.total(k) for k in ks}
     invariant_totals = {k: invariant.total(k) for k in ks}
@@ -170,10 +170,6 @@ def check_p2_h22() -> Report:
 # -- rigid family ---------------------------------------------------------------
 
 
-def rigid_weights(n: int) -> tuple[int, ...]:
-    return tuple(range(n + 1))
-
-
 def rigid_expected_cochain(n: int) -> MultiDerivation:
     """The published degree-1 generator: phi(X2,Xi)=(4-i)X_{2+i},
     phi(X3,Xi)=X_{3+i}, all other slots zero."""
@@ -199,7 +195,7 @@ def check_rigid_k1(ns: range = range(7, 11)) -> Report:
     notes = []
     for n in ns:
         S = catalog_get("rigid", {"n": n})
-        weights = rigid_weights(n)
+        weights = diagonal_weights(S)
         report = cohomology_dims(S, [2], [1], weights=weights, exclude_vars=(0,))
         dim_h = report.row(2, 1).dim_H
         rows.append(_row(f"invariant degree-1 dim H^2 at n={n}", 1, dim_h))
@@ -234,7 +230,7 @@ RIGID_K2_EXPECTED = {5: 2, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0}
 def rigid_h2_degree2(n: int) -> int:
     S = catalog_get("rigid", {"n": n})
     report = cohomology_dims(
-        S, [2], [2], weights=rigid_weights(n), exclude_vars=(0,)
+        S, [2], [2], weights=diagonal_weights(S), exclude_vars=(0,)
     )
     return report.row(2, 2).dim_H
 

@@ -237,12 +237,61 @@ def test_cohomology_zero_structure(capsys):
 
 
 def test_cohomology_mixed_degrees_exits_1(capsys):
-    code, _, err = run(
-        capsys, "cohomology", "--catalog", "Omega7",
-        "--param", "a=1", "--param", "b=1", "--k", "2", "--degree", "2",
-    )
-    assert code == 1
-    assert "split by degree" in err
+    for command in ("cohomology", "matrix"):
+        code, out, err = run(
+            capsys, command, "--catalog", "Omega7",
+            "--param", "a=1", "--param", "b=1", "--k", "2", "--degree", "2",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: structure entries mix degrees [1, 2]; split by degree\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("catalog", "--name", "P2"), "P2 requires parameters: n"),
+        (("catalog", "--name", "P2", "--param", "n=1"),
+         "parameter n=1 violates the constraint integer n >= 2"),
+        (("delta", "--catalog", "P2", "--param", "n=2", "--via", "forms", "--cochain",
+          '{"k": 1, "entries": [{"args": [1], "poly": "X1"}]}'),
+         "the form route needs at least three variables"),
+        (("cohomology", "--catalog", "P2", "--param", "n=3", "--exclude-x0"),
+         "the filters do not cut a subcomplex"),
+        (("matrix", "--catalog", "P1", "--invariant", "--weights", "1,2,3", "--k", "1",
+          "--degree", "1"), "the filters do not cut a subcomplex"),
+        (("cohomology", "--catalog", "P1", "--weights", "0,1,2"), "--weights needs --invariant"),
+        (("matrix", "--catalog", "P1", "--weights", "0,1,2", "--k", "1", "--degree", "1"),
+         "--weights needs --invariant"),
+        (("cohomology", "--catalog", "L1", "--invariant"),
+         "--invariant needs --weights: the structure has no diagonal coordinate"),
+    ],
+    ids=["catalog-missing-param", "catalog-bad-param", "forms-n2", "exclude-x0-p2",
+         "weights-off-subcomplex", "weights-without-invariant",
+         "matrix-weights-without-invariant", "invariant-without-diagonal"],
+)
+def test_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source, weights",
+    [
+        (("--catalog", "L2"), "0,1,-1"),
+        (("--json", json.dumps({"n": 4, "entries": [
+            {"i": 1, "j": i, "poly": f"{i - 1}*X{i}"} for i in (2, 3, 4)]})), "0,1,2,3"),
+    ],
+    ids=["L2", "json-P2-n4"],
+)
+def test_invariant_weights_default_to_the_diagonal_coordinate(capsys, source, weights):
+    table = ("cohomology", *source, "--invariant", "--kmax", "2", "--cutoff", "3")
+    matrix = ("matrix", *source, "--invariant", "--k", "1", "--degree", "2")
+    for argv in (table, matrix):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--weights", weights) == (0, out, "")
 
 
 def test_cohomology_output_is_deterministic(capsys):

@@ -472,12 +472,20 @@ def _diagonal_structures():
 
 def test_diagonal_weights_detection():
     for S, _, w in _diagonal_structures():
-        assert cohomology._diagonal_weights(S) == w
+        assert cohomology.diagonal_weights(S) == w
     third = verify(catalog_get("P2", {"n": 4}).bivector * Fraction(1, 3))
-    assert cohomology._diagonal_weights(third) == (0, 1, 2, 3)
-    assert cohomology._diagonal_weights(catalog_get("L2")) == (0, 1, -1)
+    assert cohomology.diagonal_weights(third) == (0, 1, 2, 3)
+    assert cohomology.diagonal_weights(catalog_get("L2")) == (0, 1, -1)
+    # the catalog families bracket {X_0, X_i} = i X_i, in internal indices
+    families = [("P1", {}, (0, 1, 2))]
+    families += [("P2", {"n": n}, tuple(range(n))) for n in range(2, 9)]
+    families += [(name, {"n": n}, tuple(range(n + 1)))
+                 for name, ns in (("rigid", range(3, 11)), ("deformed-mu", (7, 8)))
+                 for n in ns]
+    for name, params, w in families:
+        assert cohomology.diagonal_weights(catalog_get(name, params)) == w
     for S in (catalog_get("L1"), catalog_get("L4"), zero_structure(3)):
-        assert cohomology._diagonal_weights(S) is None
+        assert cohomology.diagonal_weights(S) is None
 
 
 def test_weight_block_tables_match_full_elimination():
@@ -489,7 +497,7 @@ def test_weight_block_tables_match_full_elimination():
     cases.append((catalog_get("L2"), range(4), range(5)))  # a negative weight
     cases.append((catalog_get("L3", {"alpha": 0}), range(4), range(5)))  # w_2 = 0
     for S, ks, ds in cases:
-        assert cohomology._diagonal_weights(S) is not None
+        assert cohomology.diagonal_weights(S) is not None
         assert cohomology_dims(S, ks, ds).rows == full_elimination_dims(S, ks, ds).rows
 
 
@@ -501,7 +509,7 @@ def test_tables_without_a_diagonal_coordinate_match_full_elimination():
         (zero_structure(3), range(5), range(3)),
     ]
     for S, ks, ds in cases:
-        assert cohomology._diagonal_weights(S) is None
+        assert cohomology.diagonal_weights(S) is None
         assert cohomology_dims(S, ks, ds).rows == full_elimination_dims(S, ks, ds).rows
 
 
@@ -741,7 +749,7 @@ def test_membership_matches_the_whole_slice_span():
     rng = random.Random(2025)
     verdicts = set()
     for S in (p1(), catalog_get("P2", {"n": 4}), catalog_get("rigid", {"n": 6})):
-        w = cohomology._diagonal_weights(S)
+        w = cohomology.diagonal_weights(S)
         assert S.homogeneous_degree() == 1
 
         def pick(sl, on_block):
