@@ -486,12 +486,8 @@ def _coerce_params(entry: CatalogEntry, params: Optional[Mapping]) -> dict[str, 
 def catalog_get(name: str, params: Optional[Mapping] = None) -> PoissonStructure:
     """Build and verify a catalog structure; verification failure on an entry
     expected to be integrable signals a transcription bug."""
-    if name not in CATALOG:
-        raise KeyError(f"unknown catalog entry {name!r}")
-    entry = CATALOG[name]
-    given = _coerce_params(entry, params)
-    bivector = entry.build(given)
-    return verify(bivector, first_index=entry.first_index)
+    bivector = catalog_bivector(name, params)
+    return verify(bivector, first_index=CATALOG[name].first_index)
 
 
 def catalog_bivector(name: str, params: Optional[Mapping] = None) -> MultiDerivation:

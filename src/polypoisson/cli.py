@@ -81,8 +81,8 @@ def _bivector_from_json(data: dict) -> tuple[MultiDerivation, int]:
 def _load_structure(args) -> PoissonStructure:
     params = _parse_params(getattr(args, "param", None))
     sources = [s for s in ("catalog", "file", "json") if getattr(args, s, None)]
-    if getattr(args, "json", None) and len(sources) > 1:
-        raise CliError("--json cannot be combined with --catalog or --file")
+    if len(sources) > 1:
+        raise CliError("use only one of --catalog, --file and --json")
     if not sources:
         raise CliError("provide a structure with --catalog, --file, or --json")
     if getattr(args, "catalog", None):
@@ -109,9 +109,16 @@ def _load_structure(args) -> PoissonStructure:
 def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...]], tuple[int, ...]]:
     """The structure of ``cohomology`` or ``matrix``, its weights and excluded variables.
 
+    Arities and degrees must be non-negative, and ``--k`` excludes ``--kmax``.
     ``--invariant`` takes the ``--weights`` given, or else the weights of the
     structure's diagonal coordinate.
     """
+    for name in ("k", "kmax", "degree", "cutoff"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise CliError(f"--{name} must be >= 0, got {value}")
+    if getattr(args, "kmax", None) is not None and args.k is not None:
+        raise CliError("--k and --kmax cannot be combined")
     if args.weights and not args.invariant:
         raise CliError("--weights needs --invariant")
     S = _load_structure(args)

@@ -4,9 +4,23 @@ The coboundary of a k-derivation phi against a verified structure S is the
 two-sum formula
 
     (d phi)(P_1,...,P_{k+1}) = sum_i (-1)^{i-1} {P_i, phi(..., ^P_i, ...)}
-        + sum_{i<j} (-1)^{i+j} phi({P_i, P_j}, ..., ^P_i, ..., ^P_j, ...),
+        + sum_{i<j} (-1)^{i+j} phi({P_i, P_j}, ..., ^P_i, ..., ^P_j, ...).
 
-which ``delta`` evaluates on coordinate tuples.  ``delta_via_forms``
+On coordinate tuples it reduces to the elementary-cochain rule: for the
+cochain x^a on the slot tuple T (sorted), the image is
+
+    sum over u not in T, with U = T + {u}:
+        (-1)^{pos_U(u)} {X_u, x^a} = (-1)^{pos_U(u)} sum_j a_j P_{uj} x^{a - e_j}
+    sum over t in T and i < j outside T - {t}, with U = T - {t} + {i, j}:
+        (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} x^a dP_{ij}/dX_t
+
+on the slot tuple U, so an elementary cochain touches only the
+O(nnz(P) k) targets it can reach.  The structure is scaled to integers
+once per call.  ``delta`` applies the rule to each term of a cochain, and
+``delta_matrix`` writes one column per basis cochain with it, as exact
+``Fraction``s for the fraction-free rank/kernel routines.  The two-sum
+itself, evaluated on coordinate tuples, lives in ``tests/oracles.py`` as
+``two_sum_delta``, the oracle both are tested against.  ``delta_via_forms``
 recomputes the same operator through the exterior-form correspondence
 (shuffle-summed iterated contractions of Omega and of the form of phi),
 weighted by two signs that ``form_delta_sign`` gives in closed form from
@@ -17,20 +31,6 @@ values, optionally filtered by a weight rule (value weight equals the sum of
 the slot weights) and by banned variables; for the rigid-algebra reduction
 the torus variable is excluded from both value monomials and slots, which is
 the subcomplex the weight filter closes on.
-
-Coboundary matrices on slices do not call ``delta``.  ``delta_matrix``
-writes each column down from the elementary-cochain rule: for the cochain
-x^a on the slot tuple T (sorted), the image is
-
-    sum over u not in T, with U = T + {u}:
-        (-1)^{pos_U(u)} {X_u, x^a} = (-1)^{pos_U(u)} sum_j a_j P_{uj} x^{a - e_j}
-    sum over t in T and i < j outside T - {t}, with U = T - {t} + {i, j}:
-        (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} x^a dP_{ij}/dX_t
-
-on the slot tuple U, so a column touches only the O(nnz(P) k) targets it
-can reach.  The structure is scaled to integers once per matrix and column
-values are exact ``Fraction``s; ``delta`` is the oracle the columns are
-tested against.  The matrices feed the fraction-free rank/kernel routines.
 
 Every query splits slices into weight blocks when the caller sets no
 filter and some coordinate X_m brackets diagonally, {X_m, X_i} = w_i X_i
@@ -90,37 +90,120 @@ from .poly import Exponents, Polynomial, _checked_vars, add_into, monomial_basis
 # -- coboundary ---------------------------------------------------------------
 
 
+def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
+    """The structure's entries and their partials, scaled to integers.
+
+    Returns (denom, rows, partials).  ``rows[u]`` lists (j, terms) for each
+    nonzero signed entry P_{uj}, a term being (e - e_j, coefficient); the
+    shift turns x^a into the exponents of x^{a - e_j} * x^e.
+    ``partials[t]`` lists (i, j, terms) for each nonzero dP_{ij}/dX_t with
+    i < j, a term being (exponents, coefficient).  Every coefficient is
+    multiplied by ``denom``, the common denominator of the entries.
+    """
+    n = S.n
+    entries = S.bivector.values
+    denom = lcm(*(c.denominator for p in entries.values() for c in p.terms.values()))
+    rows: list[list] = [[] for _ in range(n)]
+    partials: list[list] = [[] for _ in range(n)]
+    for (i, j), poly in entries.items():
+        for u, v, sign in ((i, j, 1), (j, i, -1)):
+            terms = []
+            for exps, c in poly.terms.items():
+                shift = list(exps)
+                shift[v] -= 1
+                terms.append((tuple(shift), sign * int(c * denom)))
+            rows[u].append((v, terms))
+        for t in range(n):
+            dp = poly.partial(t)
+            if not dp.is_zero:
+                partials[t].append(
+                    (i, j, [(exps, int(c * denom)) for exps, c in dp.terms.items()])
+                )
+    return denom, rows, partials
+
+
+def _slot_terms(
+    n: int, T: IndexTuple, rows: list[list], partials: list[list]
+) -> tuple[list, list]:
+    """What the coboundary of x^a on slots T contributes, for any monomial x^a.
+
+    Sum 1 lists (U, j, terms) with U = T + {u}: the term (-1)^{pos_U(u)}
+    a_j P_{uj} x^{a - e_j} of {X_u, x^a}.  Sum 2 lists (U, terms) with
+    U = T - {t} + {i, j}: x^a times the signed partials
+    (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t, merged per U.
+    """
+    sum1 = []
+    for u in range(n):
+        if u in T:
+            continue
+        pos = bisect_left(T, u)
+        U = T[:pos] + (u,) + T[pos:]
+        sign = -1 if pos % 2 else 1
+        for j, terms in rows[u]:
+            sum1.append((U, j, [(shift, sign * c) for shift, c in terms]))
+    merged: dict[IndexTuple, dict[Exponents, int]] = {}
+    for pt, t in enumerate(T):
+        rest = T[:pt] + T[pt + 1 :]
+        for i, j, terms in partials[t]:
+            if i in rest or j in rest:
+                continue
+            pi, pj = bisect_left(rest, i), bisect_left(rest, j)
+            U = rest[:pi] + (i,) + rest[pi:pj] + (j,) + rest[pj:]
+            sign = -1 if (pt + pi + pj + 1) % 2 else 1
+            poly = merged.setdefault(U, {})
+            for exps, c in terms:
+                poly[exps] = poly.get(exps, 0) + sign * c
+    sum2 = []
+    for U, poly in merged.items():
+        terms = [(exps, c) for exps, c in poly.items() if c]
+        if terms:
+            sum2.append((U, terms))
+    return sum1, sum2
+
+
+def _elementary_image(
+    a: Exponents, sum1: list, sum2: list
+) -> dict[tuple[IndexTuple, Exponents], int]:
+    """The image of x^a on slots T, from ``_slot_terms`` of T, keyed by (U, exponents).
+
+    Values are integers, ``denom`` times the true coefficients, and may be 0.
+    """
+    acc: dict[tuple[IndexTuple, Exponents], int] = {}
+    for U, j, terms in sum1:
+        aj = a[j]
+        if aj:
+            for shift, c in terms:
+                key = (U, tuple(map(add, a, shift)))
+                acc[key] = acc.get(key, 0) + aj * c
+    for U, terms in sum2:
+        for shift, c in terms:
+            key = (U, tuple(map(add, a, shift)))
+            acc[key] = acc.get(key, 0) + c
+    return acc
+
+
 def delta(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
-    """Coboundary of a k-derivation; a (k+1)-derivation, zero once k >= n."""
+    """Coboundary of a k-derivation; a (k+1)-derivation, zero once k >= n.
+
+    Applies the elementary-cochain rule term by term: the monomial c x^a on
+    the slots T adds c times the image of x^a on T.
+    """
     n = S.n
     if phi.n != n:
         raise ValueError("variable count mismatch")
-    k = phi.k
-    if k >= n:
-        return MultiDerivation.zero(n, k + 1)
-    out: dict[IndexTuple, Polynomial] = {}
-    for U in itertools.combinations(range(n), k + 1):
-        total = Polynomial.zero(n)
-        for pos, u in enumerate(U):
-            rest = U[:pos] + U[pos + 1 :]
-            val = phi.values.get(rest)
-            if val is not None:
-                br = S.bracket_coordinate(u, val)
-                if not br.is_zero:
-                    total = total + br if pos % 2 == 0 else total - br
-        if k:
-            for a, b in itertools.combinations(range(k + 1), 2):
-                entry = S.entry(U[a], U[b])
-                if entry.is_zero:
-                    continue
-                rest = tuple(U[c] for c in range(k + 1) if c != a and c != b)
-                val = phi.evaluate_first(entry, rest)
-                if val.is_zero:
-                    continue
-                total = total + val if (a + b) % 2 == 0 else total - val
-        if not total.is_zero:
-            out[U] = total
-    return MultiDerivation(n, k + 1, out)
+    if phi.k >= n:
+        return MultiDerivation.zero(n, phi.k + 1)
+    denom, rows, partials = _integer_tables(S)
+    out: dict[IndexTuple, dict[Exponents, Fraction]] = {}
+    for T, poly in phi.values.items():
+        sum1, sum2 = _slot_terms(n, T, rows, partials)
+        for a, c in poly.terms.items():
+            scale = c / denom
+            for (U, exps), value in _elementary_image(a, sum1, sum2).items():
+                if value:
+                    terms = out.setdefault(U, {})
+                    terms[exps] = terms.get(exps, 0) + scale * value
+    return MultiDerivation(n, phi.k + 1, {U: Polynomial(n, terms) for U, terms in out.items()})
 
 
 # -- the exterior-calculus route ----------------------------------------------
@@ -356,77 +439,6 @@ def _left_slice(reason: str) -> ValueError:
     )
 
 
-def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
-    """The structure's entries and their partials, scaled to integers.
-
-    Returns (denom, rows, partials).  ``rows[u]`` lists (j, terms) for each
-    nonzero signed entry P_{uj}, a term being (e - e_j, coefficient); the
-    shift turns x^a into the exponents of x^{a - e_j} * x^e.
-    ``partials[t]`` lists (i, j, terms) for each nonzero dP_{ij}/dX_t with
-    i < j, a term being (exponents, coefficient).  Every coefficient is
-    multiplied by ``denom``, the common denominator of the entries.
-    """
-    n = S.n
-    entries = S.bivector.values
-    denom = lcm(*(c.denominator for p in entries.values() for c in p.terms.values()))
-    rows: list[list] = [[] for _ in range(n)]
-    partials: list[list] = [[] for _ in range(n)]
-    for (i, j), poly in entries.items():
-        for u, v, sign in ((i, j, 1), (j, i, -1)):
-            terms = []
-            for exps, c in poly.terms.items():
-                shift = list(exps)
-                shift[v] -= 1
-                terms.append((tuple(shift), sign * int(c * denom)))
-            rows[u].append((v, terms))
-        for t in range(n):
-            dp = poly.partial(t)
-            if not dp.is_zero:
-                partials[t].append(
-                    (i, j, [(exps, int(c * denom)) for exps, c in dp.terms.items()])
-                )
-    return denom, rows, partials
-
-
-def _slot_terms(
-    n: int, T: IndexTuple, rows: list[list], partials: list[list]
-) -> tuple[list, list]:
-    """What the coboundary of x^a on slots T contributes, for any monomial x^a.
-
-    Sum 1 lists (U, j, terms) with U = T + {u}: the term (-1)^{pos_U(u)}
-    a_j P_{uj} x^{a - e_j} of {X_u, x^a}.  Sum 2 lists (U, terms) with
-    U = T - {t} + {i, j}: x^a times the signed partials
-    (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t, merged per U.
-    """
-    sum1 = []
-    for u in range(n):
-        if u in T:
-            continue
-        pos = bisect_left(T, u)
-        U = T[:pos] + (u,) + T[pos:]
-        sign = -1 if pos % 2 else 1
-        for j, terms in rows[u]:
-            sum1.append((U, j, [(shift, sign * c) for shift, c in terms]))
-    merged: dict[IndexTuple, dict[Exponents, int]] = {}
-    for pt, t in enumerate(T):
-        rest = T[:pt] + T[pt + 1 :]
-        for i, j, terms in partials[t]:
-            if i in rest or j in rest:
-                continue
-            pi, pj = bisect_left(rest, i), bisect_left(rest, j)
-            U = rest[:pi] + (i,) + rest[pi:pj] + (j,) + rest[pj:]
-            sign = -1 if (pt + pi + pj + 1) % 2 else 1
-            poly = merged.setdefault(U, {})
-            for exps, c in terms:
-                poly[exps] = poly.get(exps, 0) + sign * c
-    sum2 = []
-    for U, poly in merged.items():
-        terms = [(exps, c) for exps, c in poly.items() if c]
-        if terms:
-            sum2.append((U, terms))
-    return sum1, sum2
-
-
 def delta_matrix(
     S: PoissonStructure,
     source: GradedSlice,
@@ -435,8 +447,8 @@ def delta_matrix(
     """Matrix of the coboundary on a slice; target degree is d + r - 1.
 
     Requires homogeneous entries of a single degree r and checks that every
-    image lands inside the filtered target slice.  Each column is written
-    down from the elementary-cochain rule; ``delta`` is its oracle.
+    image lands inside the filtered target slice.  Each column is the
+    elementary-cochain rule that ``delta`` applies, in target coordinates.
     """
     r = S.homogeneous_degree()
     if target is None:
@@ -459,20 +471,8 @@ def delta_matrix(
     for T, a in source.basis:
         if T not in terms_of:
             terms_of[T] = _slot_terms(S.n, T, rows, partials)
-        sum1, sum2 = terms_of[T]
-        acc: dict[tuple[IndexTuple, Exponents], int] = {}
-        for U, j, terms in sum1:
-            aj = a[j]
-            if aj:
-                for shift, c in terms:
-                    key = (U, tuple(map(add, a, shift)))
-                    acc[key] = acc.get(key, 0) + aj * c
-        for U, terms in sum2:
-            for shift, c in terms:
-                key = (U, tuple(map(add, a, shift)))
-                acc[key] = acc.get(key, 0) + c
         column: dict[int, Fraction] = {}
-        for key, value in acc.items():
+        for key, value in _elementary_image(a, *terms_of[T]).items():
             if not value:
                 continue
             pos = target.index.get(key)

@@ -126,38 +126,6 @@ class MultiDerivation:
 
     __rmul__ = __mul__
 
-    def evaluate_first(self, first: Polynomial, coords: Sequence[int]) -> Polynomial:
-        """Evaluate on (first, X_{c1}, ..., X_{c_{k-1}}) with coordinate tails.
-
-        Fast path used by the coboundary: only stored tuples containing all of
-        ``coords`` plus one extra slot contribute, via a single partial of
-        ``first``.
-        """
-        coords = tuple(coords)
-        if len(coords) != self.k - 1:
-            raise ValueError("wrong number of coordinate arguments")
-        if len(set(coords)) != len(coords):
-            return Polynomial.zero(self.n)
-        cset = set(coords)
-        total = Polynomial.zero(self.n)
-        tail_sign = _perm_sign(tuple(sorted(range(len(coords)), key=lambda a: coords[a])))
-        for idx, val in self.values.items():
-            extra = [i for i in idx if i not in cset]
-            if len(extra) != 1 or not cset.issubset(idx):
-                continue
-            t = extra[0]
-            dfirst = first.partial(t)
-            if dfirst.is_zero:
-                continue
-            pos = idx.index(t)
-            contrib = val * dfirst
-            if pos % 2:
-                contrib = -contrib
-            if tail_sign < 0:
-                contrib = -contrib
-            total = total + contrib
-        return total
-
 
 def bivector_from_entries(
     n: int, entries: Mapping[tuple[int, int], Polynomial]

@@ -49,7 +49,7 @@ def _finish(check_id: str, rows: list[dict], notes: list[str]) -> Report:
 
 # -- P1: totals over the degree profile ----------------------------------------
 
-P1_EXPECTED_TOTALS = {0: 1, 1: 3, 2: 2, 3: 0}
+P1_EXPECTED_TOTALS = CATALOG["P1"].expected["H_totals"]
 
 
 def p1_generators() -> list[MultiDerivation]:
@@ -145,7 +145,7 @@ def check_p2_b22(ns: range = range(2, 9)) -> Report:
     return _finish("p2-b22", rows, notes)
 
 
-P2_H22_EXPECTED = {2: 1, 3: 3, 4: 8, 5: 16}
+P2_H22_EXPECTED = CATALOG["P2"].expected["dim_H2_2"]
 
 
 def p2_h22(n: int) -> int:

@@ -3,6 +3,10 @@
 Each is a direct, unoptimised definition of something the package computes
 another way:
 
+* ``two_sum_delta`` is the coboundary by the two-sum formula on coordinate
+  tuples, with ``evaluate_first`` putting a polynomial into the first slot;
+  ``cohomology.delta`` and ``delta_matrix`` apply the elementary-cochain
+  rule.
 * ``probe_form_delta_sign`` finds the two signs of the form-route coboundary
   by comparing ``cohomology._form_delta_parts`` with ``delta`` on elementary
   cochains; ``cohomology.form_delta_sign`` gives them in closed form.
@@ -101,6 +105,81 @@ def probe_form_delta_sign(n: int, k: int) -> tuple[int, int]:
     # when one sum vanishes identically the relative sign is immaterial;
     # prefer the (+1, ...) convention for determinism
     return candidates[0]
+
+
+# -- the two-sum coboundary ------------------------------------------------------
+
+
+def two_sum_delta(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
+    """Coboundary of a k-derivation; a (k+1)-derivation, zero once k >= n.
+
+    The two-sum formula on coordinate tuples: per slot tuple U, the first sum
+    brackets X_{u} with phi on the other slots, and the second puts
+    {X_{u_a}, X_{u_b}} into the first slot of phi through ``evaluate_first``.
+    """
+    n = S.n
+    if phi.n != n:
+        raise ValueError("variable count mismatch")
+    k = phi.k
+    if k >= n:
+        return MultiDerivation.zero(n, k + 1)
+    out: dict[IndexTuple, Polynomial] = {}
+    for U in itertools.combinations(range(n), k + 1):
+        total = Polynomial.zero(n)
+        for pos, u in enumerate(U):
+            rest = U[:pos] + U[pos + 1 :]
+            val = phi.values.get(rest)
+            if val is not None:
+                br = S.bracket_coordinate(u, val)
+                if not br.is_zero:
+                    total = total + br if pos % 2 == 0 else total - br
+        if k:
+            for a, b in itertools.combinations(range(k + 1), 2):
+                entry = S.entry(U[a], U[b])
+                if entry.is_zero:
+                    continue
+                rest = tuple(U[c] for c in range(k + 1) if c != a and c != b)
+                val = evaluate_first(phi, entry, rest)
+                if val.is_zero:
+                    continue
+                total = total + val if (a + b) % 2 == 0 else total - val
+        if not total.is_zero:
+            out[U] = total
+    return MultiDerivation(n, k + 1, out)
+
+
+def evaluate_first(
+    phi: MultiDerivation, first: Polynomial, coords: Sequence[int]
+) -> Polynomial:
+    """Evaluate on (first, X_{c1}, ..., X_{c_{k-1}}) with coordinate tails.
+
+    Only stored tuples containing all of ``coords`` plus one extra slot
+    contribute, via a single partial of ``first``.
+    """
+    coords = tuple(coords)
+    if len(coords) != phi.k - 1:
+        raise ValueError("wrong number of coordinate arguments")
+    if len(set(coords)) != len(coords):
+        return Polynomial.zero(phi.n)
+    cset = set(coords)
+    total = Polynomial.zero(phi.n)
+    tail_sign = _perm_sign(tuple(sorted(range(len(coords)), key=lambda a: coords[a])))
+    for idx, val in phi.values.items():
+        extra = [i for i in idx if i not in cset]
+        if len(extra) != 1 or not cset.issubset(idx):
+            continue
+        t = extra[0]
+        dfirst = first.partial(t)
+        if dfirst.is_zero:
+            continue
+        pos = idx.index(t)
+        contrib = val * dfirst
+        if pos % 2:
+            contrib = -contrib
+        if tail_sign < 0:
+            contrib = -contrib
+        total = total + contrib
+    return total
 
 
 # -- multiderivations on arbitrary arguments ------------------------------------

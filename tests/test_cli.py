@@ -130,6 +130,49 @@ def test_a_repeated_param_is_rejected(capsys):
         assert "--param n appears more than once" in err
 
 
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ("catalog", "file"),
+        ("catalog", "json"),
+        ("file", "json"),
+        ("catalog", "file", "json"),
+    ],
+    ids=["catalog-file", "catalog-json", "file-json", "all-three"],
+)
+@pytest.mark.parametrize("command", ["verify", "cohomology"])
+def test_structure_sources_are_exclusive(capsys, tmp_path, command, sources):
+    # the file exists and holds P1, so each source alone would be read
+    path = tmp_path / "structure.json"
+    path.write_text(P1_JSON)
+    given = {"catalog": "P1", "file": str(path), "json": P1_JSON}
+    argv = [command] + [arg for name in sources for arg in (f"--{name}", given[name])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: use only one of --catalog, --file and --json\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cohomology", "--k", "-1", "--degree", "1"), "--k must be >= 0, got -1"),
+        (("cohomology", "--kmax", "-1"), "--kmax must be >= 0, got -1"),
+        (("cohomology", "--k", "1", "--degree", "-1"), "--degree must be >= 0, got -1"),
+        (("cohomology", "--kmax", "1", "--cutoff", "-1"), "--cutoff must be >= 0, got -1"),
+        (("cohomology", "--k", "1", "--kmax", "2"), "--k and --kmax cannot be combined"),
+        (("matrix", "--k", "-1", "--degree", "1"), "--k must be >= 0, got -1"),
+        (("matrix", "--k", "1", "--degree", "-2"), "--degree must be >= 0, got -2"),
+    ],
+    ids=["cohomology-k", "cohomology-kmax", "cohomology-degree", "cohomology-cutoff",
+         "cohomology-k-and-kmax", "matrix-k", "matrix-degree"],
+)
+def test_arity_and_degree_ranges_are_checked(capsys, argv, message):
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--catalog", "P1", *rest)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_missing_source_exits_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

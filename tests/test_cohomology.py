@@ -33,6 +33,7 @@ from oracles import (
     greedy_representatives,
     insert_first,
     probe_form_delta_sign,
+    two_sum_delta,
 )
 
 
@@ -94,6 +95,41 @@ def test_delta_squared_vanishes(rng):
             assert delta(S, delta(S, phi)).is_zero
             cases += 1
     assert cases >= 100
+
+
+def test_delta_matches_the_two_sum_oracle(rng):
+    # delta applies the elementary-cochain rule; the oracle evaluates the
+    # two-sum formula on coordinate tuples
+    P1 = p1()
+    structures = [
+        P1,
+        verify(P1.bivector * Fraction(1, 3)),
+        catalog_get("P2", {"n": 5}),
+        catalog_get("rigid", {"n": 6}),
+        catalog_get("rigid", {"n": 10}),
+        catalog_get("deformed-mu", {"n": 8}),
+        catalog_get("Omega9", {"a": 1, "b": Fraction(1, 2), "c": -1, "e": 2, "f": 0, "g": 3}),
+        catalog_get("Omega11", {"a": 2, "b": -1, "c": Fraction(1, 3)}),
+        catalog_get("NF39-1"),
+        catalog_get("L3", {"alpha": Fraction(2, 3)}),
+    ]
+    cases = 0
+    for S in structures:
+        n = S.n
+        for k in range(n + 2):
+            # a few slot tuples per cochain keep the oracle fast at n = 11
+            density = min(0.5, 4 / math.comb(n, k)) if k <= n else 0.5
+            for _ in range(5):
+                phi = random_cochain(n, k, 3, rng, density)
+                image = delta(S, phi)
+                assert image == two_sum_delta(S, phi), (S, phi)
+                assert image.k == k + 1
+                if k >= n:
+                    assert image.is_zero
+                cases += 1
+    assert cases >= 300
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        delta(P1, random_cochain(4, 1, 2, rng))
 
 
 def test_delta_matches_two_sum_on_general_arguments(rng):
@@ -311,7 +347,8 @@ def test_delta_matrix_columns_match_delta_oracle():
         m = delta_matrix(S, src, tgt)
         assert len(m.columns) == src.dim
         for p in range(src.dim):
-            assert m.columns[p] == tgt.to_vector(delta(S, src.element(p))), (S, k, d, p)
+            expected = tgt.to_vector(two_sum_delta(S, src.element(p)))
+            assert m.columns[p] == expected, (S, k, d, p)
             assert all(type(v) is Fraction for v in m.columns[p].values())
         if k >= S.n:
             assert all(not col for col in m.columns)

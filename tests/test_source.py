@@ -107,3 +107,28 @@ def test_each_coboundary_edge_has_one_assembly_and_one_elimination():
         and isinstance(call.func.value, ast.Name) and call.func.value.id == "linalg",
     )
     assert ranks == ["DeltaMatrix.rank"]
+
+
+def test_every_private_function_in_package_source_has_a_caller():
+    # a module-level _helper that nothing in the package reads, other than its
+    # own body, is dead code
+    private = set()
+    readers: dict[str, set] = {}  # name -> (module, top-level definition) reading it
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_") \
+                    and not top.name.startswith("__"):
+                private.add((path.stem, top.name))
+            owner = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(owner)
+    assert private
+    uncalled = sorted(
+        f"{module}.{name}" for module, name in private
+        if readers.get(name, set()) <= {(module, name)}
+    )
+    assert uncalled == []
