@@ -227,9 +227,10 @@ class ExteriorForm:
         """Wedge into degree n: each term meets only the other's term at its complement.
 
         Sorting ia + complement(ia) takes sum(ia) - k(k-1)/2 transpositions.
+        Every product term is added straight into the one output coefficient.
         """
         n, k = self.n, self.k
-        total = Polynomial.zero(n)
+        total: dict = {}
         for ia, ca in self.terms.items():
             # tuple() of a list allocates the final size at once; one grown
             # from a generator is resized, and the freed tuples pile up in
@@ -237,23 +238,38 @@ class ExteriorForm:
             cb = other.terms.get(tuple([i for i in range(n) if i not in ia]))
             if cb is None:
                 continue
-            c = ca * cb
-            total = total - c if (sum(ia) - k * (k - 1) // 2) % 2 else total + c
-        return ExteriorForm._trusted(n, n, {tuple(range(n)): total} if total else {})
+            sign = -1 if (sum(ia) - k * (k - 1) // 2) % 2 else 1
+            add_into(total, (
+                (tuple(map(int.__add__, e1, e2)), sign * c1 * c2)
+                for e1, c1 in ca.terms.items()
+                for e2, c2 in cb.terms.items()
+            ))
+        terms = {tuple(range(n)): Polynomial._trusted(n, total)} if total else {}
+        return ExteriorForm._trusted(n, n, terms)
 
     def d(self) -> "ExteriorForm":
-        """Exterior derivative; satisfies d(d(a)) = 0."""
+        """Exterior derivative; satisfies d(d(a)) = 0.
 
-        def partials() -> Iterator[tuple[IndexTuple, Polynomial]]:
-            for idx, coeff in self.terms.items():
-                used = {i for exps in coeff.terms for i, e in enumerate(exps) if e}
-                for i in sorted(used):
-                    sign, merged = _merge_sign((i,), idx)
-                    if merged is not None:
-                        dc = coeff.partial(i)
-                        yield merged, dc if sign > 0 else -dc
-
-        return ExteriorForm._trusted(self.n, self.k + 1, add_into({}, partials()))
+        Each term of each partial derivative is added straight into the
+        coefficient it lands on.
+        """
+        n = self.n
+        out: dict[IndexTuple, dict] = {}
+        for idx, coeff in self.terms.items():
+            # the variables the coefficient contains, ascending
+            for i in itertools.compress(range(n), map(any, zip(*coeff.terms))):
+                # dX_i ^ dX_idx: dX_i moves past the entries of idx below i
+                at = bisect.bisect_left(idx, i)
+                if at < len(idx) and idx[at] == i:
+                    continue
+                sign = -1 if at % 2 else 1
+                add_into(out.setdefault(idx[:at] + (i,) + idx[at:], {}), (
+                    (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], sign * exps[i] * c)
+                    for exps, c in coeff.terms.items()
+                    if exps[i]
+                ))
+        terms = {idx: Polynomial._trusted(n, total) for idx, total in out.items() if total}
+        return ExteriorForm._trusted(n, self.k + 1, terms)
 
     def interior_coordinates(self, idxs: Sequence[int]) -> "ExteriorForm":
         """Contraction by d/dX_i for each i of the increasing tuple ``idxs``.
@@ -262,10 +278,17 @@ class ExteriorForm:
         Each result term R is read off the one term J = R + idxs by lookup, with
         sign (-1)^#{(i, r) : i in idxs, r in R, r < i}: the cost is the number
         of (k - len(idxs))-subsets of the other indices, not the number of
-        terms.
+        terms.  ``idxs`` that is not strictly increasing within 0..n-1 is a
+        ``ValueError``, as for the index tuples of a form.
         """
         idxs = tuple(idxs)
         m = len(idxs)
+        if list(idxs) != sorted(set(idxs)):
+            raise ValueError(f"index tuple {idxs} is not strictly increasing")
+        if idxs and not (0 <= idxs[0] and idxs[-1] < self.n):
+            raise ValueError(f"index out of range in {idxs}")
+        if not m:
+            return self
         out: dict[IndexTuple, Polynomial] = {}
         if m <= self.k:
             taken = set(idxs)

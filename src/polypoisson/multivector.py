@@ -25,11 +25,20 @@ three terms, straight off Omega, and its top-degree wedge with Omega pairs
 complementary terms only.  Each route finds its entries on its own: the
 trisum from the bivector, the form route from the terms of Omega.
 
+Both run on ``int`` coefficients.  ``_integer_multiple`` scales the bivector
+by L, the lcm of its coefficient denominators; every criterion is
+homogeneous of degree 2 in the bivector, so L * P has the same verdict and
+obstructions L^2 times those of P (``notes/decisions.md``, entry 6).  The
+trisum adds every product term of a triple straight into one dict and
+divides a nonzero result by L^2, so it returns ``Fraction`` coefficients;
+the form route returns only a boolean.
+
 The two must always agree; the verification layer aborts if they do not.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -160,9 +169,11 @@ def phi_map(md: MultiDerivation) -> ExteriorForm:
     terms: dict[IndexTuple, Polynomial] = {}
     for idx, val in md.values.items():
         complement = tuple([i for i in range(n) if i not in idx])
-        sign = _perm_sign(idx + complement)
-        terms[complement] = val if sign > 0 else -val
-    return ExteriorForm(n, n - k, terms)
+        # sorting idx + complement takes sum(idx) - k(k-1)/2 transpositions
+        odd = (sum(idx) - k * (k - 1) // 2) % 2
+        terms[complement] = -val if odd else val
+    # distinct tuples have distinct complements, so no two terms collide
+    return ExteriorForm._trusted(n, n - k, terms)
 
 
 def phi_inverse(form: ExteriorForm) -> MultiDerivation:
@@ -215,6 +226,28 @@ def _triples_meeting(
                 yield from ((i, j, k) for k in sorted(nbrs[i] | nbrs[j]) if k > j)
 
 
+def _integer_multiple(biv: MultiDerivation) -> tuple[int, MultiDerivation]:
+    """(L, L * biv) with L the lcm of the coefficient denominators.
+
+    The multiple stores ``int`` coefficients.  Every integrability criterion is
+    homogeneous of degree 2 in the bivector, so the multiple gets the same
+    verdict and its obstructions are L^2 times those of ``biv``.  It exists
+    only inside the integrability routes.
+    """
+    n = biv.n
+    lcm = 1
+    for p in biv.values.values():
+        for c in p.terms.values():
+            lcm = math.lcm(lcm, c.denominator)
+    values = {
+        idx: Polynomial._trusted(
+            n, {e: c.numerator * (lcm // c.denominator) for e, c in p.terms.items()}
+        )
+        for idx, p in biv.values.items()
+    }
+    return lcm, MultiDerivation._trusted(n, biv.k, values)
+
+
 def jacobi_trisum(
     biv: MultiDerivation,
 ) -> list[tuple[int, int, int, Polynomial]]:
@@ -224,30 +257,46 @@ def jacobi_trisum(
     the bivector is integrable iff all of them vanish.  Empty for n < 3.
     Only triples holding a nonzero entry are visited, and r runs only over
     the nonzero entries P_{r,first}, read from an adjacency list built once.
+    The sum runs on the integer multiple L * biv, each term added straight
+    into one dict per triple; a nonzero obstruction is divided by L^2.
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
     n = biv.n
-    # column[f] lists (r, P_{rf}) with P_{rf} != 0, r ascending as in a loop over all r
-    column: list[list[tuple[int, Polynomial]]] = [[] for _ in range(n)]
-    for (a, b), val in biv.values.items():
-        column[b].append((a, val))
-        column[a].append((b, -val))
+    lcm, multiple = _integer_multiple(biv)
+    scale = lcm * lcm
+    values = {pair: p.terms for pair, p in multiple.values.items()}
+    # column[f] lists (r, terms of P_{rf}) with P_{rf} != 0, r ascending as in a
+    # loop over all r
+    column: list[list[tuple[int, dict]]] = [[] for _ in range(n)]
+    for (a, b), terms in values.items():
+        column[b].append((a, terms))
+        column[a].append((b, {e: -c for e, c in terms.items()}))
     for entries in column:
         entries.sort(key=lambda entry: entry[0])
-    out = []
-    for i, j, k in _triples_meeting(n, biv.values):
-        total = Polynomial.zero(n)
-        for first, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-            target = bivector_entry(biv, *pair)
-            if target.is_zero:
+
+    def terms(i: int, j: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Each product term P_{r,first} * dP_{pair}/dX_r of the triple's trisum."""
+        for first, a, b in ((i, j, k), (j, k, i), (k, i, j)):
+            target = values.get((a, b) if a < b else (b, a))
+            if target is None:
                 continue
+            sign = 1 if a < b else -1
             for r, p_rf in column[first]:
-                dt = target.partial(r)
-                if not dt.is_zero:
-                    total = total + p_rf * dt
-        if not total.is_zero:
-            out.append((i, j, k, total))
+                for et, ct in target.items():
+                    e = et[r]
+                    if e:
+                        lowered = et[:r] + (e - 1,) + et[r + 1 :]
+                        c = sign * e * ct
+                        for ep, cp in p_rf.items():
+                            yield tuple(map(int.__add__, ep, lowered)), cp * c
+
+    out = []
+    for i, j, k in _triples_meeting(n, values):
+        total = add_into({}, terms(i, j, k))
+        if total:
+            obstruction = {e: Fraction(c, scale) for e, c in total.items()}
+            out.append((i, j, k, Polynomial._trusted(n, obstruction)))
     return out
 
 
@@ -258,7 +307,8 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
     n = biv.n
     if n < 3:
         raise ValueError("form criterion needs at least three variables")
-    omega = phi_map(biv)
+    _, multiple = _integer_multiple(biv)
+    omega = phi_map(multiple)
     # for n = 3 nothing is contracted, alpha = Omega and the one triple is (0, 1, 2);
     # alpha = i(idxs)Omega is nonzero exactly when the triple T left out of
     # idxs contains the pair {i, j} missing from some term of Omega

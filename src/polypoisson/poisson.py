@@ -10,6 +10,9 @@ property of the input, and aborts loudly.
 degree at most two: the form of the bivector splits as
 Omega_0 + Omega_1 + Omega_2 by coefficient degree, and integrability is the
 simultaneous vanishing of the four graded pieces of Omega ^ d(Omega).
+Omega_a ^ dOmega_b has coefficient degree a + b - 1, so the pieces are the
+homogeneous components of degrees 3, 0, 1 and 2 of the one product
+Omega ^ dOmega, read off the bivector's integer multiple.
 
 An order-2 equivalence is a linear bijection of the polynomial vector space
 that fixes constants and every monomial of degree >= 2 and maps each
@@ -27,6 +30,7 @@ from . import linalg
 from .exterior import ExteriorForm
 from .multivector import (
     MultiDerivation,
+    _integer_multiple,
     bivector_entry,
     bivector_from_entries,
     bracket_with_coordinate,
@@ -185,7 +189,12 @@ class GradedIntegrabilityReport:
 def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport:
     """Split the integrability of a degree-<=2 bivector on 3 variables.
 
-    The conjunction of the four equations equals the verify() verdict.
+    Omega_a ^ dOmega_b has coefficient degree a + b - 1, and dOmega_0 = 0, so
+    the four pieces are the homogeneous components of degrees 3, 0, 1 and 2
+    of the one coefficient of Omega ^ dOmega.  It is computed with one ``d``
+    and one wedge, on the integer multiple of the bivector, which scales
+    every piece by the same nonzero constant.  The conjunction of the four
+    equations equals the verify() verdict.
     """
     if bivector.k != 2:
         raise ValueError("not a bivector")
@@ -194,21 +203,15 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
     for poly in bivector.values.values():
         if poly.total_degree() > 2:
             raise ValueError("entries must have degree at most 2")
-    omega = phi_map(bivector)
-    parts = []
-    for d in range(3):
-        terms = {
-            idx: coeff.homogeneous_component(d)
-            for idx, coeff in omega.terms.items()
-        }
-        parts.append(ExteriorForm(3, omega.k, terms))
-    om0, om1, om2 = parts
-    d0, d1, d2 = om0.d(), om1.d(), om2.d()
+    _, multiple = _integer_multiple(bivector)
+    omega = phi_map(multiple)
+    top = omega.wedge(omega.d())
+    degrees = {sum(e) for coeff in top.terms.values() for e in coeff.terms}
     return GradedIntegrabilityReport(
-        quad_quad=om2.wedge(d2).is_zero,
-        const_lin=(om0.wedge(d1) + om1.wedge(d0)).is_zero,
-        mixed=(om0.wedge(d2) + om2.wedge(d0) + om1.wedge(d1)).is_zero,
-        lin_quad=(om1.wedge(d2) + om2.wedge(d1)).is_zero,
+        quad_quad=3 not in degrees,
+        const_lin=0 not in degrees,
+        mixed=1 not in degrees,
+        lin_quad=2 not in degrees,
     )
 
 

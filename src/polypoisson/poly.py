@@ -3,7 +3,9 @@
 A polynomial in n variables is a mapping from exponent tuples (length n,
 one non-negative integer per variable) to nonzero ``Fraction`` coefficients.
 The zero polynomial is the empty mapping.  Nothing here ever touches
-floating point.
+floating point.  Polynomials with ``int`` coefficients exist only inside
+the integrability routes of ``multivector`` and ``poisson``, which work on
+an integer multiple of the bivector; none leaves a route.
 
 Variables carry internal indices 0..n-1.  Text input and output use labels
 ``X<k>`` where the label of internal index 0 is configurable: ``X1`` by

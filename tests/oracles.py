@@ -23,6 +23,13 @@ another way:
   against freshly built coboundaries; ``cocycle_representatives`` works in
   the weight-0 block, reuses the structure's boundary echelon and stops
   once it holds dim H classes.
+* ``jacobi_trisum_polynomial`` sums the Jacobi obstructions Polynomial by
+  Polynomial on the rational bivector; ``multivector.jacobi_trisum`` adds
+  the terms of its integer multiple into one dict per triple.
+* ``graded_pieces`` forms the four graded pieces of Omega ^ dOmega from
+  three derivatives and ten wedges of the homogeneous parts of Omega;
+  ``poisson.graded_integrability`` reads them off the degrees of one
+  product.
 """
 
 from __future__ import annotations
@@ -41,8 +48,15 @@ from polypoisson.cohomology import (
 )
 from polypoisson.exterior import ExteriorForm, IndexTuple, _perm_sign
 from polypoisson.linalg import SpanTracker
-from polypoisson.multivector import MultiDerivation, bivector_from_entries, phi_inverse
-from polypoisson.poisson import PoissonStructure, verify
+from polypoisson.multivector import (
+    MultiDerivation,
+    _triples_meeting,
+    bivector_entry,
+    bivector_from_entries,
+    phi_inverse,
+    phi_map,
+)
+from polypoisson.poisson import GradedIntegrabilityReport, PoissonStructure, verify
 from polypoisson.poly import Polynomial
 
 # -- the form-route signs -----------------------------------------------------
@@ -346,3 +360,63 @@ def insert_first(phi: MultiDerivation, m: int) -> MultiDerivation:
             pos = T.index(m)
             values[T[:pos] + T[pos + 1 :]] = val * (-1 if pos % 2 else 1)
     return MultiDerivation(phi.n, phi.k - 1, values)
+
+
+# -- integrability ------------------------------------------------------------
+
+
+def jacobi_trisum_polynomial(
+    biv: MultiDerivation,
+) -> list[tuple[int, int, int, Polynomial]]:
+    """The Jacobi obstructions by Polynomial sums of products, triple by triple.
+
+    Visits the same triples and the same r as ``jacobi_trisum``, in the same
+    order, with the bivector's own rational coefficients.
+    """
+    if biv.k != 2:
+        raise ValueError("not a bivector")
+    n = biv.n
+    column: list[list[tuple[int, Polynomial]]] = [[] for _ in range(n)]
+    for (a, b), val in biv.values.items():
+        column[b].append((a, val))
+        column[a].append((b, -val))
+    for entries in column:
+        entries.sort(key=lambda entry: entry[0])
+    out = []
+    for i, j, k in _triples_meeting(n, biv.values):
+        total = Polynomial.zero(n)
+        for first, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+            target = bivector_entry(biv, *pair)
+            if target.is_zero:
+                continue
+            for r, p_rf in column[first]:
+                dt = target.partial(r)
+                if not dt.is_zero:
+                    total = total + p_rf * dt
+        if not total.is_zero:
+            out.append((i, j, k, total))
+    return out
+
+
+def graded_pieces(bivector: MultiDerivation) -> GradedIntegrabilityReport:
+    """The graded report from Omega = Omega_0 + Omega_1 + Omega_2 piece by piece.
+
+    Three variables, entries of degree at most two: each field is the sum of
+    the wedges Omega_a ^ dOmega_b that the report names.
+    """
+    omega = phi_map(bivector)
+    parts = []
+    for d in range(3):
+        terms = {
+            idx: coeff.homogeneous_component(d)
+            for idx, coeff in omega.terms.items()
+        }
+        parts.append(ExteriorForm(3, omega.k, terms))
+    om0, om1, om2 = parts
+    d0, d1, d2 = om0.d(), om1.d(), om2.d()
+    return GradedIntegrabilityReport(
+        quad_quad=om2.wedge(d2).is_zero,
+        const_lin=(om0.wedge(d1) + om1.wedge(d0)).is_zero,
+        mixed=(om0.wedge(d2) + om2.wedge(d0) + om1.wedge(d1)).is_zero,
+        lin_quad=(om1.wedge(d2) + om2.wedge(d1)).is_zero,
+    )

@@ -219,6 +219,20 @@ def test_interior_coordinates_equals_iterated_interior_coordinate(rng):
         assert contracted.k == iterated.k
 
 
+@pytest.mark.parametrize("idxs", [[3, 1], [7], [-1], [1, 1]])
+def test_interior_coordinates_rejects_indices_it_cannot_contract_by(idxs):
+    # unsorted, out-of-range and repeated indices used to give a wrong sign or zero
+    top = ExteriorForm.basis(4, (0, 1, 2, 3))
+    with pytest.raises(ValueError):
+        top.interior_coordinates(idxs)
+
+
+def test_interior_coordinates_by_increasing_indices_is_unchanged():
+    top = ExteriorForm.basis(4, (0, 1, 2, 3))
+    assert top.interior_coordinates([1, 3]) == ExteriorForm.basis(4, (0, 2), -1)
+    assert top.interior_coordinates([]) == top
+
+
 # -- evaluation --------------------------------------------------------------------------
 
 

@@ -18,10 +18,10 @@ from polypoisson.multivector import (
     phi_map,
 )
 from polypoisson.poisson import IntegrabilityError, verify
-from polypoisson.poly import Polynomial
+from polypoisson.poly import Polynomial, parse_poly
 
 from conftest import random_bivector, random_cochain, random_poly
-from oracles import evaluate_derivation, evaluate_first
+from oracles import evaluate_derivation, evaluate_first, jacobi_trisum_polynomial
 
 
 def V(n, i):
@@ -185,6 +185,41 @@ def test_oracle_equivalence_random_bivectors(rng):
     assert checked >= 200
 
 
+def fractional_bivector():
+    """Not integrable, with coefficients 1/2, 2/3 and -3/4, so L = 12."""
+    return bivector_from_entries(4, {
+        (0, 1): parse_poly("1/2*X3", 4),
+        (1, 3): parse_poly("2/3*X1*X4", 4),
+        (2, 3): parse_poly("-3/4*X2", 4),
+    })
+
+
+def assert_rational_obstructions(obstructions):
+    for *_, poly in obstructions:
+        assert poly.terms
+        assert all(type(c) is Fraction for c in poly.terms.values())
+
+
+def test_trisum_on_integer_multiple_equals_polynomial_oracle():
+    cases = [catalog_bivector("deformed-mu", {"n": n}) for n in range(8, 13)]
+    cases += [fractional_bivector(), fractional_bivector() * Fraction(-5, 7)]
+    for biv in cases:
+        obstructions = jacobi_trisum(biv)
+        assert obstructions == jacobi_trisum_polynomial(biv)
+        assert_rational_obstructions(obstructions)
+    assert len(jacobi_trisum(fractional_bivector())) == 3
+
+
+def test_integrability_error_message_is_unchanged():
+    with pytest.raises(IntegrabilityError) as err:
+        verify(fractional_bivector())
+    assert str(err.value) == "not integrable: trisum(1,2,4) = -3/8*X2"
+    assert err.value.witness == (0, 1, 3, parse_poly("-3/8*X2", 4))
+    with pytest.raises(IntegrabilityError) as err:
+        verify(catalog_bivector("deformed-mu", {"n": 9}), first_index=0)
+    assert str(err.value) == "not integrable: trisum(2,3,4) = 3*X9"
+
+
 def reference_trisum(biv):
     """All triples in combinations order, every r, no skipping."""
     n = biv.n
@@ -239,7 +274,9 @@ def sparse_bivectors(draw):
 def test_sparse_trisum_matches_all_triples_reference(case):
     biv, known_integrable = case
     expected = reference_trisum(biv)
-    assert jacobi_trisum(biv) == expected
+    obstructions = jacobi_trisum(biv)
+    assert obstructions == expected
+    assert_rational_obstructions(obstructions)
     if known_integrable:
         assert expected == []
     assert integrability_via_forms(biv) == (not expected)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polypoisson.catalog import catalog_get
+from polypoisson.catalog import CATALOG, catalog_bivector, catalog_get
 from polypoisson.multivector import MultiDerivation, bivector_from_entries
 from polypoisson.poisson import (
     DegreeOverflowError,
@@ -15,9 +15,10 @@ from polypoisson.poisson import (
     verify,
 )
 from polypoisson.poly import Polynomial
+from polypoisson.reproduce import sample_params
 
 from conftest import random_bivector, random_poly
-from oracles import evaluate_derivation
+from oracles import evaluate_derivation, graded_pieces
 
 
 def V(n, i):
@@ -148,6 +149,42 @@ def test_graded_integrability_matches_verify(rng):
         assert report.all_hold == trisum_ok
         agree += 1
     assert agree == 120
+
+
+def test_graded_integrability_equals_ten_wedge_oracle_on_catalog_points():
+    rng = random.Random(20240305)
+    checked = 0
+    for name, entry in CATALOG.items():
+        if any(spec.integer for spec in entry.params):
+            continue
+        for _ in range(12 if entry.params else 1):
+            biv = catalog_bivector(name, sample_params(name, rng))
+            if biv.n == 3:
+                assert graded_integrability(biv) == graded_pieces(biv), name
+                checked += 1
+    assert checked >= 150
+
+
+def dense_bivector(rng):
+    """Three nonzero entries of degree <= 2 on three variables; rarely Poisson."""
+    entries = {}
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        p = Polynomial.zero(3)
+        while p.is_zero:
+            p = random_poly(3, 2, rng, max_terms=3)
+        entries[pair] = p
+    return bivector_from_entries(3, entries)
+
+
+def test_graded_integrability_equals_ten_wedge_oracle_on_random_bivectors():
+    rng = random.Random(1618)
+    failing = 0
+    for t in range(600):
+        biv = random_bivector(3, 2, rng) if t % 6 == 0 else dense_bivector(rng)
+        report = graded_integrability(biv)
+        assert report == graded_pieces(biv)
+        failing += not report.all_hold
+    assert failing >= 400
 
 
 def test_graded_integrability_rejects_high_degree():
