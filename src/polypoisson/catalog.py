@@ -3,10 +3,18 @@
 Each entry records where the structure is printed in the source article
 (the ``source`` anchor), how to build its bivector from rational parameters,
 the admissibility constraints on those parameters, and any published values
-the reproduction harness checks against.  Three-variable structures written
-as 1-forms decode through the shuffle correspondence
-Omega = P_12 dX3 - P_13 dX2 + P_23 dX1, which is exactly ``phi_inverse``;
-the round trip back to the printed form is tested.
+the reproduction harness checks against.
+
+Every entry is written as data.  A three-variable structure printed as a
+1-form c1 dX1 + c2 dX2 + c3 dX3 lists each ci as (exponents, coefficient)
+terms over the exponent constants ``ONE``, ``X1``, ..., ``X2X3``, and
+``_decode`` applies the shuffle correspondence
+Omega = P_12 dX3 - P_13 dX2 + P_23 dX1 directly: P_23 = c1, P_13 = -c2,
+P_12 = c3.  The tests check that this is ``phi_inverse`` of the printed form
+and that ``phi_map`` of every built entry gives its table back.  The linear
+families list one (pair, variable, coefficient) row per bracket
+{X_i, X_j} = coefficient * X_variable.  Neither builder does polynomial
+arithmetic.
 
 Transcription notes (errata) are attached to entries whose printed form
 cannot be integrable as displayed; the stored structure is the minimal
@@ -15,16 +23,23 @@ sign/label correction that verifies, and the note says what changed.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
-from .exterior import ExteriorForm
-from .multivector import MultiDerivation, bivector_from_entries, phi_inverse
+from .multivector import MultiDerivation
 from .poisson import PoissonStructure, verify
-from .poly import Polynomial
+from .poly import Polynomial, add_into
 
 Params = Mapping[str, Fraction]
+# the terms of one 1-form coefficient: (exponent tuple, coefficient) pairs
+Terms = Iterable[tuple[tuple[int, int, int], Fraction | int]]
+
+ONE = (0, 0, 0)
+X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+X1X1, X2X2, X3X3 = (2, 0, 0), (0, 2, 0), (0, 0, 2)
+X1X2, X1X3, X2X3 = (1, 1, 0), (1, 0, 1), (0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -48,22 +63,34 @@ class CatalogEntry:
     notes: tuple[str, ...] = ()
 
 
-def _v3(i: int) -> Polynomial:
-    """Variable X_i (1-based label) in three variables."""
-    return Polynomial.variable(3, i - 1)
+def _coefficients(terms: Terms) -> dict[tuple[int, ...], Fraction]:
+    """The terms as a coefficient dict, repeated monomials merged and zeros dropped."""
+    return add_into({}, ((e, Fraction(c)) for e, c in terms))
 
 
-def _c3(value: Fraction | int) -> Polynomial:
-    return Polynomial.constant(3, value)
+def _decode(c1: Terms, c2: Terms, c3: Terms) -> MultiDerivation:
+    """The bivector of the 1-form c1 dX1 + c2 dX2 + c3 dX3 on three variables."""
+    shuffled = (
+        ((1, 2), _coefficients(c1)),
+        ((0, 2), _coefficients((e, -c) for e, c in c2)),
+        ((0, 1), _coefficients(c3)),
+    )
+    values = {pair: Polynomial._trusted(3, terms) for pair, terms in shuffled if terms}
+    return MultiDerivation._trusted(3, 2, values)
 
 
-def _one_form(coeffs: Sequence[Polynomial]) -> ExteriorForm:
-    """A 1-form C1 dX1 + C2 dX2 + C3 dX3 in three variables."""
-    return ExteriorForm(3, 1, {(i,): c for i, c in enumerate(coeffs)})
+def _linear(nv: int, rows: Iterable[tuple[tuple[int, int], int, int]]) -> MultiDerivation:
+    """The bivector on ``nv`` variables with P_pair = coefficient * X_variable per row.
 
-
-def _decode(coeffs: Sequence[Polynomial]) -> MultiDerivation:
-    return phi_inverse(_one_form(coeffs))
+    Pairs are increasing internal indices, each listed at most once; a row
+    whose coefficient is 0 is dropped.
+    """
+    values = {
+        pair: Polynomial._trusted(nv, {(0,) * v + (1,) + (0,) * (nv - v - 1): Fraction(c)})
+        for pair, v, c in rows
+        if c
+    }
+    return MultiDerivation._trusted(nv, 2, values)
 
 
 def _need(params: Params, *names: str) -> list[Fraction]:
@@ -75,163 +102,132 @@ def _need(params: Params, *names: str) -> list[Fraction]:
 
 
 def _p1(_: Params) -> MultiDerivation:
-    return bivector_from_entries(
-        3, {(0, 1): _v3(2), (0, 2): _v3(3) * 2}
-    )
+    return _linear(3, [((0, 1), 1, 1), ((0, 2), 2, 2)])
 
 
 def _p2(params: Params) -> MultiDerivation:
-    (n,) = _need(params, "n")
-    n = int(n)
-    entries = {
-        (0, i): Polynomial.variable(n, i) * (i)
-        for i in range(1, n)
-    }
-    return bivector_from_entries(n, entries)
+    n = int(params["n"])
+    return _linear(n, (((0, i), i, i) for i in range(1, n)))
+
+
+def _rigid_ladder(n: int) -> list[tuple[tuple[int, int], int, int]]:
+    """{X0, Xi} = i*Xi and {X1, Xi} = X_{i+1}, shared by rigid and deformed-mu."""
+    return [((0, i), i, i) for i in range(1, n + 1)] + [((1, i), i + 1, 1) for i in range(2, n)]
 
 
 def _rigid(params: Params) -> MultiDerivation:
-    (n,) = _need(params, "n")
-    n = int(n)
-    nv = n + 1  # variables X0..Xn, internal indices equal labels
-    entries: dict[tuple[int, int], Polynomial] = {}
-    for i in range(1, n + 1):
-        entries[(0, i)] = Polynomial.variable(nv, i) * i
-    for i in range(2, n):
-        entries[(1, i)] = Polynomial.variable(nv, i + 1)
-    for i in range(3, n - 1):
-        entries[(2, i)] = Polynomial.variable(nv, i + 2)
-    return bivector_from_entries(nv, entries)
+    n = int(params["n"])  # variables X0..Xn, internal indices equal labels
+    return _linear(n + 1, _rigid_ladder(n) + [((2, i), i + 2, 1) for i in range(3, n - 1)])
 
 
 def _deformed_mu(params: Params) -> MultiDerivation:
-    (n,) = _need(params, "n")
-    n = int(n)
-    nv = n + 1
-    X = lambda i: Polynomial.variable(nv, i)
-    entries: dict[tuple[int, int], Polynomial] = {}
-    for i in range(1, n + 1):
-        entries[(0, i)] = X(i) * i
-    for i in range(2, n):
-        entries[(1, i)] = X(i + 1)
-    entries[(2, 3)] = X(5)
-    for i in range(4, n - 1):
-        entries[(2, i)] = X(i + 2) * (5 - i)
-    for i in range(4, n - 2):
-        entries[(3, i)] = X(i + 3)
-    return bivector_from_entries(nv, entries)
+    n = int(params["n"])
+    return _linear(n + 1, [
+        *_rigid_ladder(n),
+        ((2, 3), 5, 1),
+        *(((2, i), i + 2, 5 - i) for i in range(4, n - 1)),
+        *(((3, i), i + 3, 1) for i in range(4, n - 2)),
+    ])
 
 
 def _linear_form_1(_: Params) -> MultiDerivation:
-    return _decode([_c3(0), _c3(0), _v3(3)])
+    return _decode([], [], [(X3, 1)])
 
 
 def _linear_form_2(_: Params) -> MultiDerivation:
-    return _decode([_v3(1), _v3(3), _v3(2)])
+    return _decode([(X1, 1)], [(X3, 1)], [(X2, 1)])
 
 
 def _linear_form_3(params: Params) -> MultiDerivation:
     (alpha,) = _need(params, "alpha")
-    return _decode([_c3(0), _v3(3) * (-alpha), _v3(2)])
+    return _decode([], [(X3, -alpha)], [(X2, 1)])
 
 
 def _linear_form_4(_: Params) -> MultiDerivation:
-    return _decode([_c3(0), -_v3(3), _v3(2) + _v3(3)])
+    return _decode([], [(X3, -1)], [(X2, 1), (X3, 1)])
 
 
 def _omega1(params: Params) -> MultiDerivation:
     a, b, c, e = _need(params, "a", "b", "c", "e")
-    c1 = _v3(1) ** 2 * a - _v3(2) ** 2 * Fraction(b, 2) - _v3(1) * _v3(2) * (2 * c)
-    c2 = -(_v3(1) ** 2 * c + _v3(2) ** 2 * e + _v3(1) * _v3(2) * b)
-    return _decode([c1, c2, _v3(3)])
+    return _decode(
+        [(X1X1, a), (X2X2, -b / 2), (X1X2, -2 * c)],
+        [(X1X1, -c), (X2X2, -e), (X1X2, -b)],
+        [(X3, 1)],
+    )
 
 
 def _omega2(params: Params) -> MultiDerivation:
     a, b, c, e = _need(params, "a", "b", "c", "e")
-    c1 = _v3(1) + _v3(1) ** 2 * a - _v3(2) ** 2 * Fraction(b, 2) - _v3(1) * _v3(2) * (2 * c)
-    c2 = _v3(3) - _v3(1) ** 2 * c - _v3(2) ** 2 * e - _v3(1) * _v3(2) * b
-    return _decode([c1, c2, _v3(2)])
+    return _decode(
+        [(X1, 1), (X1X1, a), (X2X2, -b / 2), (X1X2, -2 * c)],
+        [(X3, 1), (X1X1, -c), (X2X2, -e), (X1X2, -b)],
+        [(X2, 1)],
+    )
 
 
 def _omega3(params: Params) -> MultiDerivation:
     a, b, c = _need(params, "a", "b", "c")
-    c1 = _v3(1) * _v3(3) * a + _v3(2) * _v3(3) * b
-    c2 = _v3(1) * _v3(3) * b + _v3(2) * _v3(3) * c
-    return _decode([c1, c2, _v3(3)])
+    return _decode([(X1X3, a), (X2X3, b)], [(X1X3, b), (X2X3, c)], [(X3, 1)])
 
 
 def _omega4(params: Params) -> MultiDerivation:
     (a,) = _need(params, "a")
-    c2 = _v3(3) + _v3(1) * _v3(3) * a
-    c3 = _v3(2) + _v3(1) * _v3(2) * a
-    return _decode([_v3(1), c2, c3])
+    return _decode([(X1, 1)], [(X3, 1), (X1X3, a)], [(X2, 1), (X1X2, a)])
 
 
 def _omega5(params: Params) -> MultiDerivation:
     (a,) = _need(params, "a")
-    c2 = _v3(3) - _v3(1) ** 2 * a - _v3(2) * _v3(3) * (2 * a)
-    return _decode([_v3(1), c2, _v3(2)])
+    return _decode([(X1, 1)], [(X3, 1), (X1X1, -a), (X2X3, -2 * a)], [(X2, 1)])
 
 
 def _omega6(params: Params) -> MultiDerivation:
     a, alpha = _need(params, "a", "alpha")
-    c1 = _v3(1) * _v3(3) * a
-    c2 = _v3(3) * (-alpha)
-    c3 = _v3(2) - _v3(1) ** 2 * (a / (2 * alpha))
-    return _decode([c1, c2, c3])
+    return _decode([(X1X3, a)], [(X3, -alpha)], [(X2, 1), (X1X1, -a / (2 * alpha))])
 
 
 def _omega7(params: Params) -> MultiDerivation:
     a, b = _need(params, "a", "b")
-    c1 = _v3(3) ** 2 * a
-    c2 = -(_v3(3) + _v3(3) ** 2 * b)
-    c3 = _v3(2) + _v3(3)
-    return _decode([c1, c2, c3])
+    return _decode([(X3X3, a)], [(X3, -1), (X3X3, -b)], [(X2, 1), (X3, 1)])
 
 
 def _omega8(params: Params) -> MultiDerivation:
     a, b = _need(params, "a", "b")
-    c1 = _v3(2) * _v3(3) * a
-    c2 = -(_v3(3) - _v3(1) * _v3(3) * a + _v3(2) * _v3(3) * b)
-    return _decode([c1, c2, _c3(1)])
+    return _decode([(X2X3, a)], [(X3, -1), (X1X3, a), (X2X3, -b)], [(ONE, 1)])
 
 
 def _omega9(params: Params) -> MultiDerivation:
     a, b, c, e, f, g = _need(params, "a", "b", "c", "e", "f", "g")
-    c1 = (
-        _v3(1) ** 2 * g
-        - _v3(2) ** 2 * Fraction(b, 2)
-        + _v3(3) ** 2 * Fraction(f, 2)
-        + _v3(1) * _v3(3) * (2 * c)
+    return _decode(
+        [(X1X1, g), (X2X2, -b / 2), (X3X3, f / 2), (X1X3, 2 * c)],
+        [(X2, -1), (X2X2, -a), (X1X2, -b)],
+        [(ONE, 1), (X1X1, c), (X3X3, e), (X1X3, f)],
     )
-    c2 = -(_v3(2) + _v3(2) ** 2 * a + _v3(1) * _v3(2) * b)
-    c3 = _c3(1) + _v3(1) ** 2 * c + _v3(3) ** 2 * e + _v3(1) * _v3(3) * f
-    return _decode([c1, c2, c3])
 
 
 def _omega10(params: Params) -> MultiDerivation:
     (a,) = _need(params, "a")
-    return _decode([_c3(1) + _v3(1) ** 2 * a, _v3(3), _v3(2)])
+    return _decode([(ONE, 1), (X1X1, a)], [(X3, 1)], [(X2, 1)])
 
 
 def _omega11(params: Params) -> MultiDerivation:
     a, b, c = _need(params, "a", "b", "c")
-    c1 = _c3(1) + _v3(1) ** 2 * a
-    c2 = _v3(3) + _v3(3) ** 2 * b + _v3(2) * _v3(3) * c
-    c3 = _v3(2) + _v3(2) ** 2 * Fraction(c, 2) + _v3(2) * _v3(3) * (2 * b)
-    return _decode([c1, c2, c3])
+    return _decode(
+        [(ONE, 1), (X1X1, a)],
+        [(X3, 1), (X3X3, b), (X2X3, c)],
+        [(X2, 1), (X2X2, c / 2), (X2X3, 2 * b)],
+    )
 
 
 def _nf39_1(_: Params) -> MultiDerivation:
-    return _decode([_c3(0), -_v3(3), _c3(1)])
+    return _decode([], [(X3, -1)], [(ONE, 1)])
 
 
 def _nf39_2(_: Params) -> MultiDerivation:
-    return _decode([_c3(0), _c3(-1), _v3(3)])
+    return _decode([], [(ONE, -1)], [(X3, 1)])
 
 
 def _nf39_3(_: Params) -> MultiDerivation:
-    return _decode([_c3(1), _v3(3), _v3(2)])
+    return _decode([(ONE, 1)], [(X3, 1)], [(X2, 1)])
 
 
 def _nonzero(x: Fraction) -> bool:
@@ -504,4 +500,4 @@ def catalog_expected(name: str) -> dict:
     expected = CATALOG[name].expected
     if expected is None:
         raise ValueError(f"no expected results recorded for {name!r}")
-    return dict(expected)
+    return copy.deepcopy(expected)

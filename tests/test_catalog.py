@@ -1,20 +1,51 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polypoisson import catalog, reproduce
 from polypoisson.catalog import (
     CATALOG,
+    _decode,
     catalog_bivector,
     catalog_entries,
     catalog_expected,
     catalog_get,
 )
 from polypoisson.exterior import ExteriorForm, format_form
-from polypoisson.multivector import jacobi_trisum, phi_map
+from polypoisson.multivector import jacobi_trisum, phi_inverse, phi_map
 from polypoisson.poisson import IntegrabilityError, graded_integrability, verify
-from polypoisson.poly import Polynomial, parse_poly
+from polypoisson.poly import Polynomial, monomial_basis
 from polypoisson.reproduce import CLASSIFIED_ENTRIES, sample_params
+
+GOLDEN = Path(__file__).parent / "golden" / "catalog_bivectors.json"
+INTEGER_FAMILIES = {"P2": range(2, 25), "rigid": range(3, 25), "deformed-mu": range(7, 21)}
+
+
+def golden_points():
+    """The (entry, params) points pinned by the catalog golden.
+
+    Ten seeded samples per parametric entry, then one sample per parameter
+    that may be 0 with that parameter set to 0; every n of the integer
+    families in ``INTEGER_FAMILIES``; the one point of each fixed entry.
+    """
+    rng = random.Random(51)
+    points = []
+    for entry in catalog_entries():
+        if entry.name in INTEGER_FAMILIES:
+            points += [(entry.name, {"n": Fraction(n)}) for n in INTEGER_FAMILIES[entry.name]]
+        elif not entry.params:
+            points.append((entry.name, {}))
+        else:
+            points += [(entry.name, sample_params(entry.name, rng)) for _ in range(10)]
+            for spec in entry.params:
+                if spec.admissible(Fraction(0)):
+                    params = sample_params(entry.name, rng)
+                    params[spec.name] = Fraction(0)
+                    points.append((entry.name, params))
+    return points
 
 
 def test_catalog_p1_entries():
@@ -68,6 +99,21 @@ def test_expected_records():
         catalog_expected("L1")
 
 
+def test_expected_records_are_copies():
+    # a caller that edits the returned record must not rewrite the published
+    # values that the catalog and reproduce check against
+    record = catalog_expected("P1")
+    record["H_totals"][0] = 99
+    record["H2_generator_forms"].append("X1*dX1")
+    catalog_expected("P2")["dim_H2_2"][2] = 99
+    catalog_expected("rigid")["H2_invariant_degree2"][5] = 99
+    assert CATALOG["P1"].expected["H_totals"] == {0: 1, 1: 3, 2: 2, 3: 0}
+    assert CATALOG["P1"].expected["H2_generator_forms"] == ["X3*dX2", "X2^2*dX2"]
+    assert reproduce.P1_EXPECTED_TOTALS == {0: 1, 1: 3, 2: 2, 3: 0}
+    assert reproduce.P2_H22_EXPECTED == {2: 1, 3: 3, 4: 8, 5: 16}
+    assert CATALOG["rigid"].expected["H2_invariant_degree2"] == {5: 2, 6: 0, "n>=7": 0}
+
+
 def test_all_classified_entries_verify_at_random_parameters():
     rng = random.Random(424242)
     for name in CLASSIFIED_ENTRIES:
@@ -78,7 +124,34 @@ def test_all_classified_entries_verify_at_random_parameters():
             assert graded_integrability(S.bivector).all_hold
 
 
-def test_omega_forms_roundtrip_to_printed_shape():
+def _form_of(tables):
+    """The 1-form c1 dX1 + c2 dX2 + c3 dX3 of three term tables, by polynomial sums."""
+    form = ExteriorForm.zero(3, 1)
+    for i, terms in enumerate(tables):
+        for exps, coeff in terms:
+            form = form + ExteriorForm.basis(3, (i,), Polynomial.monomial(3, exps, coeff))
+    return form
+
+
+def test_decode_is_phi_inverse_of_the_one_form():
+    # the direct decode applies the shuffle rule; phi_inverse is the paper's
+    # correspondence read through the signed shuffle sum
+    rng = random.Random(1717)
+    monomials = [e for d in range(3) for e in monomial_basis(3, d)]
+    coefficients = (0, 1, -1, 2, Fraction(-3, 2), Fraction(1, 3))
+    repeats = 0
+    for _ in range(300):
+        tables = [
+            [(rng.choice(monomials), rng.choice(coefficients)) for _ in range(rng.randint(0, 6))]
+            for _ in range(3)
+        ]
+        repeats += any(len({e for e, _ in t}) < len(t) for t in tables)
+        assert _decode(*tables) == phi_inverse(_form_of(tables))
+    assert repeats > 50
+    assert _decode([(catalog.X1, 1), (catalog.X1, -1)], [], [(catalog.ONE, 0)]).is_zero
+
+
+def test_omega_forms_roundtrip_to_printed_shape(monkeypatch):
     # the decode rule is phi_inverse of the printed 1-form; going back through
     # phi_map must reproduce it
     V = lambda i: Polynomial.variable(3, i - 1)
@@ -90,6 +163,16 @@ def test_omega_forms_roundtrip_to_printed_shape():
         + ExteriorForm.basis(3, (2,), V(2))
     )
     assert omega == expected
+    # and every three-variable entry gives back the table it was written as
+    tables = []
+    monkeypatch.setattr(catalog, "_decode", lambda *cs: tables.append(cs) or _decode(*cs))
+    rng = random.Random(31)
+    for name in CLASSIFIED_ENTRIES:
+        for _ in range(5 if CATALOG[name].params else 1):
+            tables.clear()
+            biv = catalog_bivector(name, sample_params(name, rng))
+            assert len(tables) == 1
+            assert phi_map(biv) == _form_of(tables[0]), name
 
 
 def test_omega1_printed_form_text():
@@ -142,3 +225,19 @@ def test_catalog_listing_is_complete():
     assert {"P1", "P2", "rigid", "deformed-mu"} <= names
     assert {f"Omega{i}" for i in range(1, 12)} <= names
     assert {"L1", "L2", "L3", "L4", "NF39-1", "NF39-2", "NF39-3"} <= names
+
+
+def test_catalog_bivectors_match_golden():
+    # recorded when every entry was built through polynomial arithmetic and
+    # phi_inverse; the printed bivector and its Fraction coefficients must not move
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    points = golden_points()
+    assert [(g["entry"], g["params"]) for g in golden] == [
+        (name, {k: str(v) for k, v in params.items()}) for name, params in points
+    ]
+    for record, (name, params) in zip(golden, points):
+        biv = catalog_bivector(name, params)
+        assert repr(biv) == record["repr"], (name, params)
+        for idx, p in biv.values.items():
+            assert type(idx) is tuple and p.n == biv.n
+            assert all(type(e) is tuple and type(c) is Fraction for e, c in p.terms.items())

@@ -384,6 +384,9 @@ def test_matrix_csv_export(capsys):
           "--format", "json")),
         ("cohomology_p1_k3_d6.txt",
          ("cohomology", "--catalog", "P1", "--kmax", "3", "--cutoff", "6")),
+        ("cohomology_rigid_n10_invariant_k3_d4.json",
+         ("cohomology", "--catalog", "rigid", "--param", "n=10", "--invariant", "--exclude-x0",
+          "--kmax", "3", "--cutoff", "4", "--format", "json")),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv):

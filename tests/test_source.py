@@ -132,3 +132,26 @@ def test_every_private_function_in_package_source_has_a_caller():
         if readers.get(name, set()) <= {(module, name)}
     )
     assert uncalled == []
+
+
+def test_catalog_builds_entries_from_tables_only():
+    # every entry is data decoded in one pass: catalog.py makes polynomials only
+    # through the trusted wrap of a finished coefficient dict, and never
+    # combines one with an operator or binds it to a name
+    tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
+    called = {_called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"variable", "constant", "monomial", "phi_inverse",
+                         "bivector_from_entries"}
+    assert not any(isinstance(node, ast.Pow) for node in ast.walk(tree))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "Polynomial"]
+    assert uses
+    for use in uses:
+        wrap = parents[use]
+        assert isinstance(wrap, ast.Attribute) and wrap.attr == "_trusted", use.lineno
+        call = parents[wrap]
+        assert isinstance(call, ast.Call) and call.func is wrap, use.lineno
+        assert not isinstance(
+            parents[call], (ast.BinOp, ast.UnaryOp, ast.AugAssign, ast.Assign, ast.NamedExpr)
+        ), use.lineno
