@@ -16,7 +16,9 @@ cochain x^a on the slot tuple T (sorted), the image is
 
 on the slot tuple U, so an elementary cochain touches only the
 O(nnz(P) k) targets it can reach.  The structure is scaled to integers
-once per call.  ``delta`` applies the rule to each term of a cochain, and
+once per call, to the multiple L * P by the lcm L of its coefficient
+denominators that ``multivector._integer_multiple`` also hands the
+integrability routes.  ``delta`` applies the rule to each term of a cochain, and
 ``delta_matrix`` writes one column per basis cochain with it, as exact
 ``Fraction``s for the fraction-free rank/kernel routines.  The two-sum
 itself, evaluated on coordinate tuples, lives in ``tests/oracles.py`` as
@@ -80,7 +82,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .exterior import ExteriorForm, IndexTuple, shuffles
-from .multivector import MultiDerivation, phi_inverse, phi_map
+from .multivector import MultiDerivation, _integer_multiple, phi_inverse, phi_map
 
 # verify has no caller here; bench/selftest.py checks that untracing restores
 # cohomology.verify, so the name stays importable from this module
@@ -97,28 +99,26 @@ def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
     nonzero signed entry P_{uj}, a term being (e - e_j, coefficient); the
     shift turns x^a into the exponents of x^{a - e_j} * x^e.
     ``partials[t]`` lists (i, j, terms) for each nonzero dP_{ij}/dX_t with
-    i < j, a term being (exponents, coefficient).  Every coefficient is
-    multiplied by ``denom``, the common denominator of the entries.
+    i < j, a term being (exponents, coefficient).  Both are read off
+    ``_integer_multiple``: every coefficient is multiplied by ``denom``, the
+    lcm of the entries' coefficient denominators.
     """
     n = S.n
-    entries = S.bivector.values
-    denom = lcm(*(c.denominator for p in entries.values() for c in p.terms.values()))
+    denom, multiple = _integer_multiple(S.bivector)
     rows: list[list] = [[] for _ in range(n)]
     partials: list[list] = [[] for _ in range(n)]
-    for (i, j), poly in entries.items():
+    for (i, j), poly in multiple.values.items():
         for u, v, sign in ((i, j, 1), (j, i, -1)):
             terms = []
             for exps, c in poly.terms.items():
                 shift = list(exps)
                 shift[v] -= 1
-                terms.append((tuple(shift), sign * int(c * denom)))
+                terms.append((tuple(shift), sign * c))
             rows[u].append((v, terms))
         for t in range(n):
             dp = poly.partial(t)
             if not dp.is_zero:
-                partials[t].append(
-                    (i, j, [(exps, int(c * denom)) for exps, c in dp.terms.items()])
-                )
+                partials[t].append((i, j, list(dp.terms.items())))
     return denom, rows, partials
 
 
@@ -224,7 +224,7 @@ def _form_delta_parts(
     (the run F) and for m = n - k - 1 (the run T).
     """
     n, k = S.n, phi.k
-    omega = S.omega()
+    omega = phi_map(S.bivector)
     form_phi = phi_map(phi)
     m1, m2 = k + 1, n - k - 1
     flips = (n - k) * (n - k + 1) // 2 + m1 * (m1 - 1) // 2 + m2 * (m2 - 1) // 2

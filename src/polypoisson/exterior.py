@@ -8,6 +8,11 @@ collect their terms with ``poly.add_into``, the accumulator shared by every
 sparse type, so no zero coefficient is stored.  Forms and multiderivations
 validate their index tuples with the same ``_checked_terms``.
 
+Complements follow one rule, ``_complement``: the increasing complement of
+an increasing index tuple idx, and the sign that sorts idx + complement,
+(-1)^(sum(idx) - k(k-1)/2).  Shuffles, the top-degree wedge, contraction and
+the form correspondence of ``multivector`` all read it.
+
 Evaluation is sparse where the integrability test needs it.  A wedge into
 the top degree n pairs each term only with the other factor's term at its
 complement.  ``d`` differentiates each coefficient only in the variables it
@@ -25,7 +30,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
 from .poly import Polynomial, Scalar, add_into, format_poly
 
@@ -40,26 +45,32 @@ class Shuffle:
     sign: int
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
+def _complement(idx: Collection[int], n: int) -> tuple[IndexTuple, int]:
+    """The increasing complement rest of idx in 0..n-1, and the sign that
+    sorts idx + rest.
+
+    ``idx`` holds distinct indices, as an increasing tuple or as a set, which
+    is read in increasing order.  Its a-th entry passes the idx[a] - a
+    entries of rest below it, so the sort takes sum(idx) - k(k-1)/2
+    transpositions.  Sorting rest + idx instead moves k entries past n - k
+    more, for (-1)^(k(n-k)) on top.
+    """
+    # tuple() of a list allocates the final size at once; one grown from a
+    # generator is resized, and the freed tuples pile up in CPython's
+    # per-size free lists, which raised peak memory
+    rest = tuple([i for i in range(n) if i not in idx])
+    k = len(idx)
+    return rest, -1 if (sum(idx) - k * (k - 1) // 2) % 2 else 1
 
 
 def shuffles(p: int, q: int) -> list[Shuffle]:
     """All C(p+q, p) shuffles of {0..p+q-1}, ordered by their first run."""
     if p < 0 or q < 0:
         raise ValueError("shuffle parts must be non-negative")
-    everything = range(p + q)
     out = []
-    for first in itertools.combinations(everything, p):
-        second = tuple([i for i in everything if i not in first])
-        perm = first + second
-        out.append(Shuffle(perm, _perm_sign(perm)))
+    for first in itertools.combinations(range(p + q), p):
+        second, sign = _complement(first, p + q)
+        out.append(Shuffle(first + second, sign))
     return out
 
 
@@ -226,19 +237,16 @@ class ExteriorForm:
     def _wedge_top(self, other: "ExteriorForm") -> "ExteriorForm":
         """Wedge into degree n: each term meets only the other's term at its complement.
 
-        Sorting ia + complement(ia) takes sum(ia) - k(k-1)/2 transpositions.
-        Every product term is added straight into the one output coefficient.
+        The sign of a pair is the one that sorts ia + complement(ia).  Every
+        product term is added straight into the one output coefficient.
         """
-        n, k = self.n, self.k
+        n = self.n
         total: dict = {}
         for ia, ca in self.terms.items():
-            # tuple() of a list allocates the final size at once; one grown
-            # from a generator is resized, and the freed tuples pile up in
-            # CPython's per-size free lists, which raised peak memory
-            cb = other.terms.get(tuple([i for i in range(n) if i not in ia]))
+            rest, sign = _complement(ia, n)
+            cb = other.terms.get(rest)
             if cb is None:
                 continue
-            sign = -1 if (sum(ia) - k * (k - 1) // 2) % 2 else 1
             add_into(total, (
                 (tuple(map(int.__add__, e1, e2)), sign * c1 * c2)
                 for e1, c1 in ca.terms.items()
@@ -283,7 +291,8 @@ class ExteriorForm:
         """
         idxs = tuple(idxs)
         m = len(idxs)
-        if list(idxs) != sorted(set(idxs)):
+        taken = set(idxs)
+        if list(idxs) != sorted(taken):
             raise ValueError(f"index tuple {idxs} is not strictly increasing")
         if idxs and not (0 <= idxs[0] and idxs[-1] < self.n):
             raise ValueError(f"index out of range in {idxs}")
@@ -291,8 +300,8 @@ class ExteriorForm:
             return self
         out: dict[IndexTuple, Polynomial] = {}
         if m <= self.k:
-            taken = set(idxs)
-            free = [i for i in range(self.n) if i not in taken]
+            # a set keeps each membership test of the complement O(1)
+            free, _ = _complement(taken, self.n)
             for rest in itertools.combinations(free, self.k - m):
                 coeff = self.terms.get(tuple(sorted(idxs + rest)))
                 if coeff is None:

@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .exterior import ExteriorForm, IndexTuple, _checked_terms, _perm_sign
+from .exterior import ExteriorForm, IndexTuple, _checked_terms, _complement
 from .poly import Polynomial, Scalar, add_into, format_internal
 
 
@@ -168,10 +168,8 @@ def phi_map(md: MultiDerivation) -> ExteriorForm:
         return ExteriorForm.zero(n, 0)
     terms: dict[IndexTuple, Polynomial] = {}
     for idx, val in md.values.items():
-        complement = tuple([i for i in range(n) if i not in idx])
-        # sorting idx + complement takes sum(idx) - k(k-1)/2 transpositions
-        odd = (sum(idx) - k * (k - 1) // 2) % 2
-        terms[complement] = -val if odd else val
+        complement, sign = _complement(idx, n)
+        terms[complement] = val if sign > 0 else -val
     # distinct tuples have distinct complements, so no two terms collide
     return ExteriorForm._trusted(n, n - k, terms)
 
@@ -180,11 +178,12 @@ def phi_inverse(form: ExteriorForm) -> MultiDerivation:
     """Inverse of phi_map: read an (n-k)-form back as a k-derivation."""
     n = form.n
     k = n - form.k
+    # sorting complement + idx costs (-1)^(k(n-k)) on top of sorting idx + complement
+    flip = -1 if k * (n - k) % 2 else 1
     values: dict[IndexTuple, Polynomial] = {}
     for idx, coeff in form.terms.items():
-        complement = tuple([i for i in range(n) if i not in idx])
-        sign = _perm_sign(complement + idx)
-        values[complement] = coeff if sign > 0 else -coeff
+        complement, sign = _complement(idx, n)
+        values[complement] = coeff if sign * flip > 0 else -coeff
     return MultiDerivation(n, k, values)
 
 
@@ -312,10 +311,9 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
     # for n = 3 nothing is contracted, alpha = Omega and the one triple is (0, 1, 2);
     # alpha = i(idxs)Omega is nonzero exactly when the triple T left out of
     # idxs contains the pair {i, j} missing from some term of Omega
-    everything = range(n)
-    pairs = ([i for i in everything if i not in J] for J in omega.terms)
+    pairs = (_complement(J, n)[0] for J in omega.terms)
     for triple in _triples_meeting(n, pairs):
-        alpha = omega.interior_coordinates([i for i in everything if i not in triple])
+        alpha = omega.interior_coordinates(_complement(triple, n)[0])
         if not alpha.d().wedge(omega).is_zero:
             return False
     return True

@@ -4,7 +4,9 @@
 obstructions and the exterior-form test) and refuses to hand out a
 ``PoissonStructure`` unless both agree that the bivector is integrable.
 Disagreement between the two criteria is a bug in this library, never a
-property of the input, and aborts loudly.
+property of the input, and aborts loudly.  The bracket of a verified
+structure is {p, q} = sum_i dp/dX_i {X_i, q}, each {X_i, q} = sum_j P_{ij}
+dq/dX_j read off ``bracket_with_coordinate``.
 
 ``graded_integrability`` specializes to three variables and entries of
 degree at most two: the form of the bivector splits as
@@ -17,7 +19,8 @@ Omega ^ dOmega, read off the bivector's integer multiple.
 An order-2 equivalence is a linear bijection of the polynomial vector space
 that fixes constants and every monomial of degree >= 2 and maps each
 variable into (degree 1) + (degree 2).  It acts on a degree-<= 2 structure
-by Y_i = f(X_i), {Y_i, Y_j} = f^{-1}({f(X_i), f(X_j)}).
+by Y_i = f(X_i), {Y_i, Y_j} = f^{-1}({f(X_i), f(X_j)}), where f^{-1} is
+``inverse()``, again an order-2 equivalence.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .exterior import ExteriorForm
 from .multivector import (
     MultiDerivation,
     _integer_multiple,
@@ -65,7 +67,7 @@ class PoissonStructure:
     instance and the bracket refuses to run otherwise.
     """
 
-    __slots__ = ("n", "bivector", "verified", "first_index", "_omega", "_complexes")
+    __slots__ = ("n", "bivector", "verified", "first_index", "_complexes")
 
     def __init__(self, bivector: MultiDerivation, _token: object = None, first_index: int = 1) -> None:
         if _token is not _VERIFIED_TOKEN:
@@ -74,7 +76,6 @@ class PoissonStructure:
         self.bivector = bivector
         self.verified = True
         self.first_index = first_index
-        self._omega: Optional[ExteriorForm] = None
         # filtered coboundary complexes, one per (weights, excluded variables);
         # only cohomology fills it
         self._complexes: dict = {}
@@ -82,29 +83,18 @@ class PoissonStructure:
     def entry(self, i: int, j: int) -> Polynomial:
         return bivector_entry(self.bivector, i, j)
 
-    def omega(self) -> ExteriorForm:
-        """The (n-2)-form of the bivector, cached."""
-        if self._omega is None:
-            self._omega = phi_map(self.bivector)
-        return self._omega
-
     def bracket(self, p: Polynomial, q: Polynomial) -> Polynomial:
-        """{p, q}: antisymmetric, Leibniz in both slots, satisfies Jacobi."""
+        """{p, q} = sum_i dp/dX_i {X_i, q}: antisymmetric, Leibniz in both
+        slots, satisfies Jacobi."""
         if not self.verified:
             raise ValueError("structure is not verified")
         if p.n != self.n or q.n != self.n:
             raise ValueError("argument variable count mismatch")
         total = Polynomial.zero(self.n)
-        for (i, j), val in self.bivector.values.items():
-            di_p, dj_q = p.partial(i), q.partial(j)
-            term = Polynomial.zero(self.n)
-            if not (di_p.is_zero or dj_q.is_zero):
-                term = di_p * dj_q
-            dj_p, di_q = p.partial(j), q.partial(i)
-            if not (dj_p.is_zero or di_q.is_zero):
-                term = term - dj_p * di_q
-            if not term.is_zero:
-                total = total + val * term
+        for i in range(self.n):
+            dp = p.partial(i)
+            if not dp.is_zero:
+                total = total + dp * self.bracket_coordinate(i, q)
         return total
 
     def bracket_coordinate(self, i: int, p: Polynomial) -> Polynomial:
@@ -239,7 +229,7 @@ class Order2Equivalence:
     the polynomial vector space, not an algebra morphism.
     """
 
-    __slots__ = ("n", "linear", "quad", "_inv_linear")
+    __slots__ = ("n", "linear", "quad")
 
     def __init__(
         self,
@@ -261,18 +251,10 @@ class Order2Equivalence:
             if not q.is_zero and not q.is_homogeneous(2):
                 raise ValueError("quadratic part must be homogeneous of degree 2")
         self.quad = tuple(quad)
-        self._inv_linear: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     @classmethod
     def identity(cls, n: int) -> "Order2Equivalence":
         return cls(n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def _inverse_linear(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._inv_linear is None:
-            self._inv_linear = tuple(
-                tuple(row) for row in _matrix_inverse(self.linear)
-            )
-        return self._inv_linear
 
     def image_of_variable(self, i: int) -> Polynomial:
         out = Polynomial(
@@ -301,23 +283,11 @@ class Order2Equivalence:
                 out = out + self.image_of_variable(i) * c
         return out
 
-    def apply_inverse(self, p: Polynomial) -> Polynomial:
-        """Blockwise inverse: invert the linear part, then cancel its
-        quadratic shadow; untouched on constants and degrees >= 2."""
-        rest, coeffs = self._split(p)
-        inv = self._inverse_linear()
-        new_coeffs = [
-            sum((inv[j][i] * coeffs[j] for j in range(self.n)), Fraction(0))
-            for i in range(self.n)
-        ]
-        out = rest
-        for i, c in enumerate(new_coeffs):
-            if c:
-                out = out + Polynomial.variable(self.n, i) * c - self.quad[i] * c
-        return out
-
     def inverse(self) -> "Order2Equivalence":
-        inv = self._inverse_linear()
+        """f^-1: the inverse linear part A^-1, and the quadratic part -A^-1 q,
+        which cancels the quadratic shadow of f; both are identity above
+        degree 1."""
+        inv = _matrix_inverse(self.linear)
         quad = []
         for i in range(self.n):
             q = Polynomial.zero(self.n)
@@ -352,11 +322,11 @@ def apply_equivalence(structure: PoissonStructure, f: Order2Equivalence) -> Pois
     if any(p.total_degree() > 2 for p in structure.bivector.values.values()):
         raise ValueError("entries must have degree at most 2")
     images = [f.apply(Polynomial.variable(n, i)) for i in range(n)]
+    f_inv = f.inverse()
     entries: dict[tuple[int, int], Polynomial] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            b = structure.bracket(images[i], images[j])
-            p = f.apply_inverse(b)
+            p = f_inv.apply(structure.bracket(images[i], images[j]))
             if p.total_degree() > 2:
                 raise DegreeOverflowError(
                     f"transformed entry P({i + structure.first_index},"

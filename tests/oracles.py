@@ -26,6 +26,8 @@ another way:
 * ``jacobi_trisum_polynomial`` sums the Jacobi obstructions Polynomial by
   Polynomial on the rational bivector; ``multivector.jacobi_trisum`` adds
   the terms of its integer multiple into one dict per triple.
+* ``_perm_sign`` counts the inversions of a permutation;
+  ``exterior._complement`` gives the sign of idx + complement in closed form.
 * ``graded_pieces`` forms the four graded pieces of Omega ^ dOmega from
   three derivatives and ten wedges of the homogeneous parts of Omega;
   ``poisson.graded_integrability`` reads them off the degrees of one
@@ -46,7 +48,7 @@ from polypoisson.cohomology import (
     delta_matrix,
     slice_basis,
 )
-from polypoisson.exterior import ExteriorForm, IndexTuple, _perm_sign
+from polypoisson.exterior import ExteriorForm, IndexTuple
 from polypoisson.linalg import SpanTracker
 from polypoisson.multivector import (
     MultiDerivation,
@@ -58,6 +60,18 @@ from polypoisson.multivector import (
 )
 from polypoisson.poisson import GradedIntegrabilityReport, PoissonStructure, verify
 from polypoisson.poly import Polynomial
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation, by counting its inversions."""
+    inversions = sum(
+        1
+        for a in range(len(perm))
+        for b in range(a + 1, len(perm))
+        if perm[a] > perm[b]
+    )
+    return -1 if inversions % 2 else 1
+
 
 # -- the form-route signs -----------------------------------------------------
 

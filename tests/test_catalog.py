@@ -114,6 +114,15 @@ def test_expected_records_are_copies():
     assert CATALOG["rigid"].expected["H2_invariant_degree2"] == {5: 2, 6: 0, "n>=7": 0}
 
 
+def test_reproduce_holds_copies_of_the_published_values(monkeypatch):
+    # a write through the catalog's own record must not reach the values
+    # that reproduce checks against
+    monkeypatch.setitem(CATALOG["P1"].expected["H_totals"], 1, 99)
+    monkeypatch.setitem(CATALOG["P2"].expected["dim_H2_2"], 2, 99)
+    assert reproduce.P1_EXPECTED_TOTALS == {0: 1, 1: 3, 2: 2, 3: 0}
+    assert reproduce.P2_H22_EXPECTED == {2: 1, 3: 3, 4: 8, 5: 16}
+
+
 def test_all_classified_entries_verify_at_random_parameters():
     rng = random.Random(424242)
     for name in CLASSIFIED_ENTRIES:

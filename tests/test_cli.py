@@ -437,6 +437,30 @@ def test_reproduce_catalog_integrability(capsys):
     assert "PASS" in out
 
 
+def test_reproduce_p1_fails_on_a_wrong_published_total(monkeypatch):
+    from polypoisson import reproduce
+
+    wrong = {**reproduce.P1_EXPECTED_TOTALS, 1: 99}
+    monkeypatch.setattr(reproduce, "P1_EXPECTED_TOTALS", wrong)
+    report = reproduce.run_check("p1-example")
+    assert not report["pass"]
+    failed = [r for r in report["rows"] if not r["pass"]]
+    assert [(r["label"], r["expected"]) for r in failed] == [("total dim H^1, d <= 6", 99)]
+    assert report["notes"][0].startswith("no convention reproduces the published totals")
+
+
+def test_reproduce_catalog_integrability_lets_internal_errors_through(monkeypatch):
+    from polypoisson import reproduce
+
+    def disagreeing(name, params=None):
+        raise AssertionError("internal disagreement between trisum and form criteria")
+
+    # only a non-integrable structure reads as "does not verify"
+    monkeypatch.setattr(reproduce, "catalog_get", disagreeing)
+    with pytest.raises(AssertionError, match="internal disagreement"):
+        reproduce.check_catalog_integrability(samples=1)
+
+
 def test_reproduce_rigid_k2_explains_its_mismatch(capsys):
     from polypoisson.reproduce import check_rigid_k2
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from polypoisson.exterior import ExteriorForm, format_form, shuffles
+from polypoisson.exterior import ExteriorForm, _complement, format_form, shuffles
 from polypoisson.poly import Polynomial, parse_poly
 
 from conftest import random_poly
-from oracles import coordinate_field, evaluate_form, interior
+from oracles import _perm_sign, coordinate_field, evaluate_form, interior
 
 
 def V(n, i):
@@ -44,18 +44,23 @@ def test_shuffle_runs_increase():
 
 
 def test_shuffle_signs_match_inversion_count():
-    for p, q in ((2, 2), (2, 1), (1, 3)):
-        for sh in shuffles(p, q):
-            inv = sum(
-                1
-                for a in range(p + q)
-                for b in range(a + 1, p + q)
-                if sh.perm[a] > sh.perm[b]
-            )
-            assert sh.sign == (-1) ** inv
+    for total in range(8):
+        for p in range(total + 1):
+            for sh in shuffles(p, total - p):
+                assert sh.sign == _perm_sign(sh.perm)
     # the (1,3|2,4) shuffle in one-based labels
     table = {sh.perm: sh.sign for sh in shuffles(2, 2)}
     assert table[(0, 2, 1, 3)] == -1
+
+
+def test_complement_sign_matches_inversion_count():
+    for n in range(8):
+        for k in range(n + 1):
+            for idx in itertools.combinations(range(n), k):
+                rest, sign = _complement(idx, n)
+                assert rest == tuple(sorted(set(range(n)) - set(idx)))
+                assert sign == _perm_sign(idx + rest)
+                assert _complement(set(idx), n) == (rest, sign)
 
 
 # -- wedge -------------------------------------------------------------------------
