@@ -3,7 +3,9 @@
 Each entry records where the structure is printed in the source article
 (the ``source`` anchor), how to build its bivector from rational parameters,
 the admissibility constraints on those parameters, and any published values
-the reproduction harness checks against.
+the reproduction harness checks against.  The published record is read-only
+(mappings behind ``types.MappingProxyType``, lists as tuples);
+``catalog_expected`` hands out a plain, mutable copy.
 
 Every entry is written as data.  A three-variable structure printed as a
 1-form c1 dX1 + c2 dX2 + c3 dX3 lists each ci as (exponents, coefficient)
@@ -23,10 +25,10 @@ sign/label correction that verifies, and the note says what changed.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .multivector import MultiDerivation
 from .poisson import PoissonStructure, verify
@@ -58,9 +60,34 @@ class CatalogEntry:
     params: tuple[ParamSpec, ...]
     build: Callable[[Params], MultiDerivation]
     first_index: int = 1
-    expected: Optional[dict] = None
+    expected: Optional[Mapping] = None
     expect_integrable: Callable[[Params], bool] = lambda _: True
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.expected is not None:
+            object.__setattr__(self, "expected", _read_only(self.expected))
+
+
+def _read_only(value: Any) -> Any:
+    """``value`` with every dict behind a mappingproxy and every list a tuple."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(_read_only(v) for v in value)
+    return value
+
+
+def _writable(value: Any) -> Any:
+    """Inverse of ``_read_only``: plain dicts and lists, copied all the way down.
+
+    ``copy.deepcopy`` cannot copy a mappingproxy, so the copy is built here.
+    """
+    if isinstance(value, MappingProxyType):
+        return {k: _writable(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_writable(v) for v in value]
+    return value
 
 
 def _coefficients(terms: Terms) -> dict[tuple[int, ...], Fraction]:
@@ -495,9 +522,10 @@ def catalog_bivector(name: str, params: Optional[Mapping] = None) -> MultiDeriva
 
 
 def catalog_expected(name: str) -> dict:
+    """A plain, mutable copy of the entry's read-only published record."""
     if name not in CATALOG:
         raise KeyError(f"unknown catalog entry {name!r}")
     expected = CATALOG[name].expected
     if expected is None:
         raise ValueError(f"no expected results recorded for {name!r}")
-    return copy.deepcopy(expected)
+    return _writable(expected)

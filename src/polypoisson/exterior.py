@@ -13,10 +13,10 @@ an increasing index tuple idx, and the sign that sorts idx + complement,
 (-1)^(sum(idx) - k(k-1)/2).  Shuffles, the top-degree wedge, contraction and
 the form correspondence of ``multivector`` all read it.
 
-Evaluation is sparse where the integrability test needs it.  A wedge into
-the top degree n pairs each term only with the other factor's term at its
-complement.  ``d`` differentiates each coefficient only in the variables it
-contains.  ``interior_coordinates`` is the one contraction: it contracts by
+Evaluation is sparse where the graded integrability test and the form-route
+coboundary need it.  A wedge into the top degree n pairs each term only with
+the other factor's term at its complement.  ``d`` differentiates each
+coefficient only in the variables it contains.  ``interior_coordinates`` is the one contraction: it contracts by
 several coordinate fields at once, in ascending index order, reading each
 result term off the one source term it comes from.
 

@@ -20,10 +20,14 @@ Both touch only the bivector's nonzero entries.  A triple none of whose
 three pairs holds an entry has a zero trisum and a zero contraction, so
 both routes visit only the triples that meet an entry, lazily and in
 ``itertools.combinations`` order.  The trisum sums r only over the nonzero
-P_{r,first}.  The form route reads each contraction, a 1-form with at most
-three terms, straight off Omega, and its top-degree wedge with Omega pairs
-complementary terms only.  Each route finds its entries on its own: the
-trisum from the bivector, the form route from the terms of Omega.
+P_{r,first}.  The form route keys Omega's terms by the pair each omits and
+differentiates each coefficient at most once per variable it contains.  A
+triple then reads its contraction (a 1-form with at most three terms), the
+d of that and the top-degree wedge with Omega off those two tables, with
+closed-form signs derived from ``interior_coordinates``, ``ExteriorForm.d``
+and ``_complement`` (``notes/decisions.md``, entry 7).  Each route finds its
+entries on its own: the trisum from the bivector, the form route from the
+terms of Omega.
 
 Both run on ``int`` coefficients.  ``_integer_multiple`` scales the bivector
 by L, the lcm of its coefficient denominators; every criterion is
@@ -38,6 +42,7 @@ The two must always agree; the verification layer aborts if they do not.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -300,20 +305,71 @@ def jacobi_trisum(
 
 
 def integrability_via_forms(biv: MultiDerivation) -> bool:
-    """Exterior-calculus integrability test; must match the trisum verdict."""
+    """Exterior-calculus integrability test; must match the trisum verdict.
+
+    Omega = Phi(L * P) is keyed by the pair each of its terms omits, and each
+    coefficient is differentiated at most once in each variable it contains,
+    when a triple first needs that partial.  A triple T = (a, b, c) reads
+    d(alpha_T) ^ Omega off those tables, with the closed-form signs of
+    ``notes/decisions.md``, entry 7:
+
+    * contraction: alpha_r = (-1)^#{i not in T : i > r} * Omega[T - r];
+    * d: d(alpha_r)/dX_i lands on dX_i ^ dX_r, with sign + if i < r and
+      - if i > r, merged per pair before any product;
+    * top wedge: the term at (s, t) meets Omega[(s, t)] with sign
+      (-1)^(s + t - 1), applied while merging.
+
+    Every product term of a triple is added into one ``int`` accumulator;
+    a nonzero one means the bivector is not Poisson.
+    """
     if biv.k != 2:
         raise ValueError("not a bivector")
     n = biv.n
     if n < 3:
         raise ValueError("form criterion needs at least three variables")
     _, multiple = _integer_multiple(biv)
-    omega = phi_map(multiple)
-    # for n = 3 nothing is contracted, alpha = Omega and the one triple is (0, 1, 2);
-    # alpha = i(idxs)Omega is nonzero exactly when the triple T left out of
-    # idxs contains the pair {i, j} missing from some term of Omega
-    pairs = (_complement(J, n)[0] for J in omega.terms)
-    for triple in _triples_meeting(n, pairs):
-        alpha = omega.interior_coordinates(_complement(triple, n)[0])
-        if not alpha.d().wedge(omega).is_zero:
+    # omega[pair]: the coefficient of the term of Omega that omits pair
+    omega = {_complement(J, n)[0]: p.terms for J, p in phi_map(multiple).terms.items()}
+    # variables[pair]: the variables omega[pair] contains; partials[pair][i] is
+    # the terms of d omega[pair] / dX_i, computed on first use
+    variables = {pair: list(itertools.compress(range(n), map(any, zip(*terms))))
+                 for pair, terms in omega.items()}
+    partials: dict[tuple[int, int], dict[int, list]] = {pair: {} for pair in omega}
+    # alpha_T is nonzero exactly when T contains a pair that some term omits
+    for a, b, c in _triples_meeting(n, omega):
+        # dalpha[(s, t)]: the coefficient of dX_s ^ dX_t in d(alpha_T), times the
+        # top-wedge sign (-1)^(s + t - 1) of the pair
+        dalpha: dict[tuple[int, int], dict] = {}
+        # #{i not in T : i > r} = n - 1 - r - #{t in T : t > r}
+        for r, rest, above in ((a, (b, c), n - a - 3), (b, (a, c), n - b - 2),
+                               (c, (a, b), n - c - 1)):
+            for i in variables.get(rest, ()):
+                # flip: contraction exponent + d exponent (0 or 1) + top-wedge i + r - 1
+                if i < r:
+                    pair, flip = (i, r), above + i + r - 1
+                elif i > r:
+                    pair, flip = (r, i), above + i + r
+                else:
+                    continue
+                if pair not in omega:
+                    continue
+                partial = partials[rest].get(i)
+                if partial is None:
+                    partial = partials[rest][i] = [
+                        (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], exps[i] * v)
+                        for exps, v in omega[rest].items()
+                        if exps[i]
+                    ]
+                add_into(dalpha.setdefault(pair, {}),
+                         partial if flip % 2 == 0 else ((e, -v) for e, v in partial))
+        total: dict = {}
+        for pair, coeff in dalpha.items():
+            if coeff:
+                add_into(total, (
+                    (tuple(map(int.__add__, e1, e2)), c1 * c2)
+                    for e1, c1 in coeff.items()
+                    for e2, c2 in omega[pair].items()
+                ))
+        if total:
             return False
     return True

@@ -26,6 +26,11 @@ another way:
 * ``jacobi_trisum_polynomial`` sums the Jacobi obstructions Polynomial by
   Polynomial on the rational bivector; ``multivector.jacobi_trisum`` adds
   the terms of its integer multiple into one dict per triple.
+* ``integrability_by_contraction`` is the form route of integrability built
+  from the form operations: it contracts Omega by the complement of each
+  triple with ``interior_coordinates``, then takes ``d`` and the top-degree
+  ``wedge``; ``multivector.integrability_via_forms`` reads the same three
+  steps off tables of Omega with closed-form signs.
 * ``_perm_sign`` counts the inversions of a permutation;
   ``exterior._complement`` gives the sign of idx + complement in closed form.
 * ``graded_pieces`` forms the four graded pieces of Omega ^ dOmega from
@@ -48,10 +53,11 @@ from polypoisson.cohomology import (
     delta_matrix,
     slice_basis,
 )
-from polypoisson.exterior import ExteriorForm, IndexTuple
+from polypoisson.exterior import ExteriorForm, IndexTuple, _complement
 from polypoisson.linalg import SpanTracker
 from polypoisson.multivector import (
     MultiDerivation,
+    _integer_multiple,
     _triples_meeting,
     bivector_entry,
     bivector_from_entries,
@@ -410,6 +416,30 @@ def jacobi_trisum_polynomial(
         if not total.is_zero:
             out.append((i, j, k, total))
     return out
+
+
+def integrability_by_contraction(biv: MultiDerivation) -> bool:
+    """d(alpha_T) ^ Omega = 0 for every triple T, through the form operations.
+
+    alpha_T is Omega contracted by the complement of T; Omega is the form of
+    the integer multiple, as in ``integrability_via_forms``.
+    """
+    if biv.k != 2:
+        raise ValueError("not a bivector")
+    n = biv.n
+    if n < 3:
+        raise ValueError("form criterion needs at least three variables")
+    _, multiple = _integer_multiple(biv)
+    omega = phi_map(multiple)
+    # for n = 3 nothing is contracted, alpha = Omega and the one triple is (0, 1, 2);
+    # alpha = i(idxs)Omega is nonzero exactly when the triple T left out of
+    # idxs contains the pair {i, j} missing from some term of Omega
+    pairs = (_complement(J, n)[0] for J in omega.terms)
+    for triple in _triples_meeting(n, pairs):
+        alpha = omega.interior_coordinates(_complement(triple, n)[0])
+        if not alpha.d().wedge(omega).is_zero:
+            return False
+    return True
 
 
 def graded_pieces(bivector: MultiDerivation) -> GradedIntegrabilityReport:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,19 +110,52 @@ def test_expected_records_are_copies():
     catalog_expected("P2")["dim_H2_2"][2] = 99
     catalog_expected("rigid")["H2_invariant_degree2"][5] = 99
     assert CATALOG["P1"].expected["H_totals"] == {0: 1, 1: 3, 2: 2, 3: 0}
-    assert CATALOG["P1"].expected["H2_generator_forms"] == ["X3*dX2", "X2^2*dX2"]
+    assert CATALOG["P1"].expected["H2_generator_forms"] == ("X3*dX2", "X2^2*dX2")
     assert reproduce.P1_EXPECTED_TOTALS == {0: 1, 1: 3, 2: 2, 3: 0}
     assert reproduce.P2_H22_EXPECTED == {2: 1, 3: 3, 4: 8, 5: 16}
     assert CATALOG["rigid"].expected["H2_invariant_degree2"] == {5: 2, 6: 0, "n>=7": 0}
 
 
-def test_reproduce_holds_copies_of_the_published_values(monkeypatch):
-    # a write through the catalog's own record must not reach the values
-    # that reproduce checks against
-    monkeypatch.setitem(CATALOG["P1"].expected["H_totals"], 1, 99)
-    monkeypatch.setitem(CATALOG["P2"].expected["dim_H2_2"], 2, 99)
+def test_reproduce_holds_copies_of_the_published_values():
+    # a write through the catalog's own record is refused, and the values
+    # that reproduce checks against stay as published
+    with pytest.raises(TypeError):
+        CATALOG["P1"].expected["H_totals"][1] = 99
+    with pytest.raises(TypeError):
+        CATALOG["P2"].expected["dim_H2_2"][2] = 99
     assert reproduce.P1_EXPECTED_TOTALS == {0: 1, 1: 3, 2: 2, 3: 0}
     assert reproduce.P2_H22_EXPECTED == {2: 1, 3: 3, 4: 8, 5: 16}
+
+
+def test_published_records_are_read_only():
+    def check(value):
+        if isinstance(value, Mapping):
+            key = next(iter(value))
+            with pytest.raises(TypeError):
+                value[key] = 99
+            with pytest.raises(TypeError):
+                del value[key]
+            for item in value.values():
+                check(item)
+        else:
+            assert not isinstance(value, (list, dict, set))
+            if isinstance(value, tuple):
+                for item in value:
+                    check(item)
+
+    records = [entry.expected for entry in CATALOG.values() if entry.expected is not None]
+    assert len(records) == 4
+    for record in records:
+        check(record)
+    with pytest.raises(AttributeError):
+        CATALOG["P1"].expected["H2_generator_forms"].append("X1*dX1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CATALOG["P1"].expected = {}
+    assert catalog_expected("P1") == {
+        "integrable": True,
+        "H_totals": {0: 1, 1: 3, 2: 2, 3: 0},
+        "H2_generator_forms": ["X3*dX2", "X2^2*dX2"],
+    }
 
 
 def test_all_classified_entries_verify_at_random_parameters():

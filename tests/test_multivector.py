@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polypoisson.catalog import catalog_bivector
-from polypoisson.exterior import ExteriorForm
+from polypoisson.catalog import CATALOG, catalog_bivector
+from polypoisson.exterior import ExteriorForm, _complement
 from polypoisson.multivector import (
     MultiDerivation,
     bivector_entry,
@@ -19,9 +19,15 @@ from polypoisson.multivector import (
 )
 from polypoisson.poisson import IntegrabilityError, verify
 from polypoisson.poly import Polynomial, parse_poly
+from polypoisson.reproduce import CLASSIFIED_ENTRIES, sample_params
 
 from conftest import random_bivector, random_cochain, random_poly
-from oracles import evaluate_derivation, evaluate_first, jacobi_trisum_polynomial
+from oracles import (
+    evaluate_derivation,
+    evaluate_first,
+    integrability_by_contraction,
+    jacobi_trisum_polynomial,
+)
 
 
 def V(n, i):
@@ -183,6 +189,82 @@ def test_oracle_equivalence_random_bivectors(rng):
             assert integrability_via_forms(biv) == trisum_ok
             checked += 1
     assert checked >= 200
+
+
+def assert_routes_agree(biv):
+    """The form route's verdict, checked against the contraction oracle."""
+    verdict = integrability_via_forms(biv)
+    assert verdict == integrability_by_contraction(biv), biv
+    return verdict
+
+
+def test_form_route_matches_contraction_oracle_on_the_catalog():
+    rng = random.Random(1919)
+    for name in CLASSIFIED_ENTRIES:
+        for _ in range(20 if CATALOG[name].params else 1):
+            assert assert_routes_agree(catalog_bivector(name, sample_params(name, rng)))
+    assert assert_routes_agree(catalog_bivector("P1"))
+    for n in range(3, 25):
+        assert assert_routes_agree(catalog_bivector("rigid", {"n": n}))
+        assert assert_routes_agree(catalog_bivector("P2", {"n": n}))
+    for n in range(7, 21):
+        assert assert_routes_agree(catalog_bivector("deformed-mu", {"n": n})) == (n < 9)
+
+
+def random_monomial(n, rng):
+    exps = [0] * n
+    for _ in range(rng.randint(0, 2)):
+        exps[rng.randrange(n)] += 1
+    return Polynomial.monomial(n, exps, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+
+
+def test_form_route_matches_contraction_oracle_on_random_bivectors():
+    # random entries, log-canonical structures P_ij = c_ij X_i X_j (Poisson),
+    # and log-canonical or scaled P2 and rigid structures with one entry perturbed
+    rng = random.Random(20191)
+    verdicts = []
+    for t in range(600):
+        n = 3 + t % 6
+        kind = t // 6 % 4
+        if kind == 0:
+            biv = random_bivector(n, rng.randint(0, 2), rng)
+        elif kind in (1, 2):
+            biv = bivector_from_entries(n, {
+                (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * V(n, i) * V(n, j)
+                for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.6
+            })
+        elif n >= 4 and t // 24 % 2:
+            biv = catalog_bivector("rigid", {"n": n - 1}) * Fraction(rng.randint(1, 5), 3)
+        else:
+            biv = catalog_bivector("P2", {"n": n}) * Fraction(rng.randint(1, 5), 3)
+        if kind >= 2:
+            pair = tuple(sorted(rng.sample(range(n), 2)))
+            biv = biv + bivector_from_entries(n, {pair: random_monomial(n, rng)})
+        verdicts.append(assert_routes_agree(biv))
+    assert len(verdicts) == 600
+    assert verdicts.count(True) >= 150 and verdicts.count(False) >= 200
+
+
+def test_form_route_signs_match_the_form_operations():
+    # notes/decisions.md, entry 7: the three closed-form signs of
+    # integrability_via_forms against interior_coordinates, d and the top wedge
+    for n in range(3, 8):
+        for triple in itertools.combinations(range(n), 3):
+            outside, _ = _complement(triple, n)
+            for pos, r in enumerate(triple):
+                rest = triple[:pos] + triple[pos + 1 :]
+                term = ExteriorForm.basis(n, _complement(rest, n)[0])
+                above = n - 1 - r - (2 - pos)
+                assert above == sum(1 for i in outside if i > r)
+                assert term.interior_coordinates(outside) == \
+                    ExteriorForm.basis(n, (r,), (-1) ** above)
+        for r, i in itertools.permutations(range(n), 2):
+            d = ExteriorForm.basis(n, (r,), V(n, i)).d()
+            assert d == ExteriorForm.basis(n, tuple(sorted((i, r))), 1 if i < r else -1)
+        for s, t in itertools.combinations(range(n), 2):
+            top = ExteriorForm.basis(n, (s, t)).wedge(
+                ExteriorForm.basis(n, _complement((s, t), n)[0]))
+            assert top == ExteriorForm.basis(n, tuple(range(n)), (-1) ** (s + t - 1))
 
 
 def fractional_bivector():

@@ -155,3 +155,19 @@ def test_catalog_builds_entries_from_tables_only():
         assert not isinstance(
             parents[call], (ast.BinOp, ast.UnaryOp, ast.AugAssign, ast.Assign, ast.NamedExpr)
         ), use.lineno
+
+
+def test_form_route_triple_loop_reads_tables_only():
+    # integrability_via_forms keys Omega by omitted pair and differentiates it
+    # once per call, so a triple costs lookups: no complement and no form
+    # operation runs inside the loop over triples
+    tree = ast.parse((SRC / "multivector.py").read_text(encoding="utf-8"))
+    route = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "integrability_via_forms")
+    loops = [node for node in ast.walk(route) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call) and _called_name(node.iter) == "_triples_meeting"]
+    assert len(loops) == 1
+    called = {_called_name(node) for stmt in loops[0].body for node in ast.walk(stmt)
+              if isinstance(node, ast.Call)}
+    assert called
+    assert not called & {"_complement", "interior_coordinates", "d", "wedge", "_wedge_top"}
