@@ -16,11 +16,15 @@ cochain x^a on the slot tuple T (sorted), the image is
 
 on the slot tuple U, so an elementary cochain touches only the
 O(nnz(P) k) targets it can reach.  The structure is scaled to integers
-once per call, to the multiple L * P by the lcm L of its coefficient
-denominators that ``multivector._integer_multiple`` also hands the
-integrability routes.  ``delta`` applies the rule to each term of a cochain, and
-``delta_matrix`` writes one column per basis cochain with it, as exact
-``Fraction``s for the fraction-free rank/kernel routines.  The two-sum
+once per verified structure, to the multiple L * P by the lcm L of its
+coefficient denominators that ``multivector._integer_multiple`` also hands
+the integrability routes; that table and each slot tuple's terms are kept
+on the structure (``_Coboundary``), since neither depends on a slice, a
+degree or a filter.  ``delta`` applies the rule to each term of a cochain,
+and ``delta_matrix`` writes one column per basis cochain with it, in
+integers L times the true ones.  Ranks, kernels and boundary echelons start
+from those integer columns: scaling a column by L > 0 leaves its primitive
+integer row, and so every echelon, unchanged.  The two-sum
 itself, evaluated on coordinate tuples, lives in ``tests/oracles.py`` as
 ``two_sum_delta``, the oracle both are tested against.  ``delta_via_forms``
 recomputes the same operator through the exterior-form correspondence
@@ -56,7 +60,9 @@ made on first use by ``_complex`` and shared by ``cohomology_dims``,
 ``cocycle_representatives`` and ``cochain_in_coboundaries``.  It keeps
 counted dimensions, corrections, blocks, and per (k, d) the echelon of the
 coboundaries inside the block (the boundary echelon), whose rank is also
-the outgoing block rank of (k - 1, d - r + 1), but no coboundary matrix.
+the outgoing block rank of (k - 1, d - r + 1).  It keeps no coboundary
+matrix: each is assembled once, from the structure's shared integer
+tables, and handed to its echelon in integers.
 Tables and representatives share one ``row(k, d)``; a representatives
 query returns [] when its dim H is 0, stops once it holds dim H classes,
 and raises ``ComplexInvariantError`` unless the block's kernel less its
@@ -87,7 +93,7 @@ from .multivector import MultiDerivation, _integer_multiple, phi_inverse, phi_ma
 # verify has no caller here; bench/selftest.py checks that untracing restores
 # cohomology.verify, so the name stays importable from this module
 from .poisson import PoissonStructure, verify
-from .poly import Exponents, Polynomial, _checked_vars, add_into, monomial_basis
+from .poly import Exponents, Polynomial, Scalar, _checked_vars, add_into, monomial_basis
 
 # -- coboundary ---------------------------------------------------------------
 
@@ -101,7 +107,8 @@ def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
     ``partials[t]`` lists (i, j, terms) for each nonzero dP_{ij}/dX_t with
     i < j, a term being (exponents, coefficient).  Both are read off
     ``_integer_multiple``: every coefficient is multiplied by ``denom``, the
-    lcm of the entries' coefficient denominators.
+    lcm of the entries' coefficient denominators.  Built once per verified
+    structure, by ``_coboundary``.
     """
     n = S.n
     denom, multiple = _integer_multiple(S.bivector)
@@ -161,6 +168,32 @@ def _slot_terms(
     return sum1, sum2
 
 
+class _Coboundary(dict):
+    """The integer coboundary data of one structure: ``self[T]`` is ``_slot_terms`` of T.
+
+    ``denom``, ``rows`` and ``partials`` are ``_integer_tables`` of the
+    structure, and the terms of a slot tuple are computed when first read.
+    Nothing here depends on a slice, a degree or a filter, so ``delta`` and
+    every ``delta_matrix`` of the structure share one, made by ``_coboundary``.
+    """
+
+    def __init__(self, S: PoissonStructure) -> None:
+        super().__init__()
+        self.n = S.n
+        self.denom, self.rows, self.partials = _integer_tables(S)
+
+    def __missing__(self, T: IndexTuple) -> tuple[list, list]:
+        self[T] = terms = _slot_terms(self.n, T, self.rows, self.partials)
+        return terms
+
+
+def _coboundary(S: PoissonStructure) -> _Coboundary:
+    """The one ``_Coboundary`` of S, made on first use and kept on it."""
+    if S._coboundary is None:
+        S._coboundary = _Coboundary(S)
+    return S._coboundary
+
+
 def _elementary_image(
     a: Exponents, sum1: list, sum2: list
 ) -> dict[tuple[IndexTuple, Exponents], int]:
@@ -193,12 +226,12 @@ def delta(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
         raise ValueError("variable count mismatch")
     if phi.k >= n:
         return MultiDerivation.zero(n, phi.k + 1)
-    denom, rows, partials = _integer_tables(S)
+    cob = _coboundary(S)
     out: dict[IndexTuple, dict[Exponents, Fraction]] = {}
     for T, poly in phi.values.items():
-        sum1, sum2 = _slot_terms(n, T, rows, partials)
+        sum1, sum2 = cob[T]
         for a, c in poly.terms.items():
-            scale = c / denom
+            scale = c / cob.denom
             for (U, exps), value in _elementary_image(a, sum1, sum2).items():
                 if value:
                     terms = out.setdefault(U, {})
@@ -399,11 +432,31 @@ class DeltaMatrix:
     """Sparse exact matrix of the coboundary between two slices.
 
     Columns are indexed by the source basis, rows by the target basis.
+    ``integer_columns`` are ``denom`` times the true columns, in ``int``s, as
+    ``delta_matrix`` computes them.  ``rank``, ``kernel`` and the boundary
+    echelons read them: scaling by denom > 0 changes no primitive integer
+    row, so neither the echelon nor the kernel changes.  ``columns``, the
+    ``Fraction`` values, is built on first read.
     """
 
     source: GradedSlice
     target: GradedSlice
-    columns: tuple[dict[int, Fraction], ...]
+    denom: int
+    integer_columns: tuple[dict[int, int], ...]
+
+    @cached_property
+    def columns(self) -> tuple[dict[int, Fraction], ...]:
+        fractions: dict[int, Fraction] = {}
+        out = []
+        for column in self.integer_columns:
+            scaled = {}
+            for pos, value in column.items():
+                frac = fractions.get(value)
+                if frac is None:
+                    frac = fractions[value] = Fraction(value, self.denom)
+                scaled[pos] = frac
+            out.append(scaled)
+        return tuple(out)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -411,17 +464,14 @@ class DeltaMatrix:
 
     def rank(self) -> int:
         # rank is transposition-invariant; the columns are already sparse rows
-        return linalg.rank(self.columns)
+        return linalg.rank(self.integer_columns)
 
     def rows(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.target.dim)]
-        for col, column in enumerate(self.columns):
-            for row, val in column.items():
-                out[row][col] = val
-        return out
+        return _transpose(self.columns, self.target.dim)
 
     def kernel(self) -> list[dict[int, Fraction]]:
-        return linalg.kernel_basis(self.rows(), self.source.dim)
+        return linalg.kernel_basis(_transpose(self.integer_columns, self.target.dim),
+                                   self.source.dim)
 
     def triplets(self) -> list[tuple[int, int, Fraction]]:
         out = []
@@ -430,6 +480,15 @@ class DeltaMatrix:
                 out.append((row, col, column[row]))
         out.sort()
         return out
+
+
+def _transpose(columns: Sequence[Mapping[int, Scalar]], nrows: int) -> list[dict]:
+    """The sparse rows of a matrix given by its sparse columns."""
+    out: list[dict] = [dict() for _ in range(nrows)]
+    for col, column in enumerate(columns):
+        for row, val in column.items():
+            out[row][col] = val
+    return out
 
 
 def _left_slice(reason: str) -> ValueError:
@@ -448,7 +507,8 @@ def delta_matrix(
 
     Requires homogeneous entries of a single degree r and checks that every
     image lands inside the filtered target slice.  Each column is the
-    elementary-cochain rule that ``delta`` applies, in target coordinates.
+    elementary-cochain rule that ``delta`` applies, in target coordinates,
+    kept as the integers that the structure's ``_Coboundary`` gives.
     """
     r = S.homogeneous_degree()
     if target is None:
@@ -464,26 +524,19 @@ def delta_matrix(
         raise ValueError("variable count mismatch")
     if source.dim and (target.n, target.k) != (source.n, source.k + 1):
         raise _left_slice("cochain does not match the slice shape")
-    denom, rows, partials = _integer_tables(S)
-    fractions: dict[int, Fraction] = {}
-    terms_of: dict[IndexTuple, tuple[list, list]] = {}
+    cob = _coboundary(S)
     columns = []
     for T, a in source.basis:
-        if T not in terms_of:
-            terms_of[T] = _slot_terms(S.n, T, rows, partials)
-        column: dict[int, Fraction] = {}
-        for key, value in _elementary_image(a, *terms_of[T]).items():
+        column: dict[int, int] = {}
+        for key, value in _elementary_image(a, *cob[T]).items():
             if not value:
                 continue
             pos = target.index.get(key)
             if pos is None:
                 raise _left_slice(f"cochain term {key[0]}:{key[1]} lies outside the slice")
-            frac = fractions.get(value)
-            if frac is None:
-                frac = fractions[value] = Fraction(value, denom)
-            column[pos] = frac
+            column[pos] = value
         columns.append(column)
-    return DeltaMatrix(source, target, tuple(columns))
+    return DeltaMatrix(source, target, cob.denom, tuple(columns))
 
 
 # -- cohomology reports -----------------------------------------------------------
@@ -581,9 +634,11 @@ class _SliceCache:
 
     ``_complex`` makes one per structure and filter and keeps it on the
     structure, so every cohomology query of a session shares it.  It keeps
-    counted dimensions, corrections, blocks and boundary echelons, and no
-    coboundary matrix; an outgoing rank is read off the boundary echelon
-    one step up.
+    counted dimensions, corrections, blocks and boundary echelons; an
+    outgoing rank is read off the boundary echelon one step up.  It keeps no
+    coboundary matrix: ``boundaries`` assembles each block matrix once, from
+    the structure's shared ``_Coboundary``, and seeds its echelon with the
+    integer columns, never with ``Fraction``s.
 
     ``block(k, d)``, the only slice it builds, is the weight-0 block of slice
     (k, d): cut by the diagonal weights of the structure when the caller
@@ -687,15 +742,17 @@ class _SliceCache:
     def boundaries(self, k: int, d: int) -> linalg.SpanTracker:
         """Echelon of the image of the coboundary from (k - 1, d - r + 1) in block (k, d).
 
-        Built once, in ``linalg.SpanTracker``'s column order, and kept; its
-        rank is also the outgoing block rank of (k - 1, d - r + 1).
+        Built once from the matrix's integer columns, in
+        ``linalg.SpanTracker``'s column order, and kept; its rank is also the
+        outgoing block rank of (k - 1, d - r + 1).
         """
         key = (k, d)
         if key not in self._boundaries:
             prev_d = d - self.r + 1
-            columns: Sequence[dict[int, Fraction]] = ()
+            columns: Sequence[dict[int, int]] = ()
             if k > 0 and prev_d >= 0:
-                columns = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d)).columns
+                matrix = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d))
+                columns = matrix.integer_columns
             self._boundaries[key] = linalg.SpanTracker(columns)
         return self._boundaries[key]
 

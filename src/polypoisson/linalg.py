@@ -37,7 +37,11 @@ IntRow = dict[int, int]
 
 
 def _integerize(row: Mapping[int, Fraction], relabel: Mapping[int, int] | range) -> IntRow:
-    """Scale a rational row to coprime integers, column c renamed relabel[c]."""
+    """Scale a rational row to coprime integers, column c renamed relabel[c].
+
+    Values may be ``Fraction`` or ``int``; an integer multiple of a row
+    gives the same result.
+    """
     if not row:
         return {}
     denom = lcm(*(v.denominator for v in row.values()))

@@ -35,7 +35,9 @@ homogeneous of degree 2 in the bivector, so L * P has the same verdict and
 obstructions L^2 times those of P (``notes/decisions.md``, entry 6).  The
 trisum adds every product term of a triple straight into one dict and
 divides a nonzero result by L^2, so it returns ``Fraction`` coefficients;
-the form route returns only a boolean.
+the form route returns only a boolean.  Their bodies, ``_trisum`` and
+``_forms_integrable``, take the multiple, so ``poisson.verify`` scales once
+and hands the same L * P to both.
 
 The two must always agree; the verification layer aborts if they do not.
 """
@@ -236,7 +238,8 @@ def _integer_multiple(biv: MultiDerivation) -> tuple[int, MultiDerivation]:
     The multiple stores ``int`` coefficients.  Every integrability criterion is
     homogeneous of degree 2 in the bivector, so the multiple gets the same
     verdict and its obstructions are L^2 times those of ``biv``.  It exists
-    only inside the integrability routes.
+    only inside the integrability routes and the coboundary tables of
+    ``cohomology``.
     """
     n = biv.n
     lcm = 1
@@ -266,8 +269,12 @@ def jacobi_trisum(
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
-    n = biv.n
-    lcm, multiple = _integer_multiple(biv)
+    return _trisum(*_integer_multiple(biv))
+
+
+def _trisum(lcm: int, multiple: MultiDerivation) -> list[tuple[int, int, int, Polynomial]]:
+    """``jacobi_trisum`` of the bivector whose integer multiple is (lcm, multiple)."""
+    n = multiple.n
     scale = lcm * lcm
     values = {pair: p.terms for pair, p in multiple.values.items()}
     # column[f] lists (r, terms of P_{rf}) with P_{rf} != 0, r ascending as in a
@@ -324,10 +331,14 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
-    n = biv.n
-    if n < 3:
+    if biv.n < 3:
         raise ValueError("form criterion needs at least three variables")
-    _, multiple = _integer_multiple(biv)
+    return _forms_integrable(_integer_multiple(biv)[1])
+
+
+def _forms_integrable(multiple: MultiDerivation) -> bool:
+    """``integrability_via_forms`` of a bivector, given its integer multiple."""
+    n = multiple.n
     # omega[pair]: the coefficient of the term of Omega that omits pair
     omega = {_complement(J, n)[0]: p.terms for J, p in phi_map(multiple).terms.items()}
     # variables[pair]: the variables omega[pair] contains; partials[pair][i] is

@@ -32,12 +32,12 @@ from typing import Optional, Sequence
 from . import linalg
 from .multivector import (
     MultiDerivation,
+    _forms_integrable,
     _integer_multiple,
+    _trisum,
     bivector_entry,
     bivector_from_entries,
     bracket_with_coordinate,
-    integrability_via_forms,
-    jacobi_trisum,
     phi_map,
 )
 from .poly import Polynomial, Scalar, format_poly
@@ -67,7 +67,7 @@ class PoissonStructure:
     instance and the bracket refuses to run otherwise.
     """
 
-    __slots__ = ("n", "bivector", "verified", "first_index", "_complexes")
+    __slots__ = ("n", "bivector", "verified", "first_index", "_coboundary", "_complexes")
 
     def __init__(self, bivector: MultiDerivation, _token: object = None, first_index: int = 1) -> None:
         if _token is not _VERIFIED_TOKEN:
@@ -76,6 +76,9 @@ class PoissonStructure:
         self.bivector = bivector
         self.verified = True
         self.first_index = first_index
+        # the coboundary's integer tables and slot terms, shared by every slice
+        # and filter; only cohomology fills it
+        self._coboundary = None
         # filtered coboundary complexes, one per (weights, excluded variables);
         # only cohomology fills it
         self._complexes: dict = {}
@@ -131,16 +134,20 @@ _VERIFIED_TOKEN = object()
 def verify(bivector: MultiDerivation, first_index: int = 1) -> PoissonStructure:
     """Check integrability by both criteria and wrap the bivector.
 
+    The bivector is scaled to its integer multiple once, and both routes
+    (the bodies of ``jacobi_trisum`` and ``integrability_via_forms``) read it.
+
     Raises IntegrabilityError with the first nonzero trisum witness when the
     bivector is not Poisson, and AssertionError if the two criteria ever
     disagree (which would be an internal bug).
     """
     if bivector.k != 2:
         raise ValueError("a Poisson structure needs a bivector (k = 2)")
-    obstructions = jacobi_trisum(bivector)
+    lcm, multiple = _integer_multiple(bivector)
+    obstructions = _trisum(lcm, multiple)
     trisum_ok = not obstructions
     if bivector.n >= 3:
-        forms_ok = integrability_via_forms(bivector)
+        forms_ok = _forms_integrable(multiple)
         if forms_ok != trisum_ok:
             raise AssertionError(
                 "internal disagreement between trisum and form criteria: "

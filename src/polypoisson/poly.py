@@ -4,8 +4,9 @@ A polynomial in n variables is a mapping from exponent tuples (length n,
 one non-negative integer per variable) to nonzero ``Fraction`` coefficients.
 The zero polynomial is the empty mapping.  Nothing here ever touches
 floating point.  Polynomials with ``int`` coefficients exist only inside
-the integrability routes of ``multivector`` and ``poisson``, which work on
-an integer multiple of the bivector; none leaves a route.
+the integrability routes of ``multivector`` and ``poisson`` and the
+coboundary tables of ``cohomology``, which work on an integer multiple of
+the bivector; none leaves them.
 
 Variables carry internal indices 0..n-1.  Text input and output use labels
 ``X<k>`` where the label of internal index 0 is configurable: ``X1`` by
@@ -23,9 +24,10 @@ bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -224,19 +226,6 @@ class Polynomial:
 # -- monomial enumeration ---------------------------------------------
 
 
-def _compositions(n: int, d: int) -> Iterator[Exponents]:
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _compositions(n - 1, d - first):
-            yield (first,) + rest
-
-
 def _checked_vars(n: int, indices: Iterable[int]) -> frozenset[int]:
     """The excluded variable indices as a set; each must lie in 0..n-1."""
     out = frozenset(indices)
@@ -252,15 +241,18 @@ def monomial_basis(n: int, d: int, exclude_vars: Iterable[int] = ()) -> list[Exp
 
     ``exclude_vars`` drops monomials touching any of the given internal
     variable indices, each in 0..n-1.  The unfiltered count is C(n+d-1, d).
+    Each monomial is a multiset of d allowed variables.
     """
     banned = _checked_vars(n, exclude_vars)
     if d < 0:
         return []
-    out = [
-        exps
-        for exps in _compositions(n, d)
-        if not (banned and any(exps[i] for i in banned))
-    ]
+    allowed = [i for i in range(n) if i not in banned]
+    out = []
+    for factors in itertools.combinations_with_replacement(allowed, d):
+        exps = [0] * n
+        for i in factors:
+            exps[i] += 1
+        out.append(tuple(exps))
     out.sort(key=grlex_key)
     return out
 

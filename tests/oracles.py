@@ -33,6 +33,8 @@ another way:
   steps off tables of Omega with closed-form signs.
 * ``_perm_sign`` counts the inversions of a permutation;
   ``exterior._complement`` gives the sign of idx + complement in closed form.
+* ``compositions`` lists the exponent tuples of degree d by recursion on
+  the first exponent; ``poly.monomial_basis`` takes multisets of variables.
 * ``graded_pieces`` forms the four graded pieces of Omega ^ dOmega from
   three derivatives and ten wedges of the homogeneous parts of Omega;
   ``poisson.graded_integrability`` reads them off the degrees of one
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from polypoisson.cohomology import (
     CohomologyReport,
@@ -464,3 +466,17 @@ def graded_pieces(bivector: MultiDerivation) -> GradedIntegrabilityReport:
         mixed=(om0.wedge(d2) + om2.wedge(d0) + om1.wedge(d1)).is_zero,
         lin_quad=(om1.wedge(d2) + om2.wedge(d1)).is_zero,
     )
+
+
+def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Every exponent tuple of n entries summing to d, first entry descending."""
+    if n == 0:
+        if d == 0:
+            yield ()
+        return
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in compositions(n - 1, d - first):
+            yield (first,) + rest

@@ -374,6 +374,54 @@ def test_delta_matrix_fractional_coefficients():
     )
 
 
+def _seeding_cases():
+    rigid_invariant = {
+        "weights": tuple(range(7)), "exclude_value_vars": (0,), "exclude_slot_vars": (0,),
+    }
+    third = verify(p1().bivector * Fraction(1, 3))
+    cases = [(p1(), {}, range(4), range(7)), (third, {}, range(4), range(4)),
+             (catalog_get("P2", {"n": 5}), {}, range(4), range(4)),
+             (catalog_get("rigid", {"n": 6}), rigid_invariant, range(4), range(4))]
+    for S, filters, ks, ds in cases:
+        for k in ks:
+            for d in ds:
+                yield S, delta_matrix(S, slice_basis(S.n, k, d, **filters))
+
+
+def test_integer_columns_seed_the_same_echelon_and_kernel():
+    # the integer columns are denom times the Fraction ones, and scaling by
+    # denom > 0 keeps every primitive integer row
+    denoms = set()
+    for S, m in _seeding_cases():
+        denoms.add(m.denom)
+        assert all(type(v) is int for col in m.integer_columns for v in col.values())
+        assert m.columns == tuple({pos: Fraction(v, m.denom) for pos, v in col.items()}
+                                  for col in m.integer_columns)
+        by_int, by_fraction = linalg.SpanTracker(m.integer_columns), linalg.SpanTracker(m.columns)
+        assert by_int._echelon == by_fraction._echelon
+        assert dict(by_int._relabel) == dict(by_fraction._relabel)
+        assert m.rank() == by_fraction.rank
+        assert m.kernel() == linalg.kernel_basis(m.rows(), m.source.dim)
+    assert denoms == {1, 3}
+
+
+def test_one_integer_table_per_structure(monkeypatch):
+    built = []
+    tables = cohomology._integer_tables
+    monkeypatch.setattr(cohomology, "_integer_tables", lambda S: built.append(S) or tables(S))
+    S = p1()
+    for k in range(4):
+        for d in range(4):
+            assert cohomology_dims(S, [k], [d]).rows
+            for rep in cocycle_representatives(S, k, d):
+                assert not cochain_in_coboundaries(S, rep, d)
+                assert delta(S, rep).is_zero
+    phi = delta(S, slice_basis(3, 1, 2).element(4))
+    assert cochain_in_coboundaries(S, phi, 2)
+    assert cohomology_dims(S, range(4), range(4), weights=cohomology.diagonal_weights(S)).rows
+    assert built == [S]
+
+
 def test_delta_matrix_squares_to_zero():
     structures = [
         (p1(), {}),

@@ -46,6 +46,22 @@ def test_verify_witness():
     assert "trisum(1,2,3) = 2*X1" in str(err.value)
 
 
+def test_verify_scales_the_bivector_once(monkeypatch):
+    from polypoisson import multivector, poisson
+
+    third = p1().bivector * Fraction(1, 3)
+    bad = bivector_from_entries(3, {(0, 1): V(3, 1), (0, 2): V(3, 2), (1, 2): V(3, 0)})
+    scaled = []
+    multiple = multivector._integer_multiple
+    for module in (multivector, poisson):
+        monkeypatch.setattr(module, "_integer_multiple",
+                            lambda biv: scaled.append(biv) or multiple(biv))
+    assert verify(third).verified
+    with pytest.raises(IntegrabilityError):
+        verify(bad)
+    assert scaled == [third, bad]
+
+
 def test_repr_labels_follow_first_index():
     # rigid n=7 lives on X0..X7, so {X0, X1} = X1 prints with base-0 labels
     text = repr(catalog_get("rigid", {"n": 7}))

@@ -10,11 +10,13 @@ from polypoisson.poly import (
     ParseError,
     Polynomial,
     format_poly,
+    grlex_key,
     monomial_basis,
     parse_poly,
 )
 
 from conftest import random_poly
+from oracles import compositions
 
 
 def V(n, i):
@@ -225,13 +227,23 @@ def test_monomial_basis_counts():
 
 
 def test_monomial_basis_strictly_increasing():
-    from polypoisson.poly import grlex_key
-
     for n, d in ((3, 2), (4, 3), (2, 5)):
         basis = monomial_basis(n, d)
         keys = [grlex_key(m) for m in basis]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+def test_monomial_basis_equals_the_sorted_compositions():
+    for n in range(8):
+        for d in range(7):
+            for banned in ((), (0,), (n - 1,), (0, n - 2), tuple(range(1, n, 2))):
+                banned = tuple(i for i in banned if 0 <= i < n)
+                expected = sorted(
+                    (e for e in compositions(n, d) if not any(e[i] for i in banned)),
+                    key=grlex_key,
+                )
+                assert monomial_basis(n, d, exclude_vars=banned) == expected, (n, d, banned)
 
 
 def test_monomial_basis_exclusion():

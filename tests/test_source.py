@@ -158,12 +158,16 @@ def test_catalog_builds_entries_from_tables_only():
 
 
 def test_form_route_triple_loop_reads_tables_only():
-    # integrability_via_forms keys Omega by omitted pair and differentiates it
-    # once per call, so a triple costs lookups: no complement and no form
-    # operation runs inside the loop over triples
+    # the form route (integrability_via_forms, whose body is _forms_integrable)
+    # keys Omega by omitted pair and differentiates it once per call, so a
+    # triple costs lookups: no complement and no form operation runs inside
+    # the loop over triples
     tree = ast.parse((SRC / "multivector.py").read_text(encoding="utf-8"))
-    route = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                 and node.name == "integrability_via_forms")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_forms_integrable" in {_called_name(node) for node in
+                                   ast.walk(functions["integrability_via_forms"])
+                                   if isinstance(node, ast.Call)}
+    route = functions["_forms_integrable"]
     loops = [node for node in ast.walk(route) if isinstance(node, ast.For)
              and isinstance(node.iter, ast.Call) and _called_name(node.iter) == "_triples_meeting"]
     assert len(loops) == 1
