@@ -7,7 +7,7 @@ rational linear algebra.
 """
 
 from .poly import ParseError, Polynomial, format_poly, monomial_basis, parse_poly
-from .exterior import ExteriorForm, Shuffle, format_form, shuffles
+from .exterior import ExteriorForm, format_form
 from .multivector import (
     MultiDerivation,
     bivector_from_entries,
@@ -40,7 +40,7 @@ from .cohomology import (
     normalize_cocycle,
     slice_basis,
 )
-from .catalog import CatalogEntry, catalog_entries, catalog_expected, catalog_get
+from .catalog import CatalogEntry, catalog_expected, catalog_get
 
 __all__ = [
     "CatalogEntry",
@@ -56,10 +56,8 @@ __all__ = [
     "ParseError",
     "PoissonStructure",
     "Polynomial",
-    "Shuffle",
     "apply_equivalence",
     "bivector_from_entries",
-    "catalog_entries",
     "catalog_expected",
     "catalog_get",
     "cochain_in_coboundaries",
@@ -79,7 +77,6 @@ __all__ = [
     "parse_poly",
     "phi_inverse",
     "phi_map",
-    "shuffles",
     "slice_basis",
     "verify",
 ]

@@ -482,10 +482,6 @@ def _entry_list() -> list[CatalogEntry]:
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _entry_list()}
 
 
-def catalog_entries() -> list[CatalogEntry]:
-    return list(CATALOG.values())
-
-
 def _coerce_params(entry: CatalogEntry, params: Optional[Mapping]) -> dict[str, Fraction]:
     given = {k: Fraction(v) for k, v in (params or {}).items()}
     unknown = set(given) - {p.name for p in entry.params}

@@ -87,13 +87,21 @@ from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .exterior import ExteriorForm, IndexTuple, shuffles
+from .exterior import ExteriorForm, IndexTuple, _complement
 from .multivector import MultiDerivation, _integer_multiple, phi_inverse, phi_map
 
 # verify has no caller here; bench/selftest.py checks that untracing restores
 # cohomology.verify, so the name stays importable from this module
 from .poisson import PoissonStructure, verify
-from .poly import Exponents, Polynomial, Scalar, _checked_vars, add_into, monomial_basis
+from .poly import (
+    Exponents,
+    Polynomial,
+    Scalar,
+    _checked_vars,
+    _checked_weights,
+    add_into,
+    monomial_basis,
+)
 
 # -- coboundary ---------------------------------------------------------------
 
@@ -247,8 +255,10 @@ def _form_delta_parts(
 ) -> tuple[ExteriorForm, ExteriorForm]:
     """The two shuffle-summed contraction sums of the form-route coboundary.
 
-    Per shuffle sigma with first run F and second run T, the first sum
-    collects i(F)[d(i(T) Omega) ^ form(phi)] and the second
+    A (k + 1, n - k - 1)-shuffle sigma is fixed by its first run F, an
+    increasing (k + 1)-subset of 0..n-1; its second run T is the complement,
+    and sgn(sigma) the sign that ``exterior._complement`` gives.  Per shuffle
+    the first sum collects i(F)[d(i(T) Omega) ^ form(phi)] and the second
     i(F)[Omega ^ d(i(T) form(phi))], each weighted by sgn(sigma) and by the
     prefactor (-1)^{(n-k)(n-k+1)/2}.  Here i(F) = i(f_1) ... i(f_m) composes
     rightmost first, but ``interior_coordinates`` contracts in ascending
@@ -264,16 +274,16 @@ def _form_delta_parts(
     epsilon = -1 if flips % 2 else 1
     part_a = ExteriorForm.zero(n, n - k - 1)
     part_b = ExteriorForm.zero(n, n - k - 1)
-    for sh in shuffles(m1, m2):
-        first, second = sh.perm[:m1], sh.perm[m1:]
+    for first in itertools.combinations(range(n), m1):
+        second, sign = _complement(first, n)
         contracted_omega = omega.interior_coordinates(second)
         if not contracted_omega.is_zero:
             inner = contracted_omega.d().wedge(form_phi)
-            part_a = part_a + inner.interior_coordinates(first) * sh.sign
+            part_a = part_a + inner.interior_coordinates(first) * sign
         contracted_phi = form_phi.interior_coordinates(second)
         if not contracted_phi.is_zero:
             inner = omega.wedge(contracted_phi.d())
-            part_b = part_b + inner.interior_coordinates(first) * sh.sign
+            part_b = part_b + inner.interior_coordinates(first) * sign
     return part_a * epsilon, part_b * epsilon
 
 
@@ -330,25 +340,6 @@ class GradedSlice:
     def dim(self) -> int:
         return len(self.basis)
 
-    def element(self, position: int) -> MultiDerivation:
-        idx, exps = self.basis[position]
-        return MultiDerivation.elementary(self.n, idx, Polynomial.monomial(self.n, exps))
-
-    def to_vector(self, phi: MultiDerivation) -> dict[int, Fraction]:
-        """Coordinates of a cochain in this slice; rejects outside terms."""
-        if phi.k != self.k or phi.n != self.n:
-            raise ValueError("cochain does not match the slice shape")
-        vec: dict[int, Fraction] = {}
-        for idx, poly in phi.values.items():
-            for exps, coeff in poly.terms.items():
-                pos = self.index.get((idx, exps))
-                if pos is None:
-                    raise ValueError(
-                        f"cochain term {idx}:{exps} lies outside the slice"
-                    )
-                vec[pos] = coeff
-        return vec
-
     def from_vector(self, vec: Mapping[int, Fraction]) -> MultiDerivation:
         pairs = ((self.basis[pos], coeff) for pos, coeff in vec.items())
         values = add_into({}, (
@@ -367,27 +358,26 @@ def slice_basis(
 ) -> GradedSlice:
     """Deterministic basis of the (k, d) slice.
 
-    With ``weights``, keeps exactly the elementary cochains whose monomial
-    weight equals the sum of the slot weights (torus invariance; the
-    weight-0 block of ``cohomology_dims`` uses this filter).  Banned
-    value variables drop monomials; banned slot variables drop tuples.
+    Keeps exactly the elementary cochains whose monomial weight equals the
+    sum of the slot weights (torus invariance; the weight-0 block of
+    ``cohomology_dims`` uses this filter).  ``weights=None`` is the zero
+    weight, which every cochain passes.  Banned value variables drop
+    monomials; banned slot variables drop tuples.
     """
     value_banned = _checked_vars(n, exclude_value_vars)
     slot_banned = _checked_vars(n, exclude_slot_vars)
+    wt = _checked_weights(n, weights)
     if not 0 <= k <= n:
         return GradedSlice(n, k, d, None, value_banned, slot_banned, (), {})
-    wt = tuple(weights) if weights is not None else None
-    slots = [i for i in range(n) if i not in slot_banned]
-    basis = []
-    if d >= 0:
-        plain = monomial_basis(n, d, exclude_vars=value_banned)
-        by_weight: dict[int, list[Exponents]] = {}
-        if wt is not None:
-            for e in plain:
-                by_weight.setdefault(sum(map(mul, e, wt)), []).append(e)
-        for idx in itertools.combinations(slots, k):
-            monos = plain if wt is None else by_weight.get(sum(wt[i] for i in idx), ())
-            basis.extend((idx, e) for e in monos)
+    w = wt or (0,) * n
+    by_weight: dict[int, list[Exponents]] = {}
+    for e in monomial_basis(n, d, exclude_vars=value_banned):
+        by_weight.setdefault(sum(map(mul, e, w)), []).append(e)
+    basis = [
+        (idx, e)
+        for idx in itertools.combinations([i for i in range(n) if i not in slot_banned], k)
+        for e in by_weight.get(sum(w[i] for i in idx), ())
+    ]
     index = {pair: pos for pos, pair in enumerate(basis)}
     return GradedSlice(
         n, k, d, wt, value_banned, slot_banned, tuple(basis), index
@@ -403,25 +393,36 @@ def slice_dims(
 ) -> list[int]:
     """``slice_basis(n, k, d, ...).dim`` for k = 0..n, counted without a basis.
 
-    Slot tuples are counted per weight sum by the subset recursion, and each
-    count is multiplied by the number of degree-d monomials of that weight.
-    Without ``weights`` every weight is 0, and the count is
-    C(#slots, k) * C(#value variables + d - 1, d).
+    ``_weight_counts`` counts the k-element slot tuples (subsets of the
+    allowed slot variables) and the degree-d monomials (multisets of d
+    allowed value variables) per weight sum, and each tuple count is
+    multiplied by the monomial count of the same sum.  ``weights=None`` is
+    the zero weight, and the count is C(#slots, k) * C(#value variables +
+    d - 1, d).
     """
-    wt = tuple(weights) if weights is not None else (0,) * n
+    value_banned = _checked_vars(n, exclude_value_vars)
     slot_banned = _checked_vars(n, exclude_slot_vars)
-    monos = Counter(
-        sum(map(mul, e, wt)) for e in monomial_basis(n, d, exclude_vars=exclude_value_vars)
-    )
-    # tuples[k][s]: number of k-element slot tuples whose weights sum to s
-    tuples: list[Counter] = [Counter({0: 1})] + [Counter() for _ in range(n)]
-    for i in range(n):
-        if i in slot_banned:
-            continue
-        for k in range(n, 0, -1):
-            for s, count in tuples[k - 1].items():
-                tuples[k][s + wt[i]] += count
+    w = _checked_weights(n, weights) or (0,) * n
+    if d < 0:
+        return [0] * (n + 1)
+    monos = _weight_counts([w[i] for i in range(n) if i not in value_banned], d, repeat=True)[d]
+    tuples = _weight_counts([w[i] for i in range(n) if i not in slot_banned], n, repeat=False)
     return [sum(count * monos[s] for s, count in by_sum.items()) for by_sum in tuples]
+
+
+def _weight_counts(weights: Sequence[int], size: int, repeat: bool) -> list[Counter]:
+    """counts[j][s]: the j-element subsets (multisets if ``repeat``) of the
+    items, one per entry of ``weights``, whose weights sum to s; j = 0..size.
+
+    Each item updates sizes in descending order for subsets, so it is added
+    at most once, and in ascending order for multisets, so it may repeat.
+    """
+    counts = [Counter({0: 1})] + [Counter() for _ in range(size)]
+    for wi in weights:
+        for j in range(1, size + 1) if repeat else range(size, 0, -1):
+            for s, count in counts[j - 1].items():
+                counts[j][s + wi] += count
+    return counts
 
 
 # -- coboundary matrices --------------------------------------------------------
@@ -458,16 +459,9 @@ class DeltaMatrix:
             out.append(scaled)
         return tuple(out)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.target.dim, self.source.dim)
-
     def rank(self) -> int:
         # rank is transposition-invariant; the columns are already sparse rows
         return linalg.rank(self.integer_columns)
-
-    def rows(self) -> list[dict[int, Fraction]]:
-        return _transpose(self.columns, self.target.dim)
 
     def kernel(self) -> list[dict[int, Fraction]]:
         return linalg.kernel_basis(_transpose(self.integer_columns, self.target.dim),
@@ -763,10 +757,7 @@ def _complex(
     exclude_vars: Iterable[int],
 ) -> _SliceCache:
     """The one ``_SliceCache`` of S for this filter, made on first use."""
-    key = (
-        tuple(weights) if weights is not None else None,
-        _checked_vars(S.n, exclude_vars),
-    )
+    key = (_checked_weights(S.n, weights), _checked_vars(S.n, exclude_vars))
     if key not in S._complexes:
         S._complexes[key] = _SliceCache(S, *key)
     return S._complexes[key]

@@ -10,15 +10,17 @@ validate their index tuples with the same ``_checked_terms``.
 
 Complements follow one rule, ``_complement``: the increasing complement of
 an increasing index tuple idx, and the sign that sorts idx + complement,
-(-1)^(sum(idx) - k(k-1)/2).  Shuffles, the top-degree wedge, contraction and
-the form correspondence of ``multivector`` all read it.
+(-1)^(sum(idx) - k(k-1)/2).  The top-degree wedge, contraction, the form
+correspondence of ``multivector`` and the shuffle sums of the form-route
+coboundary all read it.
 
 Evaluation is sparse where the graded integrability test and the form-route
 coboundary need it.  A wedge into the top degree n pairs each term only with
 the other factor's term at its complement.  ``d`` differentiates each
-coefficient only in the variables it contains.  ``interior_coordinates`` is the one contraction: it contracts by
-several coordinate fields at once, in ascending index order, reading each
-result term off the one source term it comes from.
+coefficient only in the variables it contains.  ``interior_coordinates`` is
+the one contraction: it contracts by several coordinate fields at once, in
+ascending index order, reading each result term off the one source term it
+comes from.
 
 Degrees outside 0..n are represented by the zero form rather than an error,
 so iterated contractions can be chained without case splits.
@@ -28,21 +30,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
 from .poly import Polynomial, Scalar, add_into, format_poly
 
 IndexTuple = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Shuffle:
-    """A (p,q)-shuffle: a permutation increasing on its first p and last q slots."""
-
-    perm: IndexTuple  # permutation of 0..p+q-1, as images in order
-    sign: int
 
 
 def _complement(idx: Collection[int], n: int) -> tuple[IndexTuple, int]:
@@ -61,17 +54,6 @@ def _complement(idx: Collection[int], n: int) -> tuple[IndexTuple, int]:
     rest = tuple([i for i in range(n) if i not in idx])
     k = len(idx)
     return rest, -1 if (sum(idx) - k * (k - 1) // 2) % 2 else 1
-
-
-def shuffles(p: int, q: int) -> list[Shuffle]:
-    """All C(p+q, p) shuffles of {0..p+q-1}, ordered by their first run."""
-    if p < 0 or q < 0:
-        raise ValueError("shuffle parts must be non-negative")
-    out = []
-    for first in itertools.combinations(range(p + q), p):
-        second, sign = _complement(first, p + q)
-        out.append(Shuffle(first + second, sign))
-    return out
 
 
 def _merge_sign(a: IndexTuple, b: IndexTuple) -> tuple[int, Optional[IndexTuple]]:
@@ -150,11 +132,6 @@ class ExteriorForm:
         if not isinstance(coeff, Polynomial):
             coeff = Polynomial.constant(n, coeff)
         return cls(n, len(idx), {tuple(idx): coeff})
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "ExteriorForm":
-        """A 0-form."""
-        return cls(p.n, 0, {(): p})
 
     # -- structure -----------------------------------------------------
 

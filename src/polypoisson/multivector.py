@@ -90,14 +90,6 @@ class MultiDerivation:
     def zero(cls, n: int, k: int) -> "MultiDerivation":
         return cls(n, k)
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "MultiDerivation":
-        return cls(p.n, 0, {(): p})
-
-    @classmethod
-    def elementary(cls, n: int, idx: Sequence[int], poly: Polynomial) -> "MultiDerivation":
-        return cls(n, len(idx), {tuple(idx): poly})
-
     # -- basics ----------------------------------------------------------
 
     @property

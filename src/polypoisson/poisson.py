@@ -259,10 +259,6 @@ class Order2Equivalence:
                 raise ValueError("quadratic part must be homogeneous of degree 2")
         self.quad = tuple(quad)
 
-    @classmethod
-    def identity(cls, n: int) -> "Order2Equivalence":
-        return cls(n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def image_of_variable(self, i: int) -> Polynomial:
         out = Polynomial(
             self.n,

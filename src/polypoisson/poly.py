@@ -210,17 +210,13 @@ class Polynomial:
         The weight of a monomial is sum(exponent[i] * weights[i]); the zero
         polynomial has weight 0 by convention.
         """
-        if len(weights) != self.n:
-            raise ValueError("weight vector length must equal the variable count")
+        weights = _checked_weights(self.n, weights)
         found: set[int] = set()
         for exps in self.terms:
             found.add(sum(e * w for e, w in zip(exps, weights)))
             if len(found) > 1:
                 return None
         return found.pop() if found else 0
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
 
 # -- monomial enumeration ---------------------------------------------
@@ -233,6 +229,16 @@ def _checked_vars(n: int, indices: Iterable[int]) -> frozenset[int]:
     if bad:
         names = ", ".join(map(str, bad))
         raise ValueError(f"excluded variable index {names} out of range 0..{n - 1}")
+    return out
+
+
+def _checked_weights(n: int, weights: Optional[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The weight vector as a tuple, or None; it must hold one weight per variable."""
+    if weights is None:
+        return None
+    out = tuple(weights)
+    if len(out) != n:
+        raise ValueError(f"weight vector has {len(out)} entries, expected n={n}")
     return out
 
 
@@ -277,6 +283,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _token_int(token: tuple[str, str, int]) -> int:
+    """The integer a number token, or a variable token's label, spells."""
+    try:
+        return int(token[1].lstrip("X"))
+    except ValueError:  # more digits than int() converts from a string
+        raise ParseError("number too long", token[2]) from None
+
+
 def parse_poly(text: str, n: int, first_index: int = 1) -> Polynomial:
     """Parse a polynomial expression such as ``2*X1^2*X3 - 1/2*X2``.
 
@@ -312,13 +326,13 @@ def parse_poly(text: str, n: int, first_index: int = 1) -> Polynomial:
         expect_factor = True
         while expect_factor:
             if peek("num"):
-                num = int(tokens[i][1])
+                num = _token_int(tokens[i])
                 i += 1
                 if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "/":
                     i += 1
                     if not peek("num"):
                         raise ParseError("expected denominator", tokens[i - 1][2])
-                    den = int(tokens[i][1])
+                    den = _token_int(tokens[i])
                     if den == 0:
                         raise ParseError("zero denominator", tokens[i][2])
                     i += 1
@@ -326,7 +340,7 @@ def parse_poly(text: str, n: int, first_index: int = 1) -> Polynomial:
                 else:
                     coeff *= num
             elif peek("var"):
-                label = int(tokens[i][1][1:])
+                label = _token_int(tokens[i])
                 idx = label - first_index
                 if not 0 <= idx < n:
                     raise ParseError(
@@ -340,13 +354,15 @@ def parse_poly(text: str, n: int, first_index: int = 1) -> Polynomial:
                     i += 1
                     if not peek("num"):
                         raise ParseError("expected positive exponent", tokens[i - 1][2])
-                    power = int(tokens[i][1])
+                    power = _token_int(tokens[i])
                     if power == 0:
                         raise ParseError("exponent must be positive", tokens[i][2])
                     i += 1
                 exps[idx] += power
             else:
-                raise ParseError("expected a factor", tokens[i][2])
+                # a trailing '*' leaves no token: the factor is missing at the end
+                at = tokens[i][2] if i < len(tokens) else len(text)
+                raise ParseError("expected a factor", at)
             if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
                 i += 1
                 expect_factor = True

@@ -106,10 +106,10 @@ def probe_form_delta_sign(n: int, k: int) -> tuple[int, int]:
     monomials = [Polynomial.variable(n, j) for j in range(n)]
     monomials += [Polynomial.variable(n, j) * Polynomial.variable(n, j) for j in range(n)]
     if k == 0:
-        probes = [MultiDerivation.from_polynomial(m) for m in monomials]
+        probes = [MultiDerivation(n, 0, {(): m}) for m in monomials]
     else:
         for T in itertools.combinations(range(n), k):
-            probes.extend(MultiDerivation.elementary(n, T, m) for m in monomials)
+            probes.extend(MultiDerivation(n, k, {T: m}) for m in monomials)
     trials = []
     with_a = with_b = 0
     for probe in probes:

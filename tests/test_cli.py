@@ -307,10 +307,16 @@ def test_cohomology_mixed_degrees_exits_1(capsys):
          "--weights needs --invariant"),
         (("cohomology", "--catalog", "L1", "--invariant"),
          "--invariant needs --weights: the structure has no diagonal coordinate"),
+        (("bracket", "--catalog", "P1", "--p", "X1*", "--q", "X2"), "expected a factor"),
+        (("verify", "--json", json.dumps({"n": 3, "entries": [{"i": 1, "j": 2, "poly": "X3*"}]})),
+         "expected a factor"),
+        (("delta", "--catalog", "P1", "--cochain",
+          '{"k": 1, "entries": [{"args": [1], "poly": "X2^2*"}]}'), "expected a factor"),
     ],
     ids=["catalog-missing-param", "catalog-bad-param", "forms-n2", "exclude-x0-p2",
          "weights-off-subcomplex", "weights-without-invariant",
-         "matrix-weights-without-invariant", "invariant-without-diagonal"],
+         "matrix-weights-without-invariant", "invariant-without-diagonal",
+         "bracket-trailing-star", "json-trailing-star", "cochain-trailing-star"],
 )
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

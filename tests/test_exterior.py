@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polypoisson.exterior import ExteriorForm, _complement, format_form, shuffles
+from polypoisson.exterior import ExteriorForm, _complement, format_form
 from polypoisson.poly import Polynomial, parse_poly
 
 from conftest import random_poly
@@ -25,32 +25,7 @@ def random_form(n, k, max_degree, rng, density=0.5):
     return ExteriorForm(n, k, terms)
 
 
-# -- shuffles --------------------------------------------------------------------
-
-
-def test_shuffle_counts():
-    assert len(shuffles(2, 1)) == 3
-    assert len(shuffles(2, 2)) == 6
-    only = shuffles(0, 4)
-    assert len(only) == 1 and only[0].sign == 1 and only[0].perm == (0, 1, 2, 3)
-
-
-def test_shuffle_runs_increase():
-    for p, q in ((2, 2), (1, 3), (3, 1)):
-        for sh in shuffles(p, q):
-            first, second = sh.perm[:p], sh.perm[p:]
-            assert list(first) == sorted(first)
-            assert list(second) == sorted(second)
-
-
-def test_shuffle_signs_match_inversion_count():
-    for total in range(8):
-        for p in range(total + 1):
-            for sh in shuffles(p, total - p):
-                assert sh.sign == _perm_sign(sh.perm)
-    # the (1,3|2,4) shuffle in one-based labels
-    table = {sh.perm: sh.sign for sh in shuffles(2, 2)}
-    assert table[(0, 2, 1, 3)] == -1
+# -- complements ------------------------------------------------------------------
 
 
 def test_complement_sign_matches_inversion_count():
@@ -142,7 +117,7 @@ def test_d_of_omega_example():
 def test_d_examples():
     n = 3
     assert ExteriorForm.basis(n, (0,)).d().is_zero
-    zero_form = ExteriorForm.from_polynomial(V(n, 0) * V(n, 1))
+    zero_form = ExteriorForm(n, 0, {(): V(n, 0) * V(n, 1)})
     assert zero_form.d() == ExteriorForm.basis(n, (0,), V(n, 1)) + ExteriorForm.basis(
         n, (1,), V(n, 0)
     )
@@ -183,7 +158,7 @@ def test_interior_examples():
 def test_interior_rejects_zero_forms():
     with pytest.raises(ValueError):
         interior(
-            ExteriorForm.from_polynomial(Polynomial.constant(3, 1)),
+            ExteriorForm(3, 0, {(): Polynomial.constant(3, 1)}),
             coordinate_field(3, 0),
         )
 

@@ -214,7 +214,7 @@ def test_graded_integrability_rejects_high_degree():
 
 def test_identity_equivalence_fixes_structure():
     S = catalog_get("Omega7", {"a": 1, "b": 0})
-    T = apply_equivalence(S, Order2Equivalence.identity(3))
+    T = apply_equivalence(S, Order2Equivalence(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert T.bivector == S.bivector
 
 

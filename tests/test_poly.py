@@ -33,8 +33,8 @@ def test_parse_single_variable():
 
 def test_parse_two_terms():
     p = parse_poly("2*X1^2*X3 - 1/2*X2", 3)
-    assert p.coefficient((2, 0, 1)) == 2
-    assert p.coefficient((0, 1, 0)) == Fraction(-1, 2)
+    assert p.terms.get((2, 0, 1), 0) == 2
+    assert p.terms.get((0, 1, 0), 0) == Fraction(-1, 2)
     assert len(p.terms) == 2
 
 
@@ -60,9 +60,21 @@ def test_parse_variable_out_of_range():
 
 
 def test_parse_rejects_malformed():
-    for bad in ("", "X", "2**X1", "X1^", "X1^0", "1/0", "X1 X2"):
+    for bad in ("", "X", "2**X1", "X1^", "X1^0", "1/0", "X1 X2",
+                "X1*", "2*", "X1^2*", "X1 *", "1" * 5000, "X1^" + "1" * 5000):
         with pytest.raises(ParseError):
             parse_poly(bad, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789X*/^+- ", max_size=24))
+def test_parse_returns_a_polynomial_or_raises_parse_error(text):
+    # text over the parser's alphabet never escapes as another exception
+    try:
+        result = parse_poly(text, 3)
+    except ParseError:
+        return
+    assert isinstance(result, Polynomial)
 
 
 def test_print_canonical_order_and_roundtrip(rng):
@@ -202,6 +214,8 @@ def test_weight_examples():
     assert V(n, 0).weight(w) == 0
     assert (V(n, 1) + V(n, 2)).weight(w) is None
     assert Polynomial.zero(n).weight(w) == 0
+    with pytest.raises(ValueError, match="weight vector has 3 entries, expected n=4"):
+        V(n, 0).weight(w[:3])
 
 
 def test_weight_multiplicative(rng):

@@ -52,6 +52,15 @@ def test_every_import_in_package_source_is_used():
     assert [name for name in unused if name not in UNUSED_IMPORT_EXCEPTIONS] == []
 
 
+def test_every_exported_name_exists():
+    # a name deleted from the package must not stay listed in __all__
+    import polypoisson
+
+    assert polypoisson.__all__
+    missing = [name for name in polypoisson.__all__ if not hasattr(polypoisson, name)]
+    assert missing == []
+
+
 def _called_name(call):
     func = call.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
