@@ -901,12 +901,9 @@ def normalize_cocycle(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivat
 
     for i in range(2, n - 1):
         # choose f(X_{i+1}) so that (phi - delta f)(X_1, X_i) = 0
+        # f is set only at X_3 and above, so the term {X_i, f(X_1)} is zero
         slot = phi.values.get((one, i), Polynomial.zero(n))
-        candidate = (
-            S.bracket_coordinate(one, f_of(i))
-            - S.bracket_coordinate(i, f_of(one))
-            - slot
-        )
+        candidate = S.bracket_coordinate(one, f_of(i)) - slot
         if not candidate.is_zero:
             f_values[(i + 1,)] = candidate
     correction = delta(S, MultiDerivation(n, 1, f_values))

@@ -10,17 +10,16 @@ validate their index tuples with the same ``_checked_terms``.
 
 Complements follow one rule, ``_complement``: the increasing complement of
 an increasing index tuple idx, and the sign that sorts idx + complement,
-(-1)^(sum(idx) - k(k-1)/2).  The top-degree wedge, contraction, the form
-correspondence of ``multivector`` and the shuffle sums of the form-route
-coboundary all read it.
+(-1)^(sum(idx) - k(k-1)/2).  Contraction, the form correspondence of
+``multivector``, the signs of Omega in its form route of integrability and
+the shuffle sums of the form-route coboundary all read it.
 
-Evaluation is sparse where the graded integrability test and the form-route
-coboundary need it.  A wedge into the top degree n pairs each term only with
-the other factor's term at its complement.  ``d`` differentiates each
-coefficient only in the variables it contains.  ``interior_coordinates`` is
-the one contraction: it contracts by several coordinate fields at once, in
-ascending index order, reading each result term off the one source term it
-comes from.
+Evaluation is sparse where the form-route coboundary needs it.  Every wedge,
+into the top degree too, merges each pair of terms through ``_merge_sign``.
+``d`` differentiates each coefficient only in the variables it contains.
+``interior_coordinates`` is the one contraction: it contracts by several
+coordinate fields at once, in ascending index order, reading each result
+term off the one source term it comes from.
 
 Degrees outside 0..n are represented by the zero form rather than an error,
 so iterated contractions can be chained without case splits.
@@ -198,8 +197,6 @@ class ExteriorForm:
         k = self.k + other.k
         if k > self.n:
             return ExteriorForm.zero(self.n, k)
-        if k == self.n:
-            return self._wedge_top(other)
 
         def products() -> Iterator[tuple[IndexTuple, Polynomial]]:
             for ia, ca in self.terms.items():
@@ -210,27 +207,6 @@ class ExteriorForm:
                         yield merged, c if sign > 0 else -c
 
         return ExteriorForm._trusted(self.n, k, add_into({}, products()))
-
-    def _wedge_top(self, other: "ExteriorForm") -> "ExteriorForm":
-        """Wedge into degree n: each term meets only the other's term at its complement.
-
-        The sign of a pair is the one that sorts ia + complement(ia).  Every
-        product term is added straight into the one output coefficient.
-        """
-        n = self.n
-        total: dict = {}
-        for ia, ca in self.terms.items():
-            rest, sign = _complement(ia, n)
-            cb = other.terms.get(rest)
-            if cb is None:
-                continue
-            add_into(total, (
-                (tuple(map(int.__add__, e1, e2)), sign * c1 * c2)
-                for e1, c1 in ca.terms.items()
-                for e2, c2 in cb.terms.items()
-            ))
-        terms = {tuple(range(n)): Polynomial._trusted(n, total)} if total else {}
-        return ExteriorForm._trusted(n, n, terms)
 
     def d(self) -> "ExteriorForm":
         """Exterior derivative; satisfies d(d(a)) = 0.

@@ -20,14 +20,14 @@ Both touch only the bivector's nonzero entries.  A triple none of whose
 three pairs holds an entry has a zero trisum and a zero contraction, so
 both routes visit only the triples that meet an entry, lazily and in
 ``itertools.combinations`` order.  The trisum sums r only over the nonzero
-P_{r,first}.  The form route keys Omega's terms by the pair each omits and
-differentiates each coefficient at most once per variable it contains.  A
-triple then reads its contraction (a 1-form with at most three terms), the
-d of that and the top-degree wedge with Omega off those two tables, with
-closed-form signs derived from ``interior_coordinates``, ``ExteriorForm.d``
-and ``_complement`` (``notes/decisions.md``, entry 7).  Each route finds its
-entries on its own: the trisum from the bivector, the form route from the
-terms of Omega.
+P_{r,first}.  The form route builds no ``ExteriorForm``.  It keys Omega's
+terms by the pair each omits, reading the term that omits (i, j) off the
+entry P_{ij} with the sign of ``_complement``, and differentiates each
+coefficient at most once per variable it contains.  A triple then reads its
+contraction (a 1-form with at most three terms), the d of that and the
+top-degree wedge with Omega off those two tables, with closed-form signs
+derived from ``interior_coordinates``, ``ExteriorForm.d``, the wedge and
+``_complement`` (``notes/decisions.md``, entry 7).
 
 Both run on ``int`` coefficients.  ``_integer_multiple`` scales the bivector
 by L, the lcm of its coefficient denominators; every criterion is
@@ -40,6 +40,7 @@ the form route returns only a boolean.  Their bodies, ``_trisum`` and
 and hands the same L * P to both.
 
 The two must always agree; the verification layer aborts if they do not.
+``poisson.graded_integrability`` reads its graded pieces off the trisum too.
 """
 
 from __future__ import annotations
@@ -138,10 +139,11 @@ class MultiDerivation:
 def bivector_from_entries(
     n: int, entries: Mapping[tuple[int, int], Polynomial]
 ) -> MultiDerivation:
-    """Build a bivector from entries P_{ij} on pairs i < j of internal indices."""
-    for i, j in entries:
-        if i >= j:
-            raise ValueError(f"entry ({i},{j}) must have i < j")
+    """Build a bivector from entries P_{ij} on pairs i < j of internal indices.
+
+    A pair with i >= j is a ``ValueError``, raised by the index check that
+    every multiderivation applies.
+    """
     return MultiDerivation(n, 2, entries)
 
 
@@ -187,21 +189,6 @@ def phi_inverse(form: ExteriorForm) -> MultiDerivation:
 
 
 # -- integrability -----------------------------------------------------------
-
-
-def bracket_with_coordinate(biv: MultiDerivation, i: int, p: Polynomial) -> Polynomial:
-    """{X_i, p} for the bracket of a bivector: sum_j P_{ij} dp/dX_j."""
-    total = Polynomial.zero(biv.n)
-    for (a, b), val in biv.values.items():
-        if a == i:
-            dp = p.partial(b)
-            if not dp.is_zero:
-                total = total + val * dp
-        elif b == i:
-            dp = p.partial(a)
-            if not dp.is_zero:
-                total = total - val * dp
-    return total
 
 
 def _triples_meeting(
@@ -306,9 +293,11 @@ def _trisum(lcm: int, multiple: MultiDerivation) -> list[tuple[int, int, int, Po
 def integrability_via_forms(biv: MultiDerivation) -> bool:
     """Exterior-calculus integrability test; must match the trisum verdict.
 
-    Omega = Phi(L * P) is keyed by the pair each of its terms omits, and each
-    coefficient is differentiated at most once in each variable it contains,
-    when a triple first needs that partial.  A triple T = (a, b, c) reads
+    Omega = Phi(L * P) is keyed by the pair each of its terms omits: the term
+    omitting (i, j) is (-1)^(i + j - 1) L * P_ij, read straight off the
+    multiple with the sign of ``_complement``.  Each coefficient is
+    differentiated at most once in each variable it contains, when a triple
+    first needs that partial.  A triple T = (a, b, c) reads
     d(alpha_T) ^ Omega off those tables, with the closed-form signs of
     ``notes/decisions.md``, entry 7:
 
@@ -331,8 +320,11 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
 def _forms_integrable(multiple: MultiDerivation) -> bool:
     """``integrability_via_forms`` of a bivector, given its integer multiple."""
     n = multiple.n
-    # omega[pair]: the coefficient of the term of Omega that omits pair
-    omega = {_complement(J, n)[0]: p.terms for J, p in phi_map(multiple).terms.items()}
+    # omega[pair]: the coefficient of the term of Omega that omits pair, which
+    # is L * P_pair with the sign that sorts pair + its complement
+    omega = {pair: p.terms if _complement(pair, n)[1] > 0
+             else {e: -c for e, c in p.terms.items()}
+             for pair, p in multiple.values.items()}
     # variables[pair]: the variables omega[pair] contains; partials[pair][i] is
     # the terms of d omega[pair] / dX_i, computed on first use
     variables = {pair: list(itertools.compress(range(n), map(any, zip(*terms))))

@@ -6,7 +6,7 @@ obstructions and the exterior-form test) and refuses to hand out a
 Disagreement between the two criteria is a bug in this library, never a
 property of the input, and aborts loudly.  The bracket of a verified
 structure is {p, q} = sum_i dp/dX_i {X_i, q}, each {X_i, q} = sum_j P_{ij}
-dq/dX_j read off ``bracket_with_coordinate``.
+dq/dX_j read off ``bracket_coordinate``.
 
 ``graded_integrability`` specializes to three variables and entries of
 degree at most two: the form of the bivector splits as
@@ -14,7 +14,9 @@ Omega_0 + Omega_1 + Omega_2 by coefficient degree, and integrability is the
 simultaneous vanishing of the four graded pieces of Omega ^ d(Omega).
 Omega_a ^ dOmega_b has coefficient degree a + b - 1, so the pieces are the
 homogeneous components of degrees 3, 0, 1 and 2 of the one product
-Omega ^ dOmega, read off the bivector's integer multiple.
+Omega ^ dOmega.  On three variables its coefficient is the one Jacobi
+obstruction J_012, so the pieces are read off ``jacobi_trisum``; no form is
+built.
 
 An order-2 equivalence is a linear bijection of the polynomial vector space
 that fixes constants and every monomial of degree >= 2 and maps each
@@ -37,8 +39,7 @@ from .multivector import (
     _trisum,
     bivector_entry,
     bivector_from_entries,
-    bracket_with_coordinate,
-    phi_map,
+    jacobi_trisum,
 )
 from .poly import Polynomial, Scalar, format_poly
 
@@ -101,8 +102,18 @@ class PoissonStructure:
         return total
 
     def bracket_coordinate(self, i: int, p: Polynomial) -> Polynomial:
-        """{X_i, p}."""
-        return bracket_with_coordinate(self.bivector, i, p)
+        """{X_i, p} = sum_j P_{ij} dp/dX_j."""
+        total = Polynomial.zero(self.n)
+        for (a, b), val in self.bivector.values.items():
+            if a == i:
+                dp = p.partial(b)
+                if not dp.is_zero:
+                    total = total + val * dp
+            elif b == i:
+                dp = p.partial(a)
+                if not dp.is_zero:
+                    total = total - val * dp
+        return total
 
     def entry_degrees(self) -> list[int]:
         degs: set[int] = set()
@@ -188,9 +199,12 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
 
     Omega_a ^ dOmega_b has coefficient degree a + b - 1, and dOmega_0 = 0, so
     the four pieces are the homogeneous components of degrees 3, 0, 1 and 2
-    of the one coefficient of Omega ^ dOmega.  It is computed with one ``d``
-    and one wedge, on the integer multiple of the bivector, which scales
-    every piece by the same nonzero constant.  The conjunction of the four
+    of the one coefficient of Omega ^ dOmega.  With
+    Omega = P_23 dX_1 - P_13 dX_2 + P_12 dX_3 that coefficient is the Jacobi
+    obstruction J_012 of the one triple (internal indices 0, 1, 2):
+    Omega ^ dOmega = J_012 dX_1 ^ dX_2 ^ dX_3 (``notes/decisions.md``,
+    entry 6).  So the degrees are read off ``jacobi_trisum``, which is empty
+    exactly when the bivector is integrable; the conjunction of the four
     equations equals the verify() verdict.
     """
     if bivector.k != 2:
@@ -200,10 +214,8 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
     for poly in bivector.values.values():
         if poly.total_degree() > 2:
             raise ValueError("entries must have degree at most 2")
-    _, multiple = _integer_multiple(bivector)
-    omega = phi_map(multiple)
-    top = omega.wedge(omega.d())
-    degrees = {sum(e) for coeff in top.terms.values() for e in coeff.terms}
+    # at most one obstruction, that of the triple (0, 1, 2)
+    degrees = {sum(e) for *_, poly in jacobi_trisum(bivector) for e in poly.terms}
     return GradedIntegrabilityReport(
         quad_quad=3 not in degrees,
         const_lin=0 not in degrees,

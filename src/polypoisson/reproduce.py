@@ -47,6 +47,11 @@ def _finish(check_id: str, rows: list[dict], notes: list[str]) -> Report:
     }
 
 
+def _finish_table(check_id: str, rows: list[dict], mismatch: str) -> Report:
+    """``_finish`` with the one note ``mismatch`` when any row fails."""
+    return _finish(check_id, rows, [] if all(r["pass"] for r in rows) else [mismatch])
+
+
 # -- P1: totals over the degree profile ----------------------------------------
 
 P1_EXPECTED_TOTALS = catalog_expected("P1")["H_totals"]
@@ -124,14 +129,12 @@ def check_p2_b22(ns: range = range(2, 9)) -> Report:
         _row(f"rank of degree-2 coboundary at n={n}", p2_rank_formula(n), p2_delta1_rank(n))
         for n in ns
     ]
-    notes = []
-    if not all(r["pass"] for r in rows):
-        notes.append(
-            "the published closed forms do not match the exact ranks of the "
-            "degree-2 coboundary matrices; notes/decisions.md shows that at "
-            "n=2 the published rank and H^2 table cannot both hold"
-        )
-    return _finish("p2-b22", rows, notes)
+    return _finish_table(
+        "p2-b22", rows,
+        "the published closed forms do not match the exact ranks of the "
+        "degree-2 coboundary matrices; notes/decisions.md shows that at "
+        "n=2 the published rank and H^2 table cannot both hold",
+    )
 
 
 P2_H22_EXPECTED = catalog_expected("P2")["dim_H2_2"]
@@ -147,13 +150,11 @@ def check_p2_h22() -> Report:
         _row(f"dim H^2 on the degree-2 slice at n={n}", expected, p2_h22(n))
         for n, expected in sorted(P2_H22_EXPECTED.items())
     ]
-    notes = []
-    if not all(r["pass"] for r in rows):
-        notes.append(
-            "published degree-2 H^2 dimensions disagree with the exact "
-            "kernel/image computation; see notes/decisions.md"
-        )
-    return _finish("p2-h22", rows, notes)
+    return _finish_table(
+        "p2-h22", rows,
+        "published degree-2 H^2 dimensions disagree with the exact "
+        "kernel/image computation; see notes/decisions.md",
+    )
 
 
 # -- rigid family ---------------------------------------------------------------
@@ -230,14 +231,12 @@ def check_rigid_k2(ns: Optional[range] = None) -> Report:
         _row(f"invariant degree-2 dim H^2 at n={n}", RIGID_K2_EXPECTED[n], rigid_h2_degree2(n))
         for n in ns
     ]
-    notes = []
-    if not all(r["pass"] for r in rows):
-        notes.append(
-            "published invariant degree-2 H^2 dimensions disagree with the exact "
-            "kernel/image computation; notes/decisions.md records the surviving "
-            "class at n=6 with its cocycle and nontriviality checks"
-        )
-    return _finish("rigid-k2", rows, notes)
+    return _finish_table(
+        "rigid-k2", rows,
+        "published invariant degree-2 H^2 dimensions disagree with the exact "
+        "kernel/image computation; notes/decisions.md records the surviving "
+        "class at n=6 with its cocycle and nontriviality checks",
+    )
 
 
 # -- catalog integrability -------------------------------------------------------

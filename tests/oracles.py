@@ -27,18 +27,20 @@ another way:
   Polynomial on the rational bivector; ``multivector.jacobi_trisum`` adds
   the terms of its integer multiple into one dict per triple.
 * ``integrability_by_contraction`` is the form route of integrability built
-  from the form operations: it contracts Omega by the complement of each
-  triple with ``interior_coordinates``, then takes ``d`` and the top-degree
-  ``wedge``; ``multivector.integrability_via_forms`` reads the same three
-  steps off tables of Omega with closed-form signs.
+  from the form operations: it builds Omega with ``phi_map``, contracts it by
+  the complement of each triple with ``interior_coordinates``, then takes
+  ``d`` and the top-degree ``wedge``; ``multivector.integrability_via_forms``
+  builds no form and reads the same three steps off tables of Omega, keyed
+  straight off the entries of L * P, with closed-form signs.
 * ``_perm_sign`` counts the inversions of a permutation;
   ``exterior._complement`` gives the sign of idx + complement in closed form.
 * ``compositions`` lists the exponent tuples of degree d by recursion on
   the first exponent; ``poly.monomial_basis`` takes multisets of variables.
 * ``graded_pieces`` forms the four graded pieces of Omega ^ dOmega from
   three derivatives and ten wedges of the homogeneous parts of Omega;
-  ``poisson.graded_integrability`` reads them off the degrees of one
-  product.
+  ``poisson.graded_integrability`` reads them off the degrees of the one
+  Jacobi obstruction that ``jacobi_trisum`` gives on three variables, the
+  coefficient of Omega ^ dOmega.
 """
 
 from __future__ import annotations

@@ -312,11 +312,14 @@ def test_cohomology_mixed_degrees_exits_1(capsys):
          "expected a factor"),
         (("delta", "--catalog", "P1", "--cochain",
           '{"k": 1, "entries": [{"args": [1], "poly": "X2^2*"}]}'), "expected a factor"),
+        (("verify", "--json", json.dumps({"n": 3, "entries": [{"i": 2, "j": 1, "poly": "X3"}]})),
+         "entries must have i < j"),
     ],
     ids=["catalog-missing-param", "catalog-bad-param", "forms-n2", "exclude-x0-p2",
          "weights-off-subcomplex", "weights-without-invariant",
          "matrix-weights-without-invariant", "invariant-without-diagonal",
-         "bracket-trailing-star", "json-trailing-star", "cochain-trailing-star"],
+         "bracket-trailing-star", "json-trailing-star", "cochain-trailing-star",
+         "json-pair-order"],
 )
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

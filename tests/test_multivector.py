@@ -91,6 +91,13 @@ def test_evaluate_first_matches_general(rng):
         assert evaluate_first(phi, first, coords) == evaluate_derivation(phi, args)
 
 
+def test_bivector_from_entries_rejects_pair_order():
+    # the index check of every multiderivation rejects a pair with i >= j
+    for pair in ((1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            bivector_from_entries(3, {pair: V(3, 0)})
+
+
 def test_evaluate_arity_mismatch():
     phi = MultiDerivation(3, 2, {(0, 1): V(3, 0)})
     with pytest.raises(ValueError):

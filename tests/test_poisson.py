@@ -203,6 +203,24 @@ def test_graded_integrability_equals_ten_wedge_oracle_on_random_bivectors():
     assert failing >= 400
 
 
+@pytest.mark.parametrize("integrable", [True, False])
+def test_graded_integrability_reads_the_trisum_once(monkeypatch, integrable):
+    # the four pieces are the degrees of the one Jacobi obstruction J_012,
+    # so the report computes that obstruction once and builds no form
+    from polypoisson import poisson
+
+    biv = p1().bivector if integrable else bivector_from_entries(
+        3, {(0, 1): V(3, 1), (0, 2): V(3, 2), (1, 2): V(3, 0) ** 2})
+    calls = []
+    trisum = poisson.jacobi_trisum
+    monkeypatch.setattr(poisson, "jacobi_trisum",
+                        lambda bivector: calls.append(bivector) or trisum(bivector))
+    report = graded_integrability(biv)
+    assert calls == [biv]
+    assert report.all_hold == integrable
+    assert report == graded_pieces(biv)
+
+
 def test_graded_integrability_rejects_high_degree():
     biv = bivector_from_entries(3, {(0, 1): V(3, 0) ** 3})
     with pytest.raises(ValueError):

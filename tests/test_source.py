@@ -184,3 +184,24 @@ def test_form_route_triple_loop_reads_tables_only():
               if isinstance(node, ast.Call)}
     assert called
     assert not called & {"_complement", "interior_coordinates", "d", "wedge", "_wedge_top"}
+
+
+def test_integrability_builds_no_exterior_form():
+    # the graded pieces come from the Jacobi obstruction and the form route
+    # keys Omega straight off L * P, so neither builds or operates on a form,
+    # and the wedge has one implementation
+    functions = {}
+    for module in ("multivector.py", "poisson.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        functions.update((node.name, node) for node in tree.body
+                         if isinstance(node, ast.FunctionDef))
+    for name in ("graded_integrability", "_forms_integrable"):
+        called = {_called_name(node) for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call)}
+        assert called, name
+        assert not called & {"phi_map", "wedge", "d", "interior_coordinates"}, name
+    tree = ast.parse((SRC / "exterior.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "wedge" in defined
+    assert "_wedge_top" not in defined
