@@ -20,13 +20,19 @@ once per verified structure, to the multiple L * P by the lcm L of its
 coefficient denominators that ``multivector._integer_multiple`` also hands
 the integrability routes; that table and each slot tuple's terms are kept
 on the structure (``_Coboundary``), since neither depends on a slice, a
-degree or a filter.  ``delta`` applies the rule to each term of a cochain,
-and ``delta_matrix`` writes one column per basis cochain with it, in
+degree or a filter.  Each (slot tuple U, exponents e) pair is one int, its
+code (bitmask of U) << (n w) + sum_i e_i << (i w) at a width w with 2^w
+above every exponent involved.  Packing is linear, so each term of the rule
+is one int addition to the code of a and one int-keyed lookup, and it is
+exact (notes/decisions.md, entry 8).  ``delta`` applies the rule to each
+term of a cochain and decodes the sums; ``delta_matrix`` writes one column
+per basis cochain with it, looked up in the target's packed index, in
 integers L times the true ones.  Ranks, kernels and boundary echelons start
 from those integer columns: scaling a column by L > 0 leaves its primitive
 integer row, and so every echelon, unchanged.  The two-sum
 itself, evaluated on coordinate tuples, lives in ``tests/oracles.py`` as
-``two_sum_delta``, the oracle both are tested against.  ``delta_via_forms``
+``two_sum_delta``, the oracle both are tested against, beside
+``tuple_keyed_columns``, the rule on (U, exponents) keys.  ``delta_via_forms``
 recomputes the same operator through the exterior-form correspondence
 (shuffle-summed iterated contractions of Omega and of the form of phi),
 weighted by two signs that ``form_delta_sign`` gives in closed form from
@@ -83,7 +89,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, mul
+from operator import lshift, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
@@ -116,7 +122,7 @@ def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
     i < j, a term being (exponents, coefficient).  Both are read off
     ``_integer_multiple``: every coefficient is multiplied by ``denom``, the
     lcm of the entries' coefficient denominators.  Built once per verified
-    structure, by ``_coboundary``.
+    structure, by ``_coboundary``, and packed per width by ``_packed_tables``.
     """
     n = S.n
     denom, multiple = _integer_multiple(S.bivector)
@@ -137,61 +143,95 @@ def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
     return denom, rows, partials
 
 
-def _slot_terms(
-    n: int, T: IndexTuple, rows: list[list], partials: list[list]
-) -> tuple[list, list]:
-    """What the coboundary of x^a on slots T contributes, for any monomial x^a.
+def _packed_tables(rows: list[list], partials: list[list], w: int) -> tuple[list, list, list]:
+    """``rows`` and ``partials`` of ``_integer_tables`` with every exponent
+    vector packed to its code at width w (``_pack``), and ``rows`` negated."""
+    packed = [[(j, [(_pack(shift, w), c) for shift, c in terms]) for j, terms in row]
+              for row in rows]
+    negated = [[(j, [(code, -c) for code, c in terms]) for j, terms in row] for row in packed]
+    packed_partials = [[(i, j, [(_pack(exps, w), c) for exps, c in terms])
+                        for i, j, terms in part] for part in partials]
+    return packed, negated, packed_partials
 
-    Sum 1 lists (U, j, terms) with U = T + {u}: the term (-1)^{pos_U(u)}
-    a_j P_{uj} x^{a - e_j} of {X_u, x^a}.  Sum 2 lists (U, terms) with
-    U = T - {t} + {i, j}: x^a times the signed partials
-    (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t, merged per U.
-    """
-    sum1 = []
-    for u in range(n):
-        if u in T:
-            continue
-        pos = bisect_left(T, u)
-        U = T[:pos] + (u,) + T[pos:]
-        sign = -1 if pos % 2 else 1
-        for j, terms in rows[u]:
-            sum1.append((U, j, [(shift, sign * c) for shift, c in terms]))
-    merged: dict[IndexTuple, dict[Exponents, int]] = {}
-    for pt, t in enumerate(T):
-        rest = T[:pt] + T[pt + 1 :]
-        for i, j, terms in partials[t]:
-            if i in rest or j in rest:
-                continue
-            pi, pj = bisect_left(rest, i), bisect_left(rest, j)
-            U = rest[:pi] + (i,) + rest[pi:pj] + (j,) + rest[pj:]
-            sign = -1 if (pt + pi + pj + 1) % 2 else 1
-            poly = merged.setdefault(U, {})
-            for exps, c in terms:
-                poly[exps] = poly.get(exps, 0) + sign * c
-    sum2 = []
-    for U, poly in merged.items():
-        terms = [(exps, c) for exps, c in poly.items() if c]
-        if terms:
-            sum2.append((U, terms))
-    return sum1, sum2
+
+def _pack(exps: Sequence[int], w: int) -> int:
+    """sum_i e_i 2^(i w): linear in the exponents, so a -1 digit packs exactly."""
+    return sum(map(lshift, exps, range(0, len(exps) * w, w)))
+
+
+def _decode(n: int, w: int, code: int) -> tuple[IndexTuple, Exponents]:
+    """The (slot tuple, exponents) pair of a code (see ``_Coboundary``)."""
+    digit = (1 << w) - 1
+    mask = code >> (n * w)
+    return (tuple([u for u in range(n) if mask >> u & 1]),
+            tuple([code >> s & digit for s in range(0, n * w, w)]))
 
 
 class _Coboundary(dict):
-    """The integer coboundary data of one structure: ``self[T]`` is ``_slot_terms`` of T.
+    """The integer coboundary data of one structure, on packed codes.
 
     ``denom``, ``rows`` and ``partials`` are ``_integer_tables`` of the
-    structure, and the terms of a slot tuple are computed when first read.
-    Nothing here depends on a slice, a degree or a filter, so ``delta`` and
-    every ``delta_matrix`` of the structure share one, made by ``_coboundary``.
+    structure, and ``degree`` its largest entry degree.  A (slot tuple U,
+    exponents e) pair is keyed by one int, its code at width w:
+    (bitmask of U) << (n w) + sum_i e_i << (i w), exact whenever 2^w exceeds
+    every exponent involved (notes/decisions.md, entry 8).  ``self[T, w]``
+    gives, for any monomial x^a, what the coboundary of x^a on slots T
+    contributes, as codes to add to the code of a:
+
+    * sum 1 lists (slots, row) per u not in T with a nonzero row, u
+      ascending, for U = T + {u}: ``slots`` is the bitmask of U shifted to
+      its place, and ``row`` lists (j, pairs), the (code, c) terms of
+      (-1)^{pos_U(u)} P_{uj} x^{-e_j}, to be scaled by a_j and used only
+      when a_j >= 1;
+    * sum 2 lists the (code, c) terms of the signed partials
+      (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t with
+      U = T - {t} + {i, j}, slots included, merged per U.
+
+    ``rows`` and ``partials`` are packed once per width (``_packed_tables``),
+    and ``width`` reuses the widest one packed so far, so a structure packs
+    few.  Nothing here depends on a slice, a degree or a filter, so ``delta``
+    and every ``delta_matrix`` of the structure share one, made by
+    ``_coboundary``.
     """
 
     def __init__(self, S: PoissonStructure) -> None:
         super().__init__()
         self.n = S.n
+        self.degree = max(S.entry_degrees(), default=0)
         self.denom, self.rows, self.partials = _integer_tables(S)
+        self._tables: dict[int, tuple[list, list, list]] = {}
 
-    def __missing__(self, T: IndexTuple) -> tuple[list, list]:
-        self[T] = terms = _slot_terms(self.n, T, self.rows, self.partials)
+    def width(self, bound: int) -> int:
+        """A width w >= 2 with 2^w > bound: the widest packed so far if it is wide enough."""
+        widest = max(self._tables, default=0)
+        return max(widest, bound.bit_length(), 2)
+
+    def __missing__(self, key: tuple[IndexTuple, int]) -> tuple[list, list]:
+        T, w = key
+        if w not in self._tables:
+            self._tables[w] = _packed_tables(self.rows, self.partials, w)
+        rows, negated, partials = self._tables[w]
+        high = self.n * w
+        mask = sum(1 << t for t in T)
+        sum1 = []
+        for u in range(self.n):
+            if rows[u] and u not in T:
+                odd = bisect_left(T, u) % 2
+                sum1.append(((mask | 1 << u) << high, negated[u] if odd else rows[u]))
+        merged: dict[int, dict[int, int]] = {}
+        for pt, t in enumerate(T):
+            rest = T[:pt] + T[pt + 1 :]
+            for i, j, terms in partials[t]:
+                if i in rest or j in rest:
+                    continue
+                pi, pj = bisect_left(rest, i), bisect_left(rest, j)
+                slots = (mask ^ 1 << t | 1 << i | 1 << j) << high
+                sign = -1 if (pt + pi + pj + 1) % 2 else 1
+                poly = merged.setdefault(slots, {})
+                for code, c in terms:
+                    poly[slots + code] = poly.get(slots + code, 0) + sign * c
+        sum2 = [(code, c) for poly in merged.values() for code, c in poly.items() if c]
+        self[key] = terms = (sum1, sum2)
         return terms
 
 
@@ -202,24 +242,25 @@ def _coboundary(S: PoissonStructure) -> _Coboundary:
     return S._coboundary
 
 
-def _elementary_image(
-    a: Exponents, sum1: list, sum2: list
-) -> dict[tuple[IndexTuple, Exponents], int]:
-    """The image of x^a on slots T, from ``_slot_terms`` of T, keyed by (U, exponents).
+def _elementary_image(code: int, a: Exponents, sum1: list, sum2: list) -> dict[int, int]:
+    """The image of x^a on slots T, from ``_Coboundary`` terms of T, keyed by code.
 
-    Values are integers, ``denom`` times the true coefficients, and may be 0.
+    ``code`` packs a at the width of the terms.  Values are integers,
+    ``denom`` times the true coefficients, and may be 0; keys come in the
+    order of the terms, sum 1 first.
     """
-    acc: dict[tuple[IndexTuple, Exponents], int] = {}
-    for U, j, terms in sum1:
-        aj = a[j]
-        if aj:
-            for shift, c in terms:
-                key = (U, tuple(map(add, a, shift)))
-                acc[key] = acc.get(key, 0) + aj * c
-    for U, terms in sum2:
-        for shift, c in terms:
-            key = (U, tuple(map(add, a, shift)))
-            acc[key] = acc.get(key, 0) + c
+    acc: dict[int, int] = {}
+    for slots, row in sum1:
+        base = code + slots
+        for j, terms in row:
+            aj = a[j]
+            if aj:
+                for shift, c in terms:
+                    key = base + shift
+                    acc[key] = acc.get(key, 0) + aj * c
+    for shift, c in sum2:
+        key = code + shift
+        acc[key] = acc.get(key, 0) + c
     return acc
 
 
@@ -227,7 +268,9 @@ def delta(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
     """Coboundary of a k-derivation; a (k+1)-derivation, zero once k >= n.
 
     Applies the elementary-cochain rule term by term: the monomial c x^a on
-    the slots T adds c times the image of x^a on T.
+    the slots T adds c times the image of x^a on T.  Images are summed in
+    integers, by code, at a width above the largest cochain degree plus the
+    largest entry degree; each sum is decoded and divided once.
     """
     n = S.n
     if phi.n != n:
@@ -235,16 +278,27 @@ def delta(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
     if phi.k >= n:
         return MultiDerivation.zero(n, phi.k + 1)
     cob = _coboundary(S)
-    out: dict[IndexTuple, dict[Exponents, Fraction]] = {}
+    degree = max((max(map(sum, poly.terms)) for poly in phi.values.values()), default=0)
+    w = cob.width(degree + cob.degree)
+    # phi times L is integral; the image is then denom * L times the true one
+    L = lcm(*(c.denominator for poly in phi.values.values() for c in poly.terms.values()))
+    total: dict[int, int] = {}
     for T, poly in phi.values.items():
-        sum1, sum2 = cob[T]
+        slot_terms = cob[T, w]
         for a, c in poly.terms.items():
-            scale = c / cob.denom
-            for (U, exps), value in _elementary_image(a, sum1, sum2).items():
+            m = c.numerator * (L // c.denominator)
+            for code, value in _elementary_image(_pack(a, w), a, *slot_terms).items():
                 if value:
-                    terms = out.setdefault(U, {})
-                    terms[exps] = terms.get(exps, 0) + scale * value
-    return MultiDerivation(n, phi.k + 1, {U: Polynomial(n, terms) for U, terms in out.items()})
+                    total[code] = total.get(code, 0) + m * value
+    scale = cob.denom * L
+    out: dict[IndexTuple, dict[Exponents, Fraction]] = {}
+    for code, value in total.items():
+        U, exps = _decode(n, w, code)
+        terms = out.setdefault(U, {})  # slot tuples keep the order they first appear in
+        if value:
+            terms[exps] = Fraction(value, scale)
+    values = {U: Polynomial._trusted(n, terms) for U, terms in out.items() if terms}
+    return MultiDerivation._trusted(n, phi.k + 1, values)
 
 
 # -- the exterior-calculus route ----------------------------------------------
@@ -324,7 +378,10 @@ class GradedSlice:
     """Ordered basis of homogeneous degree-d k-cochains, possibly filtered.
 
     Basis elements are (slot tuple, monomial exponents) pairs, slots ascending
-    lexicographically and monomials ascending in graded lex order.
+    lexicographically and monomials ascending in graded lex order; ``index``
+    maps each to its position.  ``packed_index(w)`` is the same map keyed by
+    the codes of ``_Coboundary`` at width w, built once per width and kept in
+    ``packed``, which equality, hashing and repr ignore.
     """
 
     n: int
@@ -335,10 +392,29 @@ class GradedSlice:
     exclude_slot_vars: frozenset[int]
     basis: tuple[tuple[IndexTuple, Exponents], ...]
     index: Mapping[tuple[IndexTuple, Exponents], int] = field(repr=False)
+    packed: dict[int, dict[int, int]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def packed_index(self, w: int) -> dict[int, int]:
+        """Position by code at width w, in basis order; needs 2^w > d."""
+        index = self.packed.get(w)
+        if index is None:
+            high = self.n * w
+            index = self.packed[w] = {}
+            monomials: dict[Exponents, int] = {}
+            last, slots = None, 0
+            # the basis runs slot tuple by slot tuple
+            for pos, (T, e) in enumerate(self.basis):
+                if T is not last:
+                    last, slots = T, sum(1 << t for t in T) << high
+                code = monomials.get(e)
+                if code is None:
+                    code = monomials[e] = _pack(e, w)
+                index[slots + code] = pos
+        return index
 
     def from_vector(self, vec: Mapping[int, Fraction]) -> MultiDerivation:
         pairs = ((self.basis[pos], coeff) for pos, coeff in vec.items())
@@ -434,10 +510,12 @@ class DeltaMatrix:
 
     Columns are indexed by the source basis, rows by the target basis.
     ``integer_columns`` are ``denom`` times the true columns, in ``int``s, as
-    ``delta_matrix`` computes them.  ``rank``, ``kernel`` and the boundary
-    echelons read them: scaling by denom > 0 changes no primitive integer
-    row, so neither the echelon nor the kernel changes.  ``columns``, the
-    ``Fraction`` values, is built on first read.
+    ``delta_matrix`` computes them on packed codes: each column lists its
+    rows in the order the elementary-cochain rule first reaches them.
+    ``rank``, ``kernel`` and the boundary echelons read them: scaling by
+    denom > 0 changes no primitive integer row, so neither the echelon nor
+    the kernel changes.  ``columns``, the ``Fraction`` values, is built on
+    first read, and ``triplets`` sorts all entries by (row, col) once.
     """
 
     source: GradedSlice
@@ -470,8 +548,7 @@ class DeltaMatrix:
     def triplets(self) -> list[tuple[int, int, Fraction]]:
         out = []
         for col, column in enumerate(self.columns):
-            for row in sorted(column):
-                out.append((row, col, column[row]))
+            out.extend((row, col, value) for row, value in column.items())
         out.sort()
         return out
 
@@ -502,7 +579,9 @@ def delta_matrix(
     Requires homogeneous entries of a single degree r and checks that every
     image lands inside the filtered target slice.  Each column is the
     elementary-cochain rule that ``delta`` applies, in target coordinates,
-    kept as the integers that the structure's ``_Coboundary`` gives.
+    kept as the integers that the structure's ``_Coboundary`` gives: each
+    image code is looked up in the target's ``packed_index``, and the first
+    one missing is named, decoded, in the error.
     """
     r = S.homogeneous_degree()
     if target is None:
@@ -520,16 +599,22 @@ def delta_matrix(
         raise _left_slice("cochain does not match the slice shape")
     cob = _coboundary(S)
     columns = []
-    for T, a in source.basis:
-        column: dict[int, int] = {}
-        for key, value in _elementary_image(a, *cob[T]).items():
-            if not value:
-                continue
-            pos = target.index.get(key)
-            if pos is None:
-                raise _left_slice(f"cochain term {key[0]}:{key[1]} lies outside the slice")
-            column[pos] = value
-        columns.append(column)
+    if source.dim:
+        # 2^w exceeds every exponent of the source, the image and the target
+        w = cob.width(max(source.d, source.d + r - 1, target.d))
+        index = target.packed_index(w)
+        low = (1 << (source.n * w)) - 1
+        for (T, a), code in zip(source.basis, source.packed_index(w)):
+            column: dict[int, int] = {}
+            for key, value in _elementary_image(code & low, a, *cob[T, w]).items():
+                if not value:
+                    continue
+                pos = index.get(key)
+                if pos is None:
+                    U, exps = _decode(S.n, w, key)
+                    raise _left_slice(f"cochain term {U}:{exps} lies outside the slice")
+                column[pos] = value
+            columns.append(column)
     return DeltaMatrix(source, target, cob.denom, tuple(columns))
 
 

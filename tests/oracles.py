@@ -7,6 +7,9 @@ another way:
   tuples, with ``evaluate_first`` putting a polynomial into the first slot;
   ``cohomology.delta`` and ``delta_matrix`` apply the elementary-cochain
   rule.
+* ``tuple_keyed_columns`` applies the same rule with every term keyed by
+  its (slot tuple, exponents) pair, through ``slot_terms`` and
+  ``elementary_image``; ``delta_matrix`` keys each pair by one packed int.
 * ``probe_form_delta_sign`` finds the two signs of the form-route coboundary
   by comparing ``cohomology._form_delta_parts`` with ``delta`` on elementary
   cochains; ``cohomology.form_delta_sign`` gives them in closed form.
@@ -46,13 +49,17 @@ another way:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from polypoisson.cohomology import (
     CohomologyReport,
     CohomologyRow,
+    GradedSlice,
     _form_delta_parts,
+    _integer_tables,
     delta,
     delta_matrix,
     slice_basis,
@@ -218,6 +225,78 @@ def evaluate_first(
             contrib = -contrib
         total = total + contrib
     return total
+
+
+# -- the elementary-cochain rule on tuple keys ----------------------------------
+
+
+def slot_terms(n: int, T: IndexTuple, rows: list[list], partials: list[list]) -> tuple[list, list]:
+    """What the coboundary of x^a on slots T contributes, for any monomial x^a.
+
+    ``rows`` and ``partials`` are ``cohomology._integer_tables`` of the
+    structure.  Sum 1 lists (U, j, terms) with U = T + {u}: the term
+    (-1)^{pos_U(u)} a_j P_{uj} x^{a - e_j} of {X_u, x^a}.  Sum 2 lists
+    (U, terms) with U = T - {t} + {i, j}: x^a times the signed partials
+    (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t, merged per U.
+    """
+    sum1 = []
+    for u in range(n):
+        if u in T:
+            continue
+        pos = bisect_left(T, u)
+        U = T[:pos] + (u,) + T[pos:]
+        sign = -1 if pos % 2 else 1
+        for j, terms in rows[u]:
+            sum1.append((U, j, [(shift, sign * c) for shift, c in terms]))
+    merged: dict[IndexTuple, dict[tuple[int, ...], int]] = {}
+    for pt, t in enumerate(T):
+        rest = T[:pt] + T[pt + 1 :]
+        for i, j, terms in partials[t]:
+            if i in rest or j in rest:
+                continue
+            pi, pj = bisect_left(rest, i), bisect_left(rest, j)
+            U = rest[:pi] + (i,) + rest[pi:pj] + (j,) + rest[pj:]
+            sign = -1 if (pt + pi + pj + 1) % 2 else 1
+            poly = merged.setdefault(U, {})
+            for exps, c in terms:
+                poly[exps] = poly.get(exps, 0) + sign * c
+    sum2 = []
+    for U, poly in merged.items():
+        terms = [(exps, c) for exps, c in poly.items() if c]
+        if terms:
+            sum2.append((U, terms))
+    return sum1, sum2
+
+
+def elementary_image(a: tuple[int, ...], sum1: list, sum2: list) -> dict[tuple, int]:
+    """The image of x^a on slots T, from ``slot_terms`` of T, keyed by (U, exponents)."""
+    acc: dict[tuple, int] = {}
+    for U, j, terms in sum1:
+        aj = a[j]
+        if aj:
+            for shift, c in terms:
+                key = (U, tuple(map(add, a, shift)))
+                acc[key] = acc.get(key, 0) + aj * c
+    for U, terms in sum2:
+        for shift, c in terms:
+            key = (U, tuple(map(add, a, shift)))
+            acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def tuple_keyed_columns(
+    S: PoissonStructure, source: GradedSlice, target: GradedSlice
+) -> tuple[dict[int, int], ...]:
+    """``delta_matrix(S, source, target).integer_columns``, from tuple keys.
+
+    Every image term must lie in the target; a KeyError says it does not.
+    """
+    _, rows, partials = _integer_tables(S)
+    columns = []
+    for T, a in source.basis:
+        image = elementary_image(a, *slot_terms(S.n, T, rows, partials))
+        columns.append({target.index[key]: value for key, value in image.items() if value})
+    return tuple(columns)
 
 
 # -- multiderivations on arbitrary arguments ------------------------------------

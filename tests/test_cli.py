@@ -328,6 +328,16 @@ def test_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+def test_off_subcomplex_error_names_the_first_outside_term(capsys):
+    code, out, err = run(capsys, "matrix", "--catalog", "P2", "--param", "n=4", "--k", "1",
+                         "--degree", "1", "--invariant", "--weights", "1,0,0,0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: coboundary left the filtered slice; the filters do not cut a subcomplex "
+        "for this structure (cochain term (0, 1):(0, 1, 0, 0) lies outside the slice)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "source, weights",
     [

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from polypoisson.exterior import ExteriorForm
 from polypoisson.multivector import MultiDerivation, bivector_from_entries, phi_inverse
 from polypoisson.poisson import verify
 from polypoisson.poly import Polynomial, monomial_basis
+from polypoisson.reproduce import CLASSIFIED_ENTRIES, sample_params
 
 from conftest import random_cochain, random_poly
 from oracles import (
@@ -33,6 +35,7 @@ from oracles import (
     greedy_representatives,
     insert_first,
     probe_form_delta_sign,
+    tuple_keyed_columns,
     two_sum_delta,
 )
 
@@ -368,6 +371,75 @@ def test_delta_matrix_fractional_coefficients():
     )
 
 
+def _same_columns(got, expected):
+    # equal entries in the same order: the tuple keys and the codes list the
+    # image terms alike
+    return [list(col.items()) for col in got] == [list(col.items()) for col in expected]
+
+
+def test_integer_columns_match_the_tuple_keyed_oracle():
+    rigid_invariant = {
+        "weights": tuple(range(7)), "exclude_value_vars": (0,), "exclude_slot_vars": (0,),
+    }
+    cases = [(p1(), {}, range(4), range(7)),
+             (catalog_get("P2", {"n": 4}), {}, range(5), range(5)),
+             (catalog_get("P2", {"n": 7}), {}, range(3), range(4)),
+             (catalog_get("rigid", {"n": 6}), rigid_invariant, range(5), range(5))]
+    columns = 0
+    for S, filters, ks, ds in cases:
+        r = S.homogeneous_degree()
+        for k in ks:
+            for d in ds:
+                source = slice_basis(S.n, k, d, **filters)
+                target = slice_basis(S.n, k + 1, d + r - 1, **filters)
+                got = delta_matrix(S, source, target).integer_columns
+                assert _same_columns(got, tuple_keyed_columns(S, source, target)), (S, k, d)
+                columns += len(got)
+    assert columns > 3000
+
+
+def test_integer_columns_are_exact_where_the_target_needs_a_wider_code():
+    # a degree-2 structure raises the degree by one, across 2, 4 and 8; a
+    # degree-0 one lowers it, so the source needs the wider code.  A code of
+    # width w, 2^w = B, is exact up to exponent B - 1; on one degree it first
+    # aliases two monomials at degree B + 1, x1^B x3 and x2^(B + 1), which
+    # the images of the degree-3 structure reach from 3 and 7.  Each slice
+    # gets a fresh structure, so no wider code packed for an earlier slice
+    # can stand in for the one it needs.
+    quadratic = {(0, 1): V(3, 2) ** 2}
+    cubic = {(0, 1): V(3, 1) ** 3 + V(3, 0) ** 2 * V(3, 2)}
+    constant = {(0, 1): Polynomial.constant(3, 1), (1, 2): Polynomial.constant(3, 2)}
+    for entries, r, degrees in ((quadratic, 2, (1, 3, 7)), (cubic, 3, (1, 3, 7)),
+                                (constant, 0, (1, 2, 4, 8))):
+        for k in range(3):
+            for d in degrees:
+                S = verify(bivector_from_entries(3, entries))
+                assert S.homogeneous_degree() == r
+                source, target = slice_basis(3, k, d), slice_basis(3, k + 1, d + r - 1)
+                got = delta_matrix(S, source, target).integer_columns
+                assert any(got) and _same_columns(got, tuple_keyed_columns(S, source, target))
+
+
+def test_delta_matches_two_sum_on_every_classified_entry():
+    # the entries mix degrees 0..2; each cochain holds a pure power of degree
+    # D, the largest, and gets a fresh structure, so its own width is used
+    rng = random.Random(2323)
+    cases = 0
+    for name in CLASSIFIED_ENTRIES:
+        params = sample_params(name, rng)
+        for D in (1, 3, 7, 9):
+            for k in range(4):
+                S = catalog_get(name, params)
+                n = S.n
+                T = tuple(sorted(rng.sample(range(n), k)))
+                power = MultiDerivation(n, k, {T: V(n, rng.randrange(n)) ** D})
+                phi = random_cochain(n, k, D, rng) + power
+                image = delta(S, phi)
+                assert image == two_sum_delta(S, phi), (name, params, phi)
+                cases += not image.is_zero
+    assert cases >= 200
+
+
 def _seeding_cases():
     rigid_invariant = {
         "weights": tuple(range(7)), "exclude_value_vars": (0,), "exclude_slot_vars": (0,),
@@ -401,9 +473,11 @@ def test_integer_columns_seed_the_same_echelon_and_kernel():
 
 
 def test_one_integer_table_per_structure(monkeypatch):
-    built = []
-    tables = cohomology._integer_tables
+    built, widths = [], []
+    tables, packed = cohomology._integer_tables, cohomology._packed_tables
     monkeypatch.setattr(cohomology, "_integer_tables", lambda S: built.append(S) or tables(S))
+    monkeypatch.setattr(cohomology, "_packed_tables",
+                        lambda rows, partials, w: widths.append(w) or packed(rows, partials, w))
     S = p1()
     for k in range(4):
         for d in range(4):
@@ -415,6 +489,8 @@ def test_one_integer_table_per_structure(monkeypatch):
     assert cochain_in_coboundaries(S, phi, 2)
     assert cohomology_dims(S, range(4), range(4), weights=cohomology.diagonal_weights(S)).rows
     assert built == [S]
+    # each width is packed at most once, and a narrower one never after a wider
+    assert widths and widths == sorted(set(widths))
 
 
 def test_delta_matrix_squares_to_zero():
@@ -448,6 +524,48 @@ def test_delta_matrix_rejects_a_filter_that_is_not_a_subcomplex():
     src = slice_basis(4, 1, 1, weights=(1, 0, 0, 0))
     with pytest.raises(ValueError, match="^coboundary left the filtered slice"):
         delta_matrix(S, src)
+
+
+FILTER_GOLDEN = Path(__file__).parent / "golden" / "delta_matrix_filters.txt"
+
+
+def filter_outcomes() -> list[str]:
+    """One line per seeded filter and nonempty (k, d) source: "ok" or the error.
+
+    Weights are drawn from -2..2, and each variable is banned from the values
+    and, independently, from the slots with probability 1/5; five filters
+    each on P1, P2 n = 4, 5 and rigid n = 5, 6, at d <= 3.
+    """
+    rng = random.Random(23)
+    lines = []
+    for name, n in (("P1", None), ("P2", 4), ("P2", 5), ("rigid", 5), ("rigid", 6)):
+        S = catalog_get(name, None if n is None else {"n": n})
+        for _ in range(5):
+            weights = tuple(rng.randint(-2, 2) for _ in range(S.n))
+            values = tuple(i for i in range(S.n) if rng.random() < 0.2)
+            slots = tuple(i for i in range(S.n) if rng.random() < 0.2)
+            for k in range(S.n):
+                for d in range(4):
+                    source = slice_basis(S.n, k, d, weights, values, slots)
+                    if not source.dim:
+                        continue
+                    try:
+                        delta_matrix(S, source)
+                        outcome = "ok"
+                    except ValueError as err:
+                        outcome = str(err)
+                    lines.append(f"{name}{'' if n is None else f' n={n}'} w={weights} "
+                                 f"values={values} slots={slots} k={k} d={d}: {outcome}")
+    return lines
+
+
+def test_delta_matrix_filter_messages_match_golden():
+    # recorded while delta_matrix keyed its images by (slot tuple, exponents);
+    # each rejection names the first outside term in the same term order
+    lines = filter_outcomes()
+    assert "\n".join(lines) + "\n" == FILTER_GOLDEN.read_text(encoding="utf-8")
+    assert sum(line.endswith(": ok") for line in lines) >= 50
+    assert sum("lies outside the slice" in line for line in lines) >= 100
 
 
 def test_invariant_weight_constraint_on_kernel():
