@@ -18,21 +18,23 @@ on the slot tuple U, so an elementary cochain touches only the
 O(nnz(P) k) targets it can reach.  The structure is scaled to integers
 once per verified structure, to the multiple L * P by the lcm L of its
 coefficient denominators that ``multivector._integer_multiple`` also hands
-the integrability routes; that table and each slot tuple's terms are kept
-on the structure (``_Coboundary``), since neither depends on a slice, a
-degree or a filter.  Each (slot tuple U, exponents e) pair is one int, its
-code (bitmask of U) << (n w) + sum_i e_i << (i w) at a width w with 2^w
-above every exponent involved.  Packing is linear, so each term of the rule
-is one int addition to the code of a and one int-keyed lookup, and it is
-exact (notes/decisions.md, entry 8).  ``delta`` applies the rule to each
-term of a cochain and decodes the sums; ``delta_matrix`` writes one column
-per basis cochain with it, looked up in the target's packed index, in
-integers L times the true ones.  Ranks, kernels and boundary echelons start
-from those integer columns: scaling a column by L > 0 leaves its primitive
-integer row, and so every echelon, unchanged.  The two-sum
-itself, evaluated on coordinate tuples, lives in ``tests/oracles.py`` as
-``two_sum_delta``, the oracle both are tested against, beside
-``tuple_keyed_columns``, the rule on (U, exponents) keys.  ``delta_via_forms``
+the integrability routes; that multiple, its tables packed per width and
+each slot tuple's terms are kept on the structure (``_Coboundary``), since
+none depends on a slice, a degree or a filter.  Each (slot tuple U,
+exponents e) pair is one int, its code (bitmask of U) << (n w) +
+sum_i e_i << (i w) at a width w with 2^w above every exponent involved.
+Packing is linear, so the tables are packed straight from L * P, each term
+of the rule is one int addition to the code of a and one int-keyed lookup,
+and it is exact (notes/decisions.md, entry 8).  ``delta`` applies the rule
+to each term of a cochain and decodes the sums; ``delta_matrix`` writes one
+column per basis cochain with it, looked up in the target's packed index,
+as ``int``s L times the true ones, and ``DeltaMatrix.triplets`` divides by
+L.  Ranks, kernels and boundary echelons start from those integer columns:
+scaling a column by L > 0 leaves its primitive integer row, and so every
+echelon, unchanged.  The two-sum itself, evaluated on coordinate tuples,
+lives in ``tests/oracles.py`` as ``two_sum_delta``, the oracle both are
+tested against, beside ``tuple_keyed_columns``, the rule on
+(U, exponents) keys from tables of its own.  ``delta_via_forms``
 recomputes the same operator through the exterior-form correspondence
 (shuffle-summed iterated contractions of Omega and of the form of phi),
 weighted by two signs that ``form_delta_sign`` gives in closed form from
@@ -112,46 +114,32 @@ from .poly import (
 # -- coboundary ---------------------------------------------------------------
 
 
-def _integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
-    """The structure's entries and their partials, scaled to integers.
+def _packed_tables(multiple: MultiDerivation, w: int) -> tuple[list, list, list]:
+    """The coboundary tables of the integer multiple L * P, packed at width w.
 
-    Returns (denom, rows, partials).  ``rows[u]`` lists (j, terms) for each
-    nonzero signed entry P_{uj}, a term being (e - e_j, coefficient); the
-    shift turns x^a into the exponents of x^{a - e_j} * x^e.
+    ``rows[u]`` lists (j, terms) for each nonzero signed entry P_{uj}, a term
+    being (code, c) for a term c x^e of the entry, with code
+    ``_pack(e, w) - (1 << j * w)``: the shift that turns x^a into
+    x^{a - e_j} * x^e.  ``negated`` is ``rows`` with every c negated.
     ``partials[t]`` lists (i, j, terms) for each nonzero dP_{ij}/dX_t with
-    i < j, a term being (exponents, coefficient).  Both are read off
-    ``_integer_multiple``: every coefficient is multiplied by ``denom``, the
-    lcm of the entries' coefficient denominators.  Built once per verified
-    structure, by ``_coboundary``, and packed per width by ``_packed_tables``.
+    i < j, a term being (code, c) of the partial.  A -1 digit packs exactly,
+    since packing is linear (notes/decisions.md, entry 8).
     """
-    n = S.n
-    denom, multiple = _integer_multiple(S.bivector)
+    n = multiple.n
     rows: list[list] = [[] for _ in range(n)]
+    negated: list[list] = [[] for _ in range(n)]
     partials: list[list] = [[] for _ in range(n)]
     for (i, j), poly in multiple.values.items():
+        terms = [(e, _pack(e, w), c) for e, c in poly.terms.items()]
         for u, v, sign in ((i, j, 1), (j, i, -1)):
-            terms = []
-            for exps, c in poly.terms.items():
-                shift = list(exps)
-                shift[v] -= 1
-                terms.append((tuple(shift), sign * c))
-            rows[u].append((v, terms))
+            row = [(code - (1 << v * w), sign * c) for _, code, c in terms]
+            rows[u].append((v, row))
+            negated[u].append((v, [(code, -c) for code, c in row]))
         for t in range(n):
-            dp = poly.partial(t)
-            if not dp.is_zero:
-                partials[t].append((i, j, list(dp.terms.items())))
-    return denom, rows, partials
-
-
-def _packed_tables(rows: list[list], partials: list[list], w: int) -> tuple[list, list, list]:
-    """``rows`` and ``partials`` of ``_integer_tables`` with every exponent
-    vector packed to its code at width w (``_pack``), and ``rows`` negated."""
-    packed = [[(j, [(_pack(shift, w), c) for shift, c in terms]) for j, terms in row]
-              for row in rows]
-    negated = [[(j, [(code, -c) for code, c in terms]) for j, terms in row] for row in packed]
-    packed_partials = [[(i, j, [(_pack(exps, w), c) for exps, c in terms])
-                        for i, j, terms in part] for part in partials]
-    return packed, negated, packed_partials
+            partial = [(code - (1 << t * w), c * e[t]) for e, code, c in terms if e[t]]
+            if partial:
+                partials[t].append((i, j, partial))
+    return rows, negated, partials
 
 
 def _pack(exps: Sequence[int], w: int) -> int:
@@ -170,9 +158,9 @@ def _decode(n: int, w: int, code: int) -> tuple[IndexTuple, Exponents]:
 class _Coboundary(dict):
     """The integer coboundary data of one structure, on packed codes.
 
-    ``denom``, ``rows`` and ``partials`` are ``_integer_tables`` of the
-    structure, and ``degree`` its largest entry degree.  A (slot tuple U,
-    exponents e) pair is keyed by one int, its code at width w:
+    ``(denom, multiple)`` is ``_integer_multiple`` of the structure's
+    bivector, L and L * P, and ``degree`` its largest entry degree.  A (slot
+    tuple U, exponents e) pair is keyed by one int, its code at width w:
     (bitmask of U) << (n w) + sum_i e_i << (i w), exact whenever 2^w exceeds
     every exponent involved (notes/decisions.md, entry 8).  ``self[T, w]``
     gives, for any monomial x^a, what the coboundary of x^a on slots T
@@ -187,18 +175,17 @@ class _Coboundary(dict):
       (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t with
       U = T - {t} + {i, j}, slots included, merged per U.
 
-    ``rows`` and ``partials`` are packed once per width (``_packed_tables``),
-    and ``width`` reuses the widest one packed so far, so a structure packs
-    few.  Nothing here depends on a slice, a degree or a filter, so ``delta``
-    and every ``delta_matrix`` of the structure share one, made by
-    ``_coboundary``.
+    ``multiple`` is packed once per width (``_packed_tables``), and ``width``
+    reuses the widest one packed so far, so a structure packs few.  Nothing
+    here depends on a slice, a degree or a filter, so ``delta`` and every
+    ``delta_matrix`` of the structure share one, made by ``_coboundary``.
     """
 
     def __init__(self, S: PoissonStructure) -> None:
         super().__init__()
         self.n = S.n
         self.degree = max(S.entry_degrees(), default=0)
-        self.denom, self.rows, self.partials = _integer_tables(S)
+        self.denom, self.multiple = _integer_multiple(S.bivector)
         self._tables: dict[int, tuple[list, list, list]] = {}
 
     def width(self, bound: int) -> int:
@@ -209,7 +196,7 @@ class _Coboundary(dict):
     def __missing__(self, key: tuple[IndexTuple, int]) -> tuple[list, list]:
         T, w = key
         if w not in self._tables:
-            self._tables[w] = _packed_tables(self.rows, self.partials, w)
+            self._tables[w] = _packed_tables(self.multiple, w)
         rows, negated, partials = self._tables[w]
         high = self.n * w
         mask = sum(1 << t for t in T)
@@ -379,9 +366,9 @@ class GradedSlice:
 
     Basis elements are (slot tuple, monomial exponents) pairs, slots ascending
     lexicographically and monomials ascending in graded lex order; ``index``
-    maps each to its position.  ``packed_index(w)`` is the same map keyed by
-    the codes of ``_Coboundary`` at width w, built once per width and kept in
-    ``packed``, which equality, hashing and repr ignore.
+    maps each to its position, built on first read.  ``packed_index(w)`` is
+    the same map keyed by the codes of ``_Coboundary`` at width w, built once
+    per width and kept in ``packed``, which equality, hashing and repr ignore.
     """
 
     n: int
@@ -391,12 +378,15 @@ class GradedSlice:
     exclude_value_vars: frozenset[int]
     exclude_slot_vars: frozenset[int]
     basis: tuple[tuple[IndexTuple, Exponents], ...]
-    index: Mapping[tuple[IndexTuple, Exponents], int] = field(repr=False)
     packed: dict[int, dict[int, int]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def index(self) -> dict[tuple[IndexTuple, Exponents], int]:
+        return {pair: pos for pos, pair in enumerate(self.basis)}
 
     def packed_index(self, w: int) -> dict[int, int]:
         """Position by code at width w, in basis order; needs 2^w > d."""
@@ -444,7 +434,7 @@ def slice_basis(
     slot_banned = _checked_vars(n, exclude_slot_vars)
     wt = _checked_weights(n, weights)
     if not 0 <= k <= n:
-        return GradedSlice(n, k, d, None, value_banned, slot_banned, (), {})
+        return GradedSlice(n, k, d, wt, value_banned, slot_banned, ())
     w = wt or (0,) * n
     by_weight: dict[int, list[Exponents]] = {}
     for e in monomial_basis(n, d, exclude_vars=value_banned):
@@ -454,10 +444,7 @@ def slice_basis(
         for idx in itertools.combinations([i for i in range(n) if i not in slot_banned], k)
         for e in by_weight.get(sum(w[i] for i in idx), ())
     ]
-    index = {pair: pos for pos, pair in enumerate(basis)}
-    return GradedSlice(
-        n, k, d, wt, value_banned, slot_banned, tuple(basis), index
-    )
+    return GradedSlice(n, k, d, wt, value_banned, slot_banned, tuple(basis))
 
 
 def slice_dims(
@@ -509,46 +496,31 @@ class DeltaMatrix:
     """Sparse exact matrix of the coboundary between two slices.
 
     Columns are indexed by the source basis, rows by the target basis.
-    ``integer_columns`` are ``denom`` times the true columns, in ``int``s, as
+    ``columns`` hold ``int``s, ``denom`` times the true values, as
     ``delta_matrix`` computes them on packed codes: each column lists its
     rows in the order the elementary-cochain rule first reaches them.
     ``rank``, ``kernel`` and the boundary echelons read them: scaling by
     denom > 0 changes no primitive integer row, so neither the echelon nor
-    the kernel changes.  ``columns``, the ``Fraction`` values, is built on
-    first read, and ``triplets`` sorts all entries by (row, col) once.
+    the kernel changes.  ``triplets`` gives the exact values, each
+    ``Fraction(value, denom)``, sorted by (row, col).
     """
 
     source: GradedSlice
     target: GradedSlice
     denom: int
-    integer_columns: tuple[dict[int, int], ...]
-
-    @cached_property
-    def columns(self) -> tuple[dict[int, Fraction], ...]:
-        fractions: dict[int, Fraction] = {}
-        out = []
-        for column in self.integer_columns:
-            scaled = {}
-            for pos, value in column.items():
-                frac = fractions.get(value)
-                if frac is None:
-                    frac = fractions[value] = Fraction(value, self.denom)
-                scaled[pos] = frac
-            out.append(scaled)
-        return tuple(out)
+    columns: tuple[dict[int, int], ...]
 
     def rank(self) -> int:
         # rank is transposition-invariant; the columns are already sparse rows
-        return linalg.rank(self.integer_columns)
+        return linalg.rank(self.columns)
 
     def kernel(self) -> list[dict[int, Fraction]]:
-        return linalg.kernel_basis(_transpose(self.integer_columns, self.target.dim),
-                                   self.source.dim)
+        return linalg.kernel_basis(_transpose(self.columns, self.target.dim), self.source.dim)
 
     def triplets(self) -> list[tuple[int, int, Fraction]]:
         out = []
         for col, column in enumerate(self.columns):
-            out.extend((row, col, value) for row, value in column.items())
+            out.extend((row, col, Fraction(value, self.denom)) for row, value in column.items())
         out.sort()
         return out
 
@@ -717,7 +689,7 @@ class _SliceCache:
     outgoing rank is read off the boundary echelon one step up.  It keeps no
     coboundary matrix: ``boundaries`` assembles each block matrix once, from
     the structure's shared ``_Coboundary``, and seeds its echelon with the
-    integer columns, never with ``Fraction``s.
+    matrix's integer ``columns``.
 
     ``block(k, d)``, the only slice it builds, is the weight-0 block of slice
     (k, d): cut by the diagonal weights of the structure when the caller
@@ -821,7 +793,7 @@ class _SliceCache:
     def boundaries(self, k: int, d: int) -> linalg.SpanTracker:
         """Echelon of the image of the coboundary from (k - 1, d - r + 1) in block (k, d).
 
-        Built once from the matrix's integer columns, in
+        Built once from the matrix's integer ``columns``, in
         ``linalg.SpanTracker``'s column order, and kept; its rank is also the
         outgoing block rank of (k - 1, d - r + 1).
         """
@@ -830,8 +802,7 @@ class _SliceCache:
             prev_d = d - self.r + 1
             columns: Sequence[dict[int, int]] = ()
             if k > 0 and prev_d >= 0:
-                matrix = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d))
-                columns = matrix.integer_columns
+                columns = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d)).columns
             self._boundaries[key] = linalg.SpanTracker(columns)
         return self._boundaries[key]
 
@@ -930,7 +901,8 @@ def cochain_in_coboundaries(
 
     With phi_0 its part in the weight-0 block, phi is a coboundary exactly
     when phi_0 reduces to zero against the boundary echelon and
-    delta(phi - phi_0) = 0, since cocycles of weight != 0 are coboundaries.
+    delta(phi - phi_0) = 0, since cocycles of weight != 0 are coboundaries;
+    phi - phi_0 is made of the terms the block's ``index`` does not hold.
     With a filter, or no diagonal coordinate, the block is the whole slice.
     """
     if phi.is_zero:
@@ -943,17 +915,22 @@ def cochain_in_coboundaries(
     cache = _complex(S, weights, exclude_vars)
     if phi.n != S.n:
         raise ValueError("cochain does not match the slice shape")
-    block = cache.block(phi.k, d)
+    index = cache.block(phi.k, d).index
     vec: dict[int, Fraction] = {}
+    rest: dict[IndexTuple, dict[Exponents, Fraction]] = {}
     for idx, poly in phi.values.items():
         for exps, coeff in poly.terms.items():
-            pos = block.index.get((idx, exps))
+            pos = index.get((idx, exps))
             if pos is not None:
                 vec[pos] = coeff
             elif cache.block_weights == cache.weights or sum(exps) != d:
                 raise ValueError(f"cochain term {idx}:{exps} lies outside the slice")
-    rest = phi - block.from_vector(vec)
-    return delta(S, rest).is_zero and not cache.boundaries(phi.k, d).residual(vec)
+            else:
+                rest.setdefault(idx, {})[exps] = coeff
+    phi_rest = MultiDerivation._trusted(
+        S.n, phi.k, {idx: Polynomial._trusted(S.n, terms) for idx, terms in rest.items()}
+    )
+    return delta(S, phi_rest).is_zero and not cache.boundaries(phi.k, d).residual(vec)
 
 
 # -- cocycle normalization for the rigid family ----------------------------------

@@ -9,7 +9,10 @@ another way:
   rule.
 * ``tuple_keyed_columns`` applies the same rule with every term keyed by
   its (slot tuple, exponents) pair, through ``slot_terms`` and
-  ``elementary_image``; ``delta_matrix`` keys each pair by one packed int.
+  ``elementary_image``, on exponent-tuple tables that ``integer_tables``
+  builds from the rational entries and a position map of the target's
+  basis; ``delta_matrix`` packs its tables straight from L * P and keys
+  each pair by one int.
 * ``probe_form_delta_sign`` finds the two signs of the form-route coboundary
   by comparing ``cohomology._form_delta_parts`` with ``delta`` on elementary
   cochains; ``cohomology.form_delta_sign`` gives them in closed form.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -59,7 +63,6 @@ from polypoisson.cohomology import (
     CohomologyRow,
     GradedSlice,
     _form_delta_parts,
-    _integer_tables,
     delta,
     delta_matrix,
     slice_basis,
@@ -230,11 +233,39 @@ def evaluate_first(
 # -- the elementary-cochain rule on tuple keys ----------------------------------
 
 
+def integer_tables(S: PoissonStructure) -> tuple[int, list[list], list[list]]:
+    """(L, rows, partials): the entries of L * P and their partials, on exponent tuples.
+
+    L is the lcm of the coefficient denominators of P.  ``rows[u]`` lists
+    (j, terms) for each nonzero signed entry P_{uj}, a term being
+    (e - e_j, coefficient); ``partials[t]`` lists (i, j, terms) for each
+    nonzero dP_{ij}/dX_t with i < j, a term being (exponents, coefficient).
+    Entries come in the order of the bivector's values, and every
+    coefficient is an ``int``.
+    """
+    n = S.n
+    values = S.bivector.values
+    L = lcm(*(c.denominator for poly in values.values() for c in poly.terms.values()))
+    rows: list[list] = [[] for _ in range(n)]
+    partials: list[list] = [[] for _ in range(n)]
+    for (i, j), poly in values.items():
+        scaled = poly * L
+        assert all(c.denominator == 1 for c in scaled.terms.values())
+        for u, v, sign in ((i, j, 1), (j, i, -1)):
+            rows[u].append((v, [(tuple(e - (m == v) for m, e in enumerate(exps)), int(sign * c))
+                                for exps, c in scaled.terms.items()]))
+        for t in range(n):
+            dp = scaled.partial(t)
+            if not dp.is_zero:
+                partials[t].append((i, j, [(e, int(c)) for e, c in dp.terms.items()]))
+    return L, rows, partials
+
+
 def slot_terms(n: int, T: IndexTuple, rows: list[list], partials: list[list]) -> tuple[list, list]:
     """What the coboundary of x^a on slots T contributes, for any monomial x^a.
 
-    ``rows`` and ``partials`` are ``cohomology._integer_tables`` of the
-    structure.  Sum 1 lists (U, j, terms) with U = T + {u}: the term
+    ``rows`` and ``partials`` are ``integer_tables`` of the structure.
+    Sum 1 lists (U, j, terms) with U = T + {u}: the term
     (-1)^{pos_U(u)} a_j P_{uj} x^{a - e_j} of {X_u, x^a}.  Sum 2 lists
     (U, terms) with U = T - {t} + {i, j}: x^a times the signed partials
     (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} dP_{ij}/dX_t, merged per U.
@@ -287,15 +318,16 @@ def elementary_image(a: tuple[int, ...], sum1: list, sum2: list) -> dict[tuple, 
 def tuple_keyed_columns(
     S: PoissonStructure, source: GradedSlice, target: GradedSlice
 ) -> tuple[dict[int, int], ...]:
-    """``delta_matrix(S, source, target).integer_columns``, from tuple keys.
+    """``delta_matrix(S, source, target).columns``, from tuple keys.
 
     Every image term must lie in the target; a KeyError says it does not.
     """
-    _, rows, partials = _integer_tables(S)
+    _, rows, partials = integer_tables(S)
+    position = {pair: pos for pos, pair in enumerate(target.basis)}
     columns = []
     for T, a in source.basis:
         image = elementary_image(a, *slot_terms(S.n, T, rows, partials))
-        columns.append({target.index[key]: value for key, value in image.items() if value})
+        columns.append({position[key]: value for key, value in image.items() if value})
     return tuple(columns)
 
 

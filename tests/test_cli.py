@@ -406,6 +406,9 @@ def test_matrix_csv_export(capsys):
         ("cohomology_rigid_n10_invariant_k3_d4.json",
          ("cohomology", "--catalog", "rigid", "--param", "n=10", "--invariant", "--exclude-x0",
           "--kmax", "3", "--cutoff", "4", "--format", "json")),
+        # values 1/3 and 2/3: the only golden whose matrix has denom > 1
+        ("matrix_l3_alpha2_3_k1_d2.csv",
+         ("matrix", "--catalog", "L3", "--param", "alpha=2/3", "--k", "1", "--degree", "2")),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv):

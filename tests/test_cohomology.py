@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -243,6 +244,20 @@ def test_slice_out_of_range_arity():
     assert slice_basis(3, 2, -1).dim == 0
 
 
+def test_out_of_range_slice_keeps_its_weight_filter():
+    sl = slice_basis(3, 4, 1, weights=(0, 1, 2))
+    assert sl.dim == 0
+    assert sl.weights == (0, 1, 2)
+
+
+def test_slice_index_is_built_on_first_read():
+    sl = slice_basis(3, 2, 2)
+    assert "index" not in vars(sl)
+    assert sl.index == {pair: pos for pos, pair in enumerate(sl.basis)}
+    assert sl.index is sl.index
+    assert sl == slice_basis(3, 2, 2) and hash(sl) == hash(slice_basis(3, 2, 2))
+
+
 def test_slice_invariant_rigid_example():
     # variables X0..X5 with weights 0..5; degree-2 values, first variable
     # excluded everywhere: the X2 slot admits exactly X1^2
@@ -345,8 +360,9 @@ def test_delta_matrix_columns_match_delta_oracle():
         assert len(m.columns) == src.dim
         for p in range(src.dim):
             expected = two_sum_delta(S, src.from_vector({p: 1}))
-            assert tgt.from_vector(m.columns[p]) == expected, (S, k, d, p)
-            assert all(type(v) is Fraction and v for v in m.columns[p].values())
+            column = {pos: Fraction(v, m.denom) for pos, v in m.columns[p].items()}
+            assert tgt.from_vector(column) == expected, (S, k, d, p)
+            assert all(type(v) is int and v for v in m.columns[p].values())
         if k >= S.n:
             assert all(not col for col in m.columns)
         shapes.add((
@@ -362,13 +378,15 @@ def test_delta_matrix_columns_match_delta_oracle():
 
 
 def test_delta_matrix_fractional_coefficients():
+    # P1 / 3 scales to the integer multiple 3 * (P1 / 3) = P1, so the
+    # integer columns agree and only the exact values carry the 1/3
     S = verify(p1().bivector * Fraction(1, 3))
     m = delta_matrix(S, slice_basis(3, 1, 2))
-    assert any(v.denominator == 3 for col in m.columns for v in col.values())
     plain = delta_matrix(p1(), slice_basis(3, 1, 2))
-    assert m.columns == tuple(
-        {pos: v / 3 for pos, v in col.items()} for col in plain.columns
-    )
+    assert (m.denom, plain.denom) == (3, 1)
+    assert m.columns == plain.columns
+    assert any(v.denominator == 3 for _, _, v in m.triplets())
+    assert m.triplets() == [(row, col, v / 3) for row, col, v in plain.triplets()]
 
 
 def _same_columns(got, expected):
@@ -392,7 +410,7 @@ def test_integer_columns_match_the_tuple_keyed_oracle():
             for d in ds:
                 source = slice_basis(S.n, k, d, **filters)
                 target = slice_basis(S.n, k + 1, d + r - 1, **filters)
-                got = delta_matrix(S, source, target).integer_columns
+                got = delta_matrix(S, source, target).columns
                 assert _same_columns(got, tuple_keyed_columns(S, source, target)), (S, k, d)
                 columns += len(got)
     assert columns > 3000
@@ -416,7 +434,7 @@ def test_integer_columns_are_exact_where_the_target_needs_a_wider_code():
                 S = verify(bivector_from_entries(3, entries))
                 assert S.homogeneous_degree() == r
                 source, target = slice_basis(3, k, d), slice_basis(3, k + 1, d + r - 1)
-                got = delta_matrix(S, source, target).integer_columns
+                got = delta_matrix(S, source, target).columns
                 assert any(got) and _same_columns(got, tuple_keyed_columns(S, source, target))
 
 
@@ -455,29 +473,33 @@ def _seeding_cases():
 
 
 def test_integer_columns_seed_the_same_echelon_and_kernel():
-    # the integer columns are denom times the Fraction ones, and scaling by
+    # the integer columns are denom times the exact ones, and scaling by
     # denom > 0 keeps every primitive integer row
     denoms = set()
     for S, m in _seeding_cases():
         denoms.add(m.denom)
-        assert all(type(v) is int for col in m.integer_columns for v in col.values())
-        assert m.columns == tuple({pos: Fraction(v, m.denom) for pos, v in col.items()}
-                                  for col in m.integer_columns)
-        by_int, by_fraction = linalg.SpanTracker(m.integer_columns), linalg.SpanTracker(m.columns)
+        assert [f.name for f in dataclasses.fields(m)] == ["source", "target", "denom", "columns"]
+        assert all(type(v) is int for col in m.columns for v in col.values())
+        exact = [{pos: Fraction(v, m.denom) for pos, v in col.items()} for col in m.columns]
+        assert m.triplets() == sorted(
+            (row, col, v) for col, column in enumerate(exact) for row, v in column.items()
+        )
+        by_int, by_fraction = linalg.SpanTracker(m.columns), linalg.SpanTracker(exact)
         assert by_int._echelon == by_fraction._echelon
         assert dict(by_int._relabel) == dict(by_fraction._relabel)
         assert m.rank() == by_fraction.rank
-        rows = cohomology._transpose(m.columns, m.target.dim)
+        rows = cohomology._transpose(exact, m.target.dim)
         assert m.kernel() == linalg.kernel_basis(rows, m.source.dim)
     assert denoms == {1, 3}
 
 
 def test_one_integer_table_per_structure(monkeypatch):
     built, widths = [], []
-    tables, packed = cohomology._integer_tables, cohomology._packed_tables
-    monkeypatch.setattr(cohomology, "_integer_tables", lambda S: built.append(S) or tables(S))
+    scale, packed = cohomology._integer_multiple, cohomology._packed_tables
+    monkeypatch.setattr(cohomology, "_integer_multiple",
+                        lambda biv: built.append(biv) or scale(biv))
     monkeypatch.setattr(cohomology, "_packed_tables",
-                        lambda rows, partials, w: widths.append(w) or packed(rows, partials, w))
+                        lambda multiple, w: widths.append(w) or packed(multiple, w))
     S = p1()
     for k in range(4):
         for d in range(4):
@@ -488,7 +510,7 @@ def test_one_integer_table_per_structure(monkeypatch):
     phi = delta(S, slice_basis(3, 1, 2).from_vector({4: 1}))
     assert cochain_in_coboundaries(S, phi, 2)
     assert cohomology_dims(S, range(4), range(4), weights=cohomology.diagonal_weights(S)).rows
-    assert built == [S]
+    assert len(built) == 1 and built[0] is S.bivector
     # each width is packed at most once, and a narrower one never after a wider
     assert widths and widths == sorted(set(widths))
 
@@ -751,8 +773,7 @@ def test_cocycles_of_nonzero_weight_are_coboundaries_of_their_insertion():
                     if lam == 0:
                         continue
                     block = cohomology.GradedSlice(
-                        S.n, k, d, None, frozenset(), frozenset(), tuple(basis),
-                        {pair: pos for pos, pair in enumerate(basis)},
+                        S.n, k, d, None, frozenset(), frozenset(), tuple(basis)
                     )
                     for vec in delta_matrix(S, block, target).kernel():
                         c = block.from_vector(vec)
