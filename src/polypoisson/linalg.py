@@ -5,10 +5,17 @@ fraction-free reduction, and rank, kernels and span tests all use it.
 Each row is scaled to coprime integers and reduced against an echelon
 set: a dict from pivot column to integer row whose smallest column is
 that pivot.  The reduction repeatedly takes the residual's smallest
-column.  When a stored row has that pivot, it cross-multiplies and
-divides the new row by its gcd, every step, which keeps entries small.
-Otherwise the residual is independent and its smallest column becomes a
-new pivot.
+column.  When a stored row with lead pv has that pivot and the residual
+holds cv there, one step sets residual = (pv/g) * residual - (cv/g) * row
+with g = gcd(pv, cv), then divides the residual by the gcd of its
+entries, every step, which keeps entries small.  The step updates the
+residual in place: it scales it only when pv/g != 1 and subtracts over
+the stored row's entries alone, so a step costs the pivot row's length
+plus the residual's when it must be scaled.  The plain cross-multiplied
+step pv * residual - cv * row is g times this one, and both are divided
+down to the same primitive row, so the stored rows do not depend on the
+pre-scaling.  Otherwise the residual is independent and its smallest
+column becomes a new pivot.
 
 So the column labels are the pivot order, and a bad order fills the
 echelon rows in.  ``SpanTracker`` renumbers the columns of its initial rows
@@ -40,12 +47,14 @@ def _integerize(row: Mapping[int, Fraction], relabel: Mapping[int, int] | range)
     """Scale a rational row to coprime integers, column c renamed relabel[c].
 
     Values may be ``Fraction`` or ``int``; an integer multiple of a row
-    gives the same result.
+    gives the same result.  The row returned is always a new dict, which
+    ``_reduce`` may then change in place.
     """
-    if not row:
-        return {}
-    denom = lcm(*(v.denominator for v in row.values()))
-    ints = {relabel[c]: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+    if all(type(v) is int for v in row.values()):
+        ints = {relabel[c]: v for c, v in row.items() if v}
+    else:
+        denom = lcm(*(v.denominator for v in row.values()))
+        ints = {relabel[c]: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
     if not ints:
         return {}
     g = gcd(*ints.values())
@@ -55,23 +64,36 @@ def _integerize(row: Mapping[int, Fraction], relabel: Mapping[int, int] | range)
 
 
 def _reduce(echelon: Mapping[int, IntRow], cur: IntRow) -> IntRow:
-    """Reduce an integer row until its smallest column is no pivot; {} means dependent."""
+    """Reduce an integer row until its smallest column is no pivot; {} means dependent.
+
+    Consumes ``cur``: each step (module docstring) changes it in place, so
+    the caller passes a row it owns, such as one fresh from ``_integerize``.
+    The stored rows are only read.
+    """
     while cur:
         col = min(cur)
         pivot = echelon.get(col)
         if pivot is None:
             break
         pv, cv = pivot[col], cur[col]
-        new: IntRow = {}
-        for c in cur.keys() | pivot.keys():
-            val = pv * cur.get(c, 0) - cv * pivot.get(c, 0)
+        g = gcd(pv, cv)
+        if g != 1:
+            pv //= g
+            cv //= g
+        if pv != 1:
+            for c in cur:
+                cur[c] *= pv
+        get = cur.get
+        # the lead cancels here: pv * cur[col] == cv * pivot[col] after scaling
+        for c, v in pivot.items():
+            val = get(c, 0) - cv * v
             if val:
-                new[c] = val
-        if new:
-            g = gcd(*new.values())
-            if g > 1:
-                new = {c: v // g for c, v in new.items()}
-        cur = new
+                cur[c] = val
+            else:
+                del cur[c]
+        g = gcd(*cur.values())
+        if g > 1:
+            cur = {c: v // g for c, v in cur.items()}
     return cur
 
 

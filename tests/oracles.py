@@ -25,6 +25,12 @@ another way:
 * ``full_elimination_dims`` is the cohomology table from ranks of whole
   slices; ``cohomology_dims`` eliminates only weight-0 blocks.
   ``insert_first`` is the contraction that makes the other blocks acyclic.
+* ``cross_multiply_reduce`` is the plain cross-multiplied fraction-free
+  step: it forms pv * cur - cv * pivot over the union of both supports in a
+  new row, then divides by the row's gcd; ``cross_multiply_echelon`` stores
+  rows with it.  ``linalg._reduce`` divides pv and cv by their gcd first and updates
+  its residual in place over the pivot's support, and must store the same
+  rows.
 * ``greedy_representatives`` tries every kernel vector of the whole slice
   against freshly built coboundaries; ``cocycle_representatives`` works in
   the weight-0 block, reuses the structure's boundary echelon and stops
@@ -54,7 +60,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -483,6 +489,43 @@ def greedy_representatives(
         for column in delta_matrix(S, whole(k - 1, d - r + 1), sl).columns:
             tracker.add(column)
     return [sl.from_vector(vec) for vec in kernel if tracker.add(vec)]
+
+
+# -- the cross-multiplied elimination step -------------------------------------
+
+
+def cross_multiply_reduce(echelon: dict[int, dict[int, int]], cur: dict[int, int]) -> dict[int, int]:
+    """Reduce an integer row by cross-multiplying with each pivot row; {} means dependent.
+
+    Builds a new row at every step and leaves ``cur`` as it was.
+    """
+    while cur:
+        col = min(cur)
+        pivot = echelon.get(col)
+        if pivot is None:
+            break
+        pv, cv = pivot[col], cur[col]
+        new = {}
+        for c in cur.keys() | pivot.keys():
+            val = pv * cur.get(c, 0) - cv * pivot.get(c, 0)
+            if val:
+                new[c] = val
+        if new:
+            g = gcd(*new.values())
+            if g > 1:
+                new = {c: v // g for c, v in new.items()}
+        cur = new
+    return cur
+
+
+def cross_multiply_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Integer rows in echelon form by ``cross_multiply_reduce``, keyed by pivot column."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        res = cross_multiply_reduce(echelon, row)
+        if res:
+            echelon[min(res)] = res
+    return echelon
 
 
 def insert_first(phi: MultiDerivation, m: int) -> MultiDerivation:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from polypoisson import linalg
+from oracles import cross_multiply_echelon, cross_multiply_reduce
 
 
 def dense_rank_oracle(rows, ncols):
@@ -143,6 +144,14 @@ def test_span_tracker_copy_is_independent():
         for row in extra:
             grown = dense_rank_oracle(rows + [row], 8) > tracker.rank
             assert bool(tracker.residual(row)) == grown
+        # both trackers now reduce against the rows they share; each step
+        # changes only its own residual, never a stored row
+        shared = {p: dict(row) for p, row in tracker._echelon.items()}
+        for row in extra:
+            tracker.add(row)
+        assert tracker.rank == copied.rank == dense_rank_oracle(rows + extra, 8)
+        for p, row in shared.items():
+            assert tracker._echelon[p] == copied._echelon[p] == row
 
 
 def dense_kernel_oracle(rows, ncols):
@@ -255,3 +264,125 @@ def test_rank_on_a_fill_heavy_rigid_slice_matches_the_kernel():
     assert 0 < expected < matrix.source.dim
     rows = _transpose(matrix.columns, matrix.target.dim)
     assert linalg.rank(matrix.columns) == linalg.rank(rows) == expected
+
+
+def random_hard_matrix(rng, nrows, ncols, density):
+    """Rows of int, Fraction or mixed entries: negative values, some of 2**70
+    and more, explicit zeros, and rows that combine earlier ones."""
+    kind = rng.choice(["int", "fraction", "mixed"])
+    big = rng.random() < 0.5
+
+    def entry():
+        v = rng.randint(-9, 9)
+        if big and rng.random() < 0.4:
+            v *= rng.randint(2**70, 2**74)
+        if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+            return Fraction(v, rng.randint(1, 6))
+        return v
+
+    rows = [{c: entry() for c in range(ncols) if rng.random() < density}
+            for _ in range(nrows)]
+    for i in range(1, nrows):
+        if rng.random() < 0.3:
+            a, b = rows[rng.randrange(i)], rows[rng.randrange(i)]
+            s = rng.randint(-3, 3)
+            t = rng.randint(1, 3) if kind == "int" else Fraction(rng.randint(1, 3), 2)
+            # keeps the zeros of cancelled entries explicit
+            rows[i] = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
+    return rows
+
+
+def _assert_same_elimination_as_cross_multiplying(rows, ncols, monkeypatch):
+    """Stored rows, pivot order and kernel equal those of the cross-multiplied step."""
+    natural = linalg._echelon(linalg._integerize(row, range(ncols)) for row in rows)
+    oracle = cross_multiply_echelon(linalg._integerize(row, range(ncols)) for row in rows)
+    assert natural == oracle and list(natural) == list(oracle)
+    tracker = linalg.SpanTracker(rows)
+    oracle = cross_multiply_echelon(linalg._integerize(row, tracker._relabel) for row in rows)
+    assert tracker._echelon == oracle and list(tracker._echelon) == list(oracle)
+    kernel = linalg.kernel_basis(rows, ncols)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_reduce", cross_multiply_reduce)
+        assert linalg.kernel_basis(rows, ncols) == kernel
+
+
+def test_reduction_stores_the_cross_multiplied_echelon(monkeypatch):
+    # dividing pv and cv by their gcd first scales each step by a positive
+    # factor, and the content division removes it again
+    rng = random.Random(2510)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 18), rng.randint(1, 14)
+        rows = random_hard_matrix(rng, nrows, ncols, rng.choice([0.15, 0.3, 0.6]))
+        _assert_same_elimination_as_cross_multiplying(rows, ncols, monkeypatch)
+
+
+def test_reduction_on_real_coboundaries_stores_the_cross_multiplied_echelon(monkeypatch):
+    from polypoisson.catalog import catalog_get
+    from polypoisson.cohomology import _complex, _transpose, delta_matrix, slice_basis
+
+    P2 = catalog_get("P2", {"n": 5})
+    m = delta_matrix(P2, slice_basis(5, 1, 2))
+    assert 0 < m.rank() < m.source.dim
+    _assert_same_elimination_as_cross_multiplying(m.columns, m.target.dim, monkeypatch)
+    rows = _transpose(m.columns, m.target.dim)
+    _assert_same_elimination_as_cross_multiplying(rows, m.source.dim, monkeypatch)
+    # the big coboundary of rigid n=10 invariant H^2 at d=3, on the two paths
+    # production takes: its boundary echelon and its kernel (in natural order
+    # on the rows, where the echelon fills to 7,337 entries)
+    rigid = catalog_get("rigid", {"n": 10})
+    invariant = _complex(rigid, tuple(range(11)), (0,))
+    m = delta_matrix(rigid, invariant.block(2, 3), invariant.block(3, 3))
+    tracker = linalg.SpanTracker(m.columns)
+    oracle = cross_multiply_echelon(linalg._integerize(col, tracker._relabel) for col in m.columns)
+    assert tracker._echelon == oracle and list(tracker._echelon) == list(oracle)
+    assert 0 < tracker.rank < m.source.dim
+    kernel = m.kernel()
+    assert len(kernel) == m.source.dim - tracker.rank
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_reduce", cross_multiply_reduce)
+        assert m.kernel() == kernel
+
+
+def test_no_input_row_is_changed():
+    # _reduce updates its residual in place, so every entry point must hand
+    # it a row of its own
+    rng = random.Random(4403)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 10)
+        rows = random_hard_matrix(rng, nrows, ncols, rng.choice([0.2, 0.4, 0.7]))
+        extra = random_hard_matrix(rng, 6, ncols, 0.5)
+        before = [dict(row) for row in rows + extra]
+        linalg.rank(rows)
+        linalg.kernel_basis(rows, ncols)
+        tracker = linalg.SpanTracker(rows[: nrows // 2])
+        for row in extra:
+            tracker.residual(row)
+        for row in rows[nrows // 2:] + extra:
+            tracker.add(row)
+        for row in extra:
+            linalg.in_span(rows, row)
+        assert rows + extra == before
+
+
+def test_boundary_echelons_leave_the_matrix_columns_unchanged(monkeypatch):
+    from polypoisson import cohomology
+    from polypoisson.catalog import catalog_get
+
+    built = []
+    real = cohomology.delta_matrix
+
+    def recording(*args):
+        m = real(*args)
+        built.append((m, [dict(col) for col in m.columns]))
+        return m
+
+    monkeypatch.setattr(cohomology, "delta_matrix", recording)
+    S = catalog_get("rigid", {"n": 8})
+    cache = cohomology._complex(S, tuple(range(9)), (0,))
+    for k, d in [(2, 2), (3, 3), (3, 4)]:
+        tracker = cache.boundaries(k, d)
+        for col in built[-1][0].columns:
+            assert not tracker.residual(col)
+    assert len(built) == 3 and all(m.columns for m, _ in built)
+    for m, columns in built:
+        assert list(m.columns) == columns
