@@ -25,10 +25,9 @@ sign/label correction that verifies, and the note says what changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .multivector import MultiDerivation
 from .poisson import PoissonStructure, verify
@@ -44,16 +43,14 @@ X1X1, X2X2, X3X3 = (2, 0, 0), (0, 2, 0), (0, 0, 2)
 X1X2, X1X3, X2X3 = (1, 1, 0), (1, 0, 1), (0, 1, 1)
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     name: str
     constraint: str = ""
     admissible: Callable[[Fraction], bool] = lambda _: True
     integer: bool = False
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class _Entry(NamedTuple):
     name: str
     description: str
     source: str
@@ -64,9 +61,21 @@ class CatalogEntry:
     expect_integrable: Callable[[Params], bool] = lambda _: True
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.expected is not None:
-            object.__setattr__(self, "expected", _read_only(self.expected))
+
+class CatalogEntry(_Entry):
+    """One named structure; ``expected`` is read-only however the entry is
+    built, by the constructor, ``_make`` or ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> CatalogEntry:
+        fields = _Entry(*args, **kwargs)._asdict()
+        fields["expected"] = _read_only(fields["expected"])
+        return super().__new__(cls, **fields)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CatalogEntry:
+        return cls(*iterable)
 
 
 def _read_only(value: Any) -> Any:

@@ -87,12 +87,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import lshift, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .exterior import ExteriorForm, IndexTuple, _complement
@@ -360,7 +359,6 @@ def delta_via_forms(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivatio
 # -- graded slices -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GradedSlice:
     """Ordered basis of homogeneous degree-d k-cochains, possibly filtered.
 
@@ -368,8 +366,13 @@ class GradedSlice:
     lexicographically and monomials ascending in graded lex order; ``index``
     maps each to its position, built on first read.  ``packed_index(w)`` is
     the same map keyed by the codes of ``_Coboundary`` at width w, built once
-    per width and kept in ``packed``, which equality, hashing and repr ignore.
+    per width and kept in ``packed``.  A slice is a frozen value of its seven
+    fields: equality, hashing and repr read only those, never the ``packed``
+    or ``index`` caches, and assigning or deleting an attribute raises
+    ``AttributeError``.
     """
+
+    _FIELDS = ("n", "k", "d", "weights", "exclude_value_vars", "exclude_slot_vars", "basis")
 
     n: int
     k: int
@@ -378,7 +381,44 @@ class GradedSlice:
     exclude_value_vars: frozenset[int]
     exclude_slot_vars: frozenset[int]
     basis: tuple[tuple[IndexTuple, Exponents], ...]
-    packed: dict[int, dict[int, int]] = field(default_factory=dict, compare=False, repr=False)
+    packed: dict[int, dict[int, int]]
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        d: int,
+        weights: Optional[tuple[int, ...]],
+        exclude_value_vars: frozenset[int],
+        exclude_slot_vars: frozenset[int],
+        basis: tuple[tuple[IndexTuple, Exponents], ...],
+    ) -> None:
+        # the fields go straight into __dict__, since __setattr__ refuses them
+        self.__dict__.update(
+            zip(self._FIELDS, (n, k, d, weights, exclude_value_vars, exclude_slot_vars, basis)),
+            packed={},
+        )
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._FIELDS))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"GradedSlice({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -433,18 +473,44 @@ def slice_basis(
     value_banned = _checked_vars(n, exclude_value_vars)
     slot_banned = _checked_vars(n, exclude_slot_vars)
     wt = _checked_weights(n, weights)
-    if not 0 <= k <= n:
-        return GradedSlice(n, k, d, wt, value_banned, slot_banned, ())
-    w = wt or (0,) * n
+    by_weight = _monomials_by_weight(n, d, wt, value_banned) if 0 <= k <= n else {}
+    return _graded_slice(n, k, d, wt, value_banned, slot_banned, by_weight)
+
+
+def _monomials_by_weight(
+    n: int, d: int, weights: Optional[tuple[int, ...]], banned: frozenset[int]
+) -> dict[int, list[Exponents]]:
+    """The degree-d monomials free of ``banned``, grouped by weight, each group in grlex order."""
+    w = weights or (0,) * n
     by_weight: dict[int, list[Exponents]] = {}
-    for e in monomial_basis(n, d, exclude_vars=value_banned):
+    for e in monomial_basis(n, d, exclude_vars=banned):
         by_weight.setdefault(sum(map(mul, e, w)), []).append(e)
-    basis = [
-        (idx, e)
-        for idx in itertools.combinations([i for i in range(n) if i not in slot_banned], k)
-        for e in by_weight.get(sum(w[i] for i in idx), ())
-    ]
-    return GradedSlice(n, k, d, wt, value_banned, slot_banned, tuple(basis))
+    return by_weight
+
+
+def _graded_slice(
+    n: int,
+    k: int,
+    d: int,
+    weights: Optional[tuple[int, ...]],
+    value_banned: frozenset[int],
+    slot_banned: frozenset[int],
+    by_weight: Mapping[int, list[Exponents]],
+) -> GradedSlice:
+    """Slice (k, d) from its monomials grouped by weight (``_monomials_by_weight``).
+
+    Each allowed slot tuple takes the monomials whose weight is the sum of its
+    slot weights; a k outside 0..n gives the empty slice.
+    """
+    basis: tuple[tuple[IndexTuple, Exponents], ...] = ()
+    if 0 <= k <= n:
+        w = weights or (0,) * n
+        basis = tuple(
+            (idx, e)
+            for idx in itertools.combinations([i for i in range(n) if i not in slot_banned], k)
+            for e in by_weight.get(sum(w[i] for i in idx), ())
+        )
+    return GradedSlice(n, k, d, weights, value_banned, slot_banned, basis)
 
 
 def slice_dims(
@@ -491,11 +557,12 @@ def _weight_counts(weights: Sequence[int], size: int, repeat: bool) -> list[Coun
 # -- coboundary matrices --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaMatrix:
+class DeltaMatrix(NamedTuple):
     """Sparse exact matrix of the coboundary between two slices.
 
-    Columns are indexed by the source basis, rows by the target basis.
+    A read-only record of exactly four fields: ``source``, ``target``,
+    ``denom`` and ``columns``.  Columns are indexed by the source basis, rows
+    by the target basis.
     ``columns`` hold ``int``s, ``denom`` times the true values, as
     ``delta_matrix`` computes them on packed codes: each column lists its
     rows in the order the elementary-cochain rule first reaches them.
@@ -597,8 +664,7 @@ class ComplexInvariantError(RuntimeError):
     """A dimension identity of the complex failed: a bug, never a property of the input."""
 
 
-@dataclass(frozen=True)
-class CohomologyRow:
+class CohomologyRow(NamedTuple):
     k: int
     d: int
     dim_chi: int
@@ -711,6 +777,7 @@ class _SliceCache:
         self.weights = weights
         self.banned = banned
         self._blocks: dict[tuple[int, int], GradedSlice] = {}
+        self._monomials: dict[int, dict[int, list[Exponents]]] = {}
         self._dims: dict[tuple, list[int]] = {}
         self._corrections: dict[tuple[int, int], int] = {}
         self._boundaries: dict[tuple[int, int], linalg.SpanTracker] = {}
@@ -730,10 +797,14 @@ class _SliceCache:
         return self._dims[key][k]
 
     def block(self, k: int, d: int) -> GradedSlice:
+        """``slice_basis`` of (k, d) under the block filter; monomials are grouped once per d."""
         key = (k, d)
         if key not in self._blocks:
-            self._blocks[key] = slice_basis(
-                self.S.n, k, d, self.block_weights, self.banned, self.banned
+            n, weights = self.S.n, self.block_weights
+            if d not in self._monomials:
+                self._monomials[d] = _monomials_by_weight(n, d, weights, self.banned)
+            self._blocks[key] = _graded_slice(
+                n, k, d, weights, self.banned, self.banned, self._monomials[d]
             )
         return self._blocks[key]
 

@@ -27,9 +27,8 @@ by Y_i = f(X_i), {Y_i, Y_j} = f^{-1}({f(X_i), f(X_j)}), where f^{-1} is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .multivector import (
@@ -172,8 +171,7 @@ def verify(bivector: MultiDerivation, first_index: int = 1) -> PoissonStructure:
 # -- graded integrability for degree-<=2 structures on three variables -------
 
 
-@dataclass(frozen=True)
-class GradedIntegrabilityReport:
+class GradedIntegrabilityReport(NamedTuple):
     """Truth values of the four graded pieces of Omega ^ d(Omega)."""
 
     quad_quad: bool        # Omega_2 ^ dOmega_2 = 0

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -478,7 +477,7 @@ def test_integer_columns_seed_the_same_echelon_and_kernel():
     denoms = set()
     for S, m in _seeding_cases():
         denoms.add(m.denom)
-        assert [f.name for f in dataclasses.fields(m)] == ["source", "target", "denom", "columns"]
+        assert m._fields == ("source", "target", "denom", "columns")
         assert all(type(v) is int for col in m.columns for v in col.values())
         exact = [{pos: Fraction(v, m.denom) for pos, v in col.items()} for col in m.columns]
         assert m.triplets() == sorted(
@@ -794,6 +793,23 @@ def test_counted_dims_match_the_basis():
                     assert plain == math.comb(n, k) * math.comb(n + d - 1, d)
                 invariant = slice_basis(n, k, d, tuple(range(n)), (0,), (0,)).dim
                 assert filtered.dim(k, d) == invariant
+
+
+def test_complex_blocks_equal_slice_basis():
+    # a complex groups each degree's monomials by weight once and builds every
+    # block of that degree from them; each block is the slice_basis slice
+    structures = [(catalog_get("P1"), None, ()), (catalog_get("P2", {"n": 5}), None, ()),
+                  (catalog_get("rigid", {"n": 6}), tuple(range(7)), (0,)),
+                  (zero_structure(3), None, (1,))]
+    for S, weights, banned in structures:
+        cache = cohomology._complex(S, weights, banned)
+        for d in range(-1, 4):
+            for k in range(-1, S.n + 2):
+                block = cache.block(k, d)
+                fresh = slice_basis(S.n, k, d, cache.block_weights, banned, banned)
+                assert block == fresh and block.basis == fresh.basis
+                assert repr(block) == repr(fresh)
+        assert sorted(cache._monomials) == list(range(-1, 4))
 
 
 @pytest.mark.parametrize("bad", [3, 7, -1, -3])

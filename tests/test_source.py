@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polypoisson"
@@ -205,3 +208,18 @@ def test_integrability_builds_no_exterior_form():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "wedge" in defined
     assert "_wedge_top" not in defined
+
+
+def test_package_import_loads_no_dataclass_machinery():
+    # every CLI call and benchmark pass is a fresh process, so start-up is paid
+    # per query: dataclasses (with inspect, dis and ast behind it) took most of it
+    code = (
+        "import sys; before = set(sys.modules); import polypoisson, polypoisson.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert "polypoisson.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
