@@ -17,11 +17,8 @@ from .multivector import (
     phi_map,
 )
 from .poisson import (
-    DegreeOverflowError,
     IntegrabilityError,
-    Order2Equivalence,
     PoissonStructure,
-    apply_equivalence,
     graded_integrability,
     verify,
 )
@@ -46,17 +43,14 @@ __all__ = [
     "CatalogEntry",
     "CohomologyReport",
     "ComplexInvariantError",
-    "DegreeOverflowError",
     "DeltaMatrix",
     "ExteriorForm",
     "GradedSlice",
     "IntegrabilityError",
     "MultiDerivation",
-    "Order2Equivalence",
     "ParseError",
     "PoissonStructure",
     "Polynomial",
-    "apply_equivalence",
     "bivector_from_entries",
     "catalog_expected",
     "catalog_get",

@@ -566,7 +566,7 @@ class DeltaMatrix(NamedTuple):
     ``columns`` hold ``int``s, ``denom`` times the true values, as
     ``delta_matrix`` computes them on packed codes: each column lists its
     rows in the order the elementary-cochain rule first reaches them.
-    ``rank``, ``kernel`` and the boundary echelons read them: scaling by
+    ``kernel`` and the boundary echelons read them: scaling by
     denom > 0 changes no primitive integer row, so neither the echelon nor
     the kernel changes.  ``triplets`` gives the exact values, each
     ``Fraction(value, denom)``, sorted by (row, col).
@@ -576,10 +576,6 @@ class DeltaMatrix(NamedTuple):
     target: GradedSlice
     denom: int
     columns: tuple[dict[int, int], ...]
-
-    def rank(self) -> int:
-        # rank is transposition-invariant; the columns are already sparse rows
-        return linalg.rank(self.columns)
 
     def kernel(self) -> list[dict[int, Fraction]]:
         return linalg.kernel_basis(_transpose(self.columns, self.target.dim), self.source.dim)

@@ -1,4 +1,4 @@
-"""Validated Poisson structures, their bracket, and order-2 equivalences.
+"""Validated Poisson structures, their bracket, and graded integrability.
 
 ``verify`` runs both integrability criteria (the trisum of Jacobi
 obstructions and the exterior-form test) and refuses to hand out a
@@ -17,30 +17,21 @@ homogeneous components of degrees 3, 0, 1 and 2 of the one product
 Omega ^ dOmega.  On three variables its coefficient is the one Jacobi
 obstruction J_012, so the pieces are read off ``jacobi_trisum``; no form is
 built.
-
-An order-2 equivalence is a linear bijection of the polynomial vector space
-that fixes constants and every monomial of degree >= 2 and maps each
-variable into (degree 1) + (degree 2).  It acts on a degree-<= 2 structure
-by Y_i = f(X_i), {Y_i, Y_j} = f^{-1}({f(X_i), f(X_j)}), where f^{-1} is
-``inverse()``, again an order-2 equivalence.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
-from . import linalg
 from .multivector import (
     MultiDerivation,
     _forms_integrable,
     _integer_multiple,
     _trisum,
     bivector_entry,
-    bivector_from_entries,
     jacobi_trisum,
 )
-from .poly import Polynomial, Scalar, format_poly
+from .poly import Polynomial, format_poly
 
 
 class IntegrabilityError(ValueError):
@@ -54,10 +45,6 @@ class IntegrabilityError(ValueError):
         super().__init__(
             f"not integrable: trisum({i + f},{j + f},{k + f}) = {format_poly(poly, f)}"
         )
-
-
-class DegreeOverflowError(ValueError):
-    """A transformed structure left the degree-<=2 class."""
 
 
 class PoissonStructure:
@@ -220,130 +207,3 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
         mixed=1 not in degrees,
         lin_quad=2 not in degrees,
     )
-
-
-# -- order-2 equivalences -----------------------------------------------------
-
-
-def _matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """A^-1 from the kernel of [A | -I]: the vector ending at column n + m is
-    (column m of A^-1, e_m); a kernel vector ending before column n means A is
-    singular."""
-    n = len(rows)
-    aug = [{**{j: Fraction(x) for j, x in enumerate(row) if x}, n + i: Fraction(-1)}
-           for i, row in enumerate(rows)]
-    kernel = linalg.kernel_basis(aug, 2 * n)
-    if any(max(vec) < n for vec in kernel):
-        raise ValueError("linear part is not invertible")
-    return [[kernel[m].get(i, Fraction(0)) for m in range(n)] for i in range(n)]
-
-
-class Order2Equivalence:
-    """f(X_i) = sum_j a_i^j X_j + (degree-2 part); identity above degree 1.
-
-    ``linear`` is the matrix (a_i^j); ``quad`` holds one homogeneous degree-2
-    polynomial per variable (possibly zero).  The map is a linear bijection of
-    the polynomial vector space, not an algebra morphism.
-    """
-
-    __slots__ = ("n", "linear", "quad")
-
-    def __init__(
-        self,
-        n: int,
-        linear: Sequence[Sequence[Scalar]],
-        quad: Optional[Sequence[Polynomial]] = None,
-    ) -> None:
-        if len(linear) != n or any(len(row) != n for row in linear):
-            raise ValueError("linear part must be an n x n matrix")
-        self.n = n
-        self.linear = tuple(tuple(Fraction(x) for x in row) for row in linear)
-        if quad is None:
-            quad = [Polynomial.zero(n)] * n
-        if len(quad) != n:
-            raise ValueError("quadratic part needs one polynomial per variable")
-        for q in quad:
-            if q.n != n:
-                raise ValueError("quadratic part variable count mismatch")
-            if not q.is_zero and not q.is_homogeneous(2):
-                raise ValueError("quadratic part must be homogeneous of degree 2")
-        self.quad = tuple(quad)
-
-    def image_of_variable(self, i: int) -> Polynomial:
-        out = Polynomial(
-            self.n,
-            {
-                tuple(int(a == j) for a in range(self.n)): c
-                for j, c in enumerate(self.linear[i])
-                if c
-            },
-        )
-        return out + self.quad[i]
-
-    def _split(self, p: Polynomial) -> tuple[Polynomial, list[Fraction]]:
-        """Separate the degree-1 component; return (rest, coefficients)."""
-        lin = p.homogeneous_component(1)
-        coeffs = [Fraction(0)] * self.n
-        for exps, c in lin.terms.items():
-            coeffs[exps.index(1)] = c
-        return p - lin, coeffs
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        rest, coeffs = self._split(p)
-        out = rest
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out + self.image_of_variable(i) * c
-        return out
-
-    def inverse(self) -> "Order2Equivalence":
-        """f^-1: the inverse linear part A^-1, and the quadratic part -A^-1 q,
-        which cancels the quadratic shadow of f; both are identity above
-        degree 1."""
-        inv = _matrix_inverse(self.linear)
-        quad = []
-        for i in range(self.n):
-            q = Polynomial.zero(self.n)
-            for j in range(self.n):
-                if inv[i][j]:
-                    q = q + self.quad[j] * inv[i][j]
-            quad.append(-q)
-        return Order2Equivalence(self.n, inv, quad)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Order2Equivalence)
-            and self.n == other.n
-            and self.linear == other.linear
-            and self.quad == other.quad
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.linear, self.quad))
-
-
-def apply_equivalence(structure: PoissonStructure, f: Order2Equivalence) -> PoissonStructure:
-    """Transport a degree-<=2 structure along an order-2 equivalence.
-
-    Entries of the result are f^{-1}({f(X_i), f(X_j)}); raises
-    DegreeOverflowError when they leave the degree-<=2 class, and re-verifies
-    integrability of the result.
-    """
-    n = structure.n
-    if f.n != n:
-        raise ValueError("mismatched variable count")
-    if any(p.total_degree() > 2 for p in structure.bivector.values.values()):
-        raise ValueError("entries must have degree at most 2")
-    images = [f.apply(Polynomial.variable(n, i)) for i in range(n)]
-    f_inv = f.inverse()
-    entries: dict[tuple[int, int], Polynomial] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = f_inv.apply(structure.bracket(images[i], images[j]))
-            if p.total_degree() > 2:
-                raise DegreeOverflowError(
-                    f"transformed entry P({i + structure.first_index},"
-                    f"{j + structure.first_index}) has degree {p.total_degree()}"
-                )
-            entries[(i, j)] = p
-    return verify(bivector_from_entries(n, entries), structure.first_index)

@@ -64,6 +64,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
+from polypoisson import linalg
 from polypoisson.cohomology import (
     CohomologyReport,
     CohomologyRow,
@@ -74,7 +75,6 @@ from polypoisson.cohomology import (
     slice_basis,
 )
 from polypoisson.exterior import ExteriorForm, IndexTuple, _complement
-from polypoisson.linalg import SpanTracker
 from polypoisson.multivector import (
     MultiDerivation,
     _integer_multiple,
@@ -452,7 +452,7 @@ def full_elimination_dims(
     def rank(k: int, d: int) -> int:
         if d < 0 or k >= n or not whole(k, d).dim:
             return 0
-        return delta_matrix(S, whole(k, d), whole(k + 1, d + r - 1)).rank()
+        return linalg.rank(delta_matrix(S, whole(k, d), whole(k + 1, d + r - 1)).columns)
 
     rows = []
     for k in ks:
@@ -484,7 +484,7 @@ def greedy_representatives(
         kernel = [{i: Fraction(1)} for i in range(sl.dim)]
     else:
         kernel = delta_matrix(S, sl, whole(k + 1, d + r - 1)).kernel()
-    tracker = SpanTracker()
+    tracker = linalg.SpanTracker()
     if k > 0 and d - r + 1 >= 0:
         for column in delta_matrix(S, whole(k - 1, d - r + 1), sl).columns:
             tracker.add(column)

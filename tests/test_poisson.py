@@ -6,11 +6,8 @@ import pytest
 from polypoisson.catalog import CATALOG, catalog_bivector, catalog_get
 from polypoisson.multivector import MultiDerivation, bivector_from_entries
 from polypoisson.poisson import (
-    DegreeOverflowError,
     IntegrabilityError,
-    Order2Equivalence,
     PoissonStructure,
-    apply_equivalence,
     graded_integrability,
     verify,
 )
@@ -225,111 +222,3 @@ def test_graded_integrability_rejects_high_degree():
     biv = bivector_from_entries(3, {(0, 1): V(3, 0) ** 3})
     with pytest.raises(ValueError):
         graded_integrability(biv)
-
-
-# -- order-2 equivalences --------------------------------------------------------------
-
-
-def test_identity_equivalence_fixes_structure():
-    S = catalog_get("Omega7", {"a": 1, "b": 0})
-    T = apply_equivalence(S, Order2Equivalence(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert T.bivector == S.bivector
-
-
-def test_heisenberg_quadratic_shift():
-    heis = verify(bivector_from_entries(3, {(0, 1): V(3, 2)}))
-    f = Order2Equivalence(
-        3,
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [Polynomial.zero(3), Polynomial.zero(3), V(3, 0) * V(3, 1)],
-    )
-    T = apply_equivalence(heis, f)
-    assert T.bivector.values == {
-        (0, 1): V(3, 2) - V(3, 0) * V(3, 1),
-        (0, 2): V(3, 0) * V(3, 2),
-        (1, 2): -(V(3, 1) * V(3, 2)),
-    }
-
-
-def test_linear_rescaling_of_p1():
-    S = p1()
-    f = Order2Equivalence(3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-    T = apply_equivalence(S, f)
-    # scaling the first variable rescales both entries
-    assert T.bivector.values == {(0, 1): 2 * V(3, 1), (0, 2): 4 * V(3, 2)}
-    assert T.verified
-
-
-def test_inverse_and_apply_inverse_roundtrip(rng):
-    for _ in range(25):
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            rows[i][i] += Fraction(rng.randint(1, 3))
-        quad = [random_poly(3, 2, rng, max_terms=2).homogeneous_component(2) for _ in range(3)]
-        try:
-            f = Order2Equivalence(3, rows, quad)
-            finv = f.inverse()
-        except ValueError:
-            continue
-        p = random_poly(3, 2, rng)
-        assert finv.apply(f.apply(p)) == p
-        assert f.apply(finv.apply(p)) == p
-
-
-def test_apply_then_inverse_returns_structure_linear_case(rng):
-    S = catalog_get("L3", {"alpha": 2})
-    for _ in range(15):
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            rows[i][i] += Fraction(rng.randint(1, 3))
-        try:
-            f = Order2Equivalence(3, rows)
-        except ValueError:
-            continue
-        try:
-            T = apply_equivalence(S, f)
-        except ValueError:
-            continue
-        back = apply_equivalence(T, f.inverse())
-        assert back.bivector == S.bivector
-
-
-def test_transformed_structures_reverify(rng):
-    structures = [
-        catalog_get("L1"),
-        catalog_get("Omega1", {"a": 1, "b": 0, "c": 1, "e": 0}),
-        verify(bivector_from_entries(3, {(0, 1): V(3, 2)})),
-    ]
-    transformed = 0
-    for S in structures:
-        for i in range(3):
-            quad = [Polynomial.zero(3)] * 3
-            quad[i] = random_poly(3, 2, rng, max_terms=2).homogeneous_component(2)
-            f = Order2Equivalence(
-                3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], quad
-            )
-            try:
-                T = apply_equivalence(S, f)
-            except DegreeOverflowError:
-                continue
-            assert T.verified
-            transformed += 1
-    assert transformed >= 3
-
-
-def test_degree_overflow_is_reported():
-    S = p1()
-    # bracketing two quadratic images produces degree-3 entries here
-    f = Order2Equivalence(
-        3,
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [V(3, 1) ** 2, V(3, 0) * V(3, 1), Polynomial.zero(3)],
-    )
-    with pytest.raises(DegreeOverflowError):
-        apply_equivalence(S, f)
-
-
-def test_non_invertible_linear_part_rejected():
-    f = Order2Equivalence(3, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        f.inverse()

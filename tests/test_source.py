@@ -107,8 +107,8 @@ def _enclosing_calls(tree, called):
 
 def test_each_coboundary_edge_has_one_assembly_and_one_elimination():
     # the boundary echelon gives both dim B and the outgoing rank one step
-    # below, so the complex assembles block matrices in one place, and the
-    # module ranks a matrix only when a caller asks a DeltaMatrix for it
+    # below, so the complex assembles block matrices in one place and never
+    # ranks a matrix apart from that echelon
     tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
     assemblies = _enclosing_calls(tree, lambda call: _called_name(call) == "delta_matrix")
     inside = [name for name in assemblies if name.startswith("_SliceCache.")]
@@ -118,7 +118,7 @@ def test_each_coboundary_edge_has_one_assembly_and_one_elimination():
         lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "rank"
         and isinstance(call.func.value, ast.Name) and call.func.value.id == "linalg",
     )
-    assert ranks == ["DeltaMatrix.rank"]
+    assert ranks == []
 
 
 def test_every_private_function_in_package_source_has_a_caller():
