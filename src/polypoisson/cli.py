@@ -328,6 +328,15 @@ def _add_structure_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_filter_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--invariant", action="store_true",
+                        help="restrict to torus-invariant cochains; the weights default to "
+                             "those of the diagonal coordinate {X_m, X_i} = w_i X_i")
+    parser.add_argument("--weights", help="comma-separated torus weights, one per variable")
+    parser.add_argument("--exclude-x0", action="store_true", dest="exclude_x0",
+                        help="drop the first variable from slots and values")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polypoisson",
@@ -358,12 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, help="arity range 0..kmax")
     p.add_argument("--degree", type=int, help="single polynomial degree")
     p.add_argument("--cutoff", type=int, default=6, help="degree range 0..cutoff (default 6)")
-    p.add_argument("--invariant", action="store_true",
-                   help="restrict to torus-invariant cochains; the weights default to "
-                        "those of the diagonal coordinate {X_m, X_i} = w_i X_i")
-    p.add_argument("--weights", help="comma-separated torus weights, one per variable")
-    p.add_argument("--exclude-x0", action="store_true", dest="exclude_x0",
-                   help="drop the first variable from slots and values")
+    _add_filter_args(p)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_cohomology)
 
@@ -371,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_structure_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--invariant", action="store_true")
-    p.add_argument("--weights")
-    p.add_argument("--exclude-x0", action="store_true", dest="exclude_x0")
+    _add_filter_args(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("catalog", help="list entries or export one as JSON")

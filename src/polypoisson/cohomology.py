@@ -359,7 +359,17 @@ def delta_via_forms(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivatio
 # -- graded slices -------------------------------------------------------------
 
 
-class GradedSlice:
+class _Slice(NamedTuple):
+    n: int
+    k: int
+    d: int
+    weights: Optional[tuple[int, ...]]
+    exclude_value_vars: frozenset[int]
+    exclude_slot_vars: frozenset[int]
+    basis: tuple[tuple[IndexTuple, Exponents], ...]
+
+
+class GradedSlice(_Slice):
     """Ordered basis of homogeneous degree-d k-cochains, possibly filtered.
 
     Basis elements are (slot tuple, monomial exponents) pairs, slots ascending
@@ -368,51 +378,19 @@ class GradedSlice:
     the same map keyed by the codes of ``_Coboundary`` at width w, built once
     per width and kept in ``packed``.  A slice is a frozen value of its seven
     fields: equality, hashing and repr read only those, never the ``packed``
-    or ``index`` caches, and assigning or deleting an attribute raises
-    ``AttributeError``.
+    or ``index`` caches, a slice equals only slices, and assigning or
+    deleting an attribute raises ``AttributeError``.
     """
 
-    _FIELDS = ("n", "k", "d", "weights", "exclude_value_vars", "exclude_slot_vars", "basis")
-
-    n: int
-    k: int
-    d: int
-    weights: Optional[tuple[int, ...]]
-    exclude_value_vars: frozenset[int]
-    exclude_slot_vars: frozenset[int]
-    basis: tuple[tuple[IndexTuple, Exponents], ...]
-    packed: dict[int, dict[int, int]]
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        d: int,
-        weights: Optional[tuple[int, ...]],
-        exclude_value_vars: frozenset[int],
-        exclude_slot_vars: frozenset[int],
-        basis: tuple[tuple[IndexTuple, Exponents], ...],
-    ) -> None:
-        # the fields go straight into __dict__, since __setattr__ refuses them
-        self.__dict__.update(
-            zip(self._FIELDS, (n, k, d, weights, exclude_value_vars, exclude_slot_vars, basis)),
-            packed={},
-        )
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._FIELDS))
-
+    # False, not NotImplemented: a plain tuple's reflected __eq__ would then
+    # call a slice equal to the tuple of its fields
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
-        return f"GradedSlice({fields})"
+    __hash__ = tuple.__hash__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -427,6 +405,10 @@ class GradedSlice:
     @cached_property
     def index(self) -> dict[tuple[IndexTuple, Exponents], int]:
         return {pair: pos for pos, pair in enumerate(self.basis)}
+
+    @cached_property
+    def packed(self) -> dict[int, dict[int, int]]:
+        return {}
 
     def packed_index(self, w: int) -> dict[int, int]:
         """Position by code at width w, in basis order; needs 2^w > d."""
@@ -936,10 +918,7 @@ def cocycle_representatives(
     if not dim_H:
         return []
     block = cache.block(k, d)
-    if k >= S.n:
-        kernel_vectors = [{i: Fraction(1)} for i in range(block.dim)]
-    else:
-        kernel_vectors = delta_matrix(S, block, cache.block(k + 1, d + cache.r - 1)).kernel()
+    kernel_vectors = delta_matrix(S, block, cache.block(k + 1, d + cache.r - 1)).kernel()
     boundaries = cache.boundaries(k, d)
     if len(kernel_vectors) - boundaries.rank != dim_H:
         raise ComplexInvariantError(

@@ -192,31 +192,8 @@ class Polynomial:
         """Maximal term degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def homogeneous_degrees(self) -> list[int]:
         return sorted({sum(e) for e in self.terms})
-
-    def is_homogeneous(self, d: Optional[int] = None) -> bool:
-        degs = self.homogeneous_degrees()
-        if not degs:
-            return True
-        return len(degs) == 1 and (d is None or degs[0] == d)
-
-    def weight(self, weights: Sequence[int]) -> Optional[int]:
-        """Common weight of all terms, or None if not weight-homogeneous.
-
-        The weight of a monomial is sum(exponent[i] * weights[i]); the zero
-        polynomial has weight 0 by convention.
-        """
-        weights = _checked_weights(self.n, weights)
-        found: set[int] = set()
-        for exps in self.terms:
-            found.add(sum(e * w for e, w in zip(exps, weights)))
-            if len(found) > 1:
-                return None
-        return found.pop() if found else 0
 
 
 # -- monomial enumeration ---------------------------------------------
@@ -259,7 +236,8 @@ def monomial_basis(n: int, d: int, exclude_vars: Iterable[int] = ()) -> list[Exp
         for i in factors:
             exps[i] += 1
         out.append(tuple(exps))
-    out.sort(key=grlex_key)
+    # combinations over ascending variables come in descending graded lex order
+    out.reverse()
     return out
 
 

@@ -53,6 +53,9 @@ another way:
   ``poisson.graded_integrability`` reads them off the degrees of the one
   Jacobi obstruction that ``jacobi_trisum`` gives on three variables, the
   coefficient of Omega ^ dOmega.
+* ``homogeneous_component`` and ``weight`` take the degree-d part of a
+  polynomial and its common torus weight; the package builds each graded
+  slice from its monomials, so it needs neither.
 """
 
 from __future__ import annotations
@@ -610,7 +613,7 @@ def graded_pieces(bivector: MultiDerivation) -> GradedIntegrabilityReport:
     parts = []
     for d in range(3):
         terms = {
-            idx: coeff.homogeneous_component(d)
+            idx: homogeneous_component(coeff, d)
             for idx, coeff in omega.terms.items()
         }
         parts.append(ExteriorForm(3, omega.k, terms))
@@ -636,3 +639,22 @@ def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
     for first in range(d, -1, -1):
         for rest in compositions(n - 1, d - first):
             yield (first,) + rest
+
+
+def homogeneous_component(p: Polynomial, d: int) -> Polynomial:
+    """The terms of p of total degree d."""
+    return Polynomial(p.n, {e: c for e, c in p.terms.items() if sum(e) == d})
+
+
+def weight(p: Polynomial, weights: Sequence[int]) -> Optional[int]:
+    """Common weight of all terms of p, or None if p is not weight-homogeneous.
+
+    The weight of a monomial is sum(exponent[i] * weights[i]); the zero
+    polynomial has weight 0 by convention.
+    """
+    if len(weights) != p.n:
+        raise ValueError(f"weight vector has {len(weights)} entries, expected n={p.n}")
+    found = {sum(e * w for e, w in zip(exps, weights)) for exps in p.terms}
+    if len(found) > 1:
+        return None
+    return found.pop() if found else 0

@@ -6,7 +6,13 @@ from types import MappingProxyType
 import pytest
 
 from polypoisson.catalog import CATALOG, CatalogEntry, ParamSpec, catalog_get
-from polypoisson.cohomology import CohomologyRow, cohomology_dims, delta_matrix, slice_basis
+from polypoisson.cohomology import (
+    CohomologyRow,
+    GradedSlice,
+    cohomology_dims,
+    delta_matrix,
+    slice_basis,
+)
 from polypoisson.poisson import GradedIntegrabilityReport, graded_integrability
 
 SLICE_FIELDS = ("n", "k", "d", "weights", "exclude_value_vars", "exclude_slot_vars", "basis")
@@ -35,6 +41,11 @@ def test_every_field_of_every_record_refuses_assignment_and_deletion():
             with pytest.raises(AttributeError):
                 delattr(record, name)
             assert getattr(record, name) is value
+
+
+def test_slice_fields_are_the_names_the_tracer_reads():
+    # bench/tracer.py keys each slice by these fields, in this order
+    assert GradedSlice._fields == SLICE_FIELDS
 
 
 def test_slice_value_ignores_its_caches():
