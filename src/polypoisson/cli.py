@@ -195,9 +195,12 @@ def _cochain_slots(args: Sequence, k: int, n: int, base: int) -> tuple[int, ...]
 
 
 def _cochain_from_json(data: dict, n: int, base: int) -> MultiDerivation:
-    """Entries that repeat one ``args`` are summed."""
+    """Entries that repeat one ``args`` are summed; a ``base`` must be the structure's."""
     try:
         k = _json_int(data["k"], "k")
+        typed = _json_int(data.get("base", base), "base")
+        if typed != base:
+            raise CliError(f"cochain base {typed} differs from the structure's base {base}")
         values = add_into({}, (
             (_cochain_slots(item["args"], k, n, base),
              parse_poly(item["poly"], n, first_index=base))

@@ -243,21 +243,20 @@ def monomial_basis(n: int, d: int, exclude_vars: Iterable[int] = ()) -> list[Exp
 
 # -- text format -------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>X\d+)|(?P<op>[*/^+-]))")
+# `bad` is a character no token starts with; `\Z`, unlike `$`, matches only at len(text)
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>X\d+)|(?P<op>[*/^+-])|(?P<end>\Z)|(?P<bad>.))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, ending with one ``end`` token at len(text)."""
     tokens = []
     pos = 0
-    while pos < len(text):
+    while not tokens or tokens[-1][0] != "end":
         m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+        kind, pos = m.lastgroup, m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -278,76 +277,65 @@ def parse_poly(text: str, n: int, first_index: int = 1) -> Polynomial:
     such as ``X1X2`` or ``2 3`` are a ``ParseError``, not a sum.
     """
     tokens = _tokenize(text)
-    if not tokens:
+    if tokens[0][0] == "end":
         raise ParseError("empty polynomial expression", 0)
-    result = Polynomial.zero(n)
     i = 0
 
-    def peek(kind: str) -> bool:
-        return i < len(tokens) and tokens[i][0] == kind
+    def take(kind: str, ops: str = "") -> Optional[tuple[str, str, int]]:
+        """Consume and return the next token if it has ``kind`` (and is one of ``ops``)."""
+        nonlocal i
+        token = tokens[i]
+        if token[0] != kind or (ops and token[1] not in ops):
+            return None
+        i += 1
+        return token
 
-    while i < len(tokens):
-        if i and not (tokens[i][0] == "op" and tokens[i][1] in "+-"):
+    terms: dict[Exponents, Fraction] = {}
+    while not take("end"):
+        sign = take("op", "+-")
+        if i > 0 and not sign:
             raise ParseError("expected '+' or '-' before the next term", tokens[i][2])
-        sign = 1
-        # leading sign of the term
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-                raise ParseError("consecutive signs", tokens[i][2])
-        if i >= len(tokens):
-            raise ParseError("dangling sign", tokens[-1][2])
-        coeff = Fraction(sign)
+        if take("op", "+-"):
+            raise ParseError("consecutive signs", tokens[i - 1][2])
+        if sign and tokens[i][0] == "end":
+            raise ParseError("dangling sign", sign[2])
+        coeff = Fraction(-1 if sign and sign[1] == "-" else 1)
         exps = [0] * n
-        expect_factor = True
-        while expect_factor:
-            if peek("num"):
-                num = _token_int(tokens[i])
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "/":
-                    i += 1
-                    if not peek("num"):
-                        raise ParseError("expected denominator", tokens[i - 1][2])
-                    den = _token_int(tokens[i])
-                    if den == 0:
-                        raise ParseError("zero denominator", tokens[i][2])
-                    i += 1
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-            elif peek("var"):
-                label = _token_int(tokens[i])
+        while True:
+            if token := take("num"):
+                coeff *= _token_int(token)
+                if slash := take("op", "/"):
+                    den = take("num")
+                    if not den:
+                        raise ParseError("expected denominator", slash[2])
+                    d = _token_int(den)
+                    if not d:
+                        raise ParseError("zero denominator", den[2])
+                    coeff /= d
+            elif token := take("var"):
+                label = _token_int(token)
                 idx = label - first_index
                 if not 0 <= idx < n:
                     raise ParseError(
                         f"variable X{label} out of range (expected X{first_index}.."
                         f"X{first_index + n - 1})",
-                        tokens[i][2],
+                        token[2],
                     )
-                i += 1
                 power = 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    i += 1
-                    if not peek("num"):
-                        raise ParseError("expected positive exponent", tokens[i - 1][2])
-                    power = _token_int(tokens[i])
-                    if power == 0:
-                        raise ParseError("exponent must be positive", tokens[i][2])
-                    i += 1
+                if caret := take("op", "^"):
+                    exponent = take("num")
+                    if not exponent:
+                        raise ParseError("expected positive exponent", caret[2])
+                    power = _token_int(exponent)
+                    if not power:
+                        raise ParseError("exponent must be positive", exponent[2])
                 exps[idx] += power
             else:
-                # a trailing '*' leaves no token: the factor is missing at the end
-                at = tokens[i][2] if i < len(tokens) else len(text)
-                raise ParseError("expected a factor", at)
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
-                i += 1
-                expect_factor = True
-            else:
-                expect_factor = False
-        result = result + Polynomial.monomial(n, exps, coeff)
-    return result
+                raise ParseError("expected a factor", tokens[i][2])
+            if not take("op", "*"):
+                break
+        add_into(terms, ((tuple(exps), coeff),))
+    return Polynomial._trusted(n, terms)
 
 
 def _format_term(exps: Exponents, coeff: Fraction, first_index: int) -> tuple[str, str]:

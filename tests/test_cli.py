@@ -112,8 +112,9 @@ def test_verify_rejects_numbers_that_are_not_json_integers(capsys, data, message
          "each of args must be an integer, got true"),
         ({"k": 1, "entries": [{"args": "2", "poly": "X1"}]},
          'each of args must be an integer, got "2"'),
+        ({"k": 1, "base": 1.0, "entries": []}, "base must be an integer, got 1.0"),
     ],
-    ids=["float-k", "bool-k", "float-arg", "bool-arg", "string-args"],
+    ids=["float-k", "bool-k", "float-arg", "bool-arg", "string-args", "float-base"],
 )
 def test_delta_rejects_numbers_that_are_not_json_integers(capsys, cochain, message):
     code, out, err = run(capsys, "delta", "--catalog", "P1", "--cochain", json.dumps(cochain))
@@ -229,6 +230,19 @@ def test_delta_sums_entries_that_repeat_args(capsys):
     zero = delta_of()
     assert delta_of(([2], "X1*X3"), ([2], "-X1*X3")) == zero
     assert json.loads(zero) == {"base": 1, "entries": [], "k": 2}
+
+
+def test_delta_cochain_base_must_match_the_structure(capsys):
+    # P1 labels from 1, so a cochain typed in base 0 must not be read as base 1
+    entries = [{"args": [], "poly": "X1"}]
+    code, out, err = run(capsys, "delta", "--catalog", "P1", "--cochain",
+                         json.dumps({"k": 0, "base": 0, "entries": entries}))
+    assert code == 2 and out == ""
+    assert "cochain base 0 differs from the structure's base 1" in err
+    outputs = [run(capsys, "delta", "--catalog", "P1", "--cochain", json.dumps(cochain))
+               for cochain in ({"k": 0, "entries": entries},
+                               {"k": 0, "base": 1, "entries": entries})]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 @pytest.mark.parametrize(
@@ -494,6 +508,16 @@ def test_reproduce_rigid_k2_explains_its_mismatch(capsys):
     assert "note: " in out and "notes/decisions.md" in out
     assert (Path(__file__).resolve().parents[1] / "notes" / "decisions.md").is_file()
     assert check_rigid_k2(range(7, 9))["notes"] == []
+
+
+def test_reproduce_rigid_k2_reads_the_catalog_record():
+    from polypoisson.reproduce import check_rigid_k2
+
+    # rows past n = 10 take the record's "n>=7" value, and an empty range is no rows
+    report = check_rigid_k2(range(11, 13))
+    assert [(r["expected"], r["computed"]) for r in report["rows"]] == [(0, 0), (0, 0)]
+    assert report["pass"]
+    assert check_rigid_k2(range(0))["rows"] == []
 
 
 def test_integrability_error_labels_follow_json_base(capsys):

@@ -66,13 +66,45 @@ def test_parse_rejects_malformed():
             parse_poly(bad, 2)
 
 
+PARSE_ERRORS = [
+    # (text, message, position) for n=3, labels X1..X3
+    ("", "empty polynomial expression", 0),
+    (" \t\n", "empty polynomial expression", 0),
+    ("(X1", "unexpected character '('", 0),
+    ("X1 (", "unexpected character '('", 3),
+    ("X1 +   $", "unexpected character '$'", 7),
+    ("X1 X2", "expected '+' or '-' before the next term", 3),
+    ("X1 + -X2", "consecutive signs", 5),
+    ("X1 +", "dangling sign", 3),
+    ("1/X1", "expected denominator", 1),
+    ("X2 - 1/0", "zero denominator", 7),
+    ("X1*X4", "variable X4 out of range (expected X1..X3)", 3),
+    ("X1^X2", "expected positive exponent", 2),
+    ("X1^0", "exponent must be positive", 3),
+    ("2**X1", "expected a factor", 2),
+    ("X1 * ", "expected a factor", 5),
+    ("1" * 5000, "number too long", 0),
+    ("X1^" + "1" * 5000, "number too long", 3),
+]
+
+
+def test_parse_error_messages_and_positions():
+    for text, message, pos in PARSE_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 3)
+        assert (str(info.value), info.value.pos) == (f"{message} (at position {pos})", pos)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.text(alphabet="0123456789X*/^+- ", max_size=24))
+@given(st.text(alphabet="0123456789X*/^+- \t\n(", max_size=24))
 def test_parse_returns_a_polynomial_or_raises_parse_error(text):
-    # text over the parser's alphabet never escapes as another exception
+    # text over the parser's alphabet, and a foreign '(', never escapes as another
+    # exception; an unexpected character is reported at its own position
     try:
         result = parse_poly(text, 3)
-    except ParseError:
+    except ParseError as e:
+        if str(e).startswith("unexpected character"):
+            assert str(e).startswith(f"unexpected character {text[e.pos]!r}")
         return
     assert isinstance(result, Polynomial)
 
