@@ -3,9 +3,10 @@
 Each entry records where the structure is printed in the source article
 (the ``source`` anchor), how to build its bivector from rational parameters,
 the admissibility constraints on those parameters, and any published values
-the reproduction harness checks against.  The published record is read-only
-(mappings behind ``types.MappingProxyType``, lists as tuples);
-``catalog_expected`` hands out a plain, mutable copy.
+the reproduction harness checks against.  A builder takes its parameters by
+the names of its ``ParamSpec``s, an integer parameter as an ``int``.  The
+published record is read-only (mappings behind ``types.MappingProxyType``,
+lists as tuples); ``catalog_expected`` hands out a plain, mutable copy.
 
 Every entry is written as data.  A three-variable structure printed as a
 1-form c1 dX1 + c2 dX2 + c3 dX3 lists each ci as (exponents, coefficient)
@@ -55,7 +56,7 @@ class _Entry(NamedTuple):
     description: str
     source: str
     params: tuple[ParamSpec, ...]
-    build: Callable[[Params], MultiDerivation]
+    build: Callable[..., MultiDerivation]  # takes each of ``params`` by name
     first_index: int = 1
     expected: Optional[Mapping] = None
     expect_integrable: Callable[[Params], bool] = lambda _: True
@@ -129,20 +130,14 @@ def _linear(nv: int, rows: Iterable[tuple[tuple[int, int], int, int]]) -> MultiD
     return MultiDerivation._trusted(nv, 2, values)
 
 
-def _need(params: Params, *names: str) -> list[Fraction]:
-    """The named values of parameters that ``_coerce_params`` has checked."""
-    return [params[m] for m in names]
-
-
 # -- concrete families ---------------------------------------------------------
 
 
-def _p1(_: Params) -> MultiDerivation:
+def _p1() -> MultiDerivation:
     return _linear(3, [((0, 1), 1, 1), ((0, 2), 2, 2)])
 
 
-def _p2(params: Params) -> MultiDerivation:
-    n = int(params["n"])
+def _p2(n: int) -> MultiDerivation:
     return _linear(n, (((0, i), i, i) for i in range(1, n)))
 
 
@@ -151,13 +146,12 @@ def _rigid_ladder(n: int) -> list[tuple[tuple[int, int], int, int]]:
     return [((0, i), i, i) for i in range(1, n + 1)] + [((1, i), i + 1, 1) for i in range(2, n)]
 
 
-def _rigid(params: Params) -> MultiDerivation:
-    n = int(params["n"])  # variables X0..Xn, internal indices equal labels
+def _rigid(n: int) -> MultiDerivation:
+    # variables X0..Xn, internal indices equal labels
     return _linear(n + 1, _rigid_ladder(n) + [((2, i), i + 2, 1) for i in range(3, n - 1)])
 
 
-def _deformed_mu(params: Params) -> MultiDerivation:
-    n = int(params["n"])
+def _deformed_mu(n: int) -> MultiDerivation:
     return _linear(n + 1, [
         *_rigid_ladder(n),
         ((2, 3), 5, 1),
@@ -166,25 +160,23 @@ def _deformed_mu(params: Params) -> MultiDerivation:
     ])
 
 
-def _linear_form_1(_: Params) -> MultiDerivation:
+def _linear_form_1() -> MultiDerivation:
     return _decode([], [], [(X3, 1)])
 
 
-def _linear_form_2(_: Params) -> MultiDerivation:
+def _linear_form_2() -> MultiDerivation:
     return _decode([(X1, 1)], [(X3, 1)], [(X2, 1)])
 
 
-def _linear_form_3(params: Params) -> MultiDerivation:
-    (alpha,) = _need(params, "alpha")
+def _linear_form_3(alpha) -> MultiDerivation:
     return _decode([], [(X3, -alpha)], [(X2, 1)])
 
 
-def _linear_form_4(_: Params) -> MultiDerivation:
+def _linear_form_4() -> MultiDerivation:
     return _decode([], [(X3, -1)], [(X2, 1), (X3, 1)])
 
 
-def _omega1(params: Params) -> MultiDerivation:
-    a, b, c, e = _need(params, "a", "b", "c", "e")
+def _omega1(a, b, c, e) -> MultiDerivation:
     return _decode(
         [(X1X1, a), (X2X2, -b / 2), (X1X2, -2 * c)],
         [(X1X1, -c), (X2X2, -e), (X1X2, -b)],
@@ -192,8 +184,7 @@ def _omega1(params: Params) -> MultiDerivation:
     )
 
 
-def _omega2(params: Params) -> MultiDerivation:
-    a, b, c, e = _need(params, "a", "b", "c", "e")
+def _omega2(a, b, c, e) -> MultiDerivation:
     return _decode(
         [(X1, 1), (X1X1, a), (X2X2, -b / 2), (X1X2, -2 * c)],
         [(X3, 1), (X1X1, -c), (X2X2, -e), (X1X2, -b)],
@@ -201,38 +192,31 @@ def _omega2(params: Params) -> MultiDerivation:
     )
 
 
-def _omega3(params: Params) -> MultiDerivation:
-    a, b, c = _need(params, "a", "b", "c")
+def _omega3(a, b, c) -> MultiDerivation:
     return _decode([(X1X3, a), (X2X3, b)], [(X1X3, b), (X2X3, c)], [(X3, 1)])
 
 
-def _omega4(params: Params) -> MultiDerivation:
-    (a,) = _need(params, "a")
+def _omega4(a) -> MultiDerivation:
     return _decode([(X1, 1)], [(X3, 1), (X1X3, a)], [(X2, 1), (X1X2, a)])
 
 
-def _omega5(params: Params) -> MultiDerivation:
-    (a,) = _need(params, "a")
+def _omega5(a) -> MultiDerivation:
     return _decode([(X1, 1)], [(X3, 1), (X1X1, -a), (X2X3, -2 * a)], [(X2, 1)])
 
 
-def _omega6(params: Params) -> MultiDerivation:
-    a, alpha = _need(params, "a", "alpha")
+def _omega6(a, alpha) -> MultiDerivation:
     return _decode([(X1X3, a)], [(X3, -alpha)], [(X2, 1), (X1X1, -a / (2 * alpha))])
 
 
-def _omega7(params: Params) -> MultiDerivation:
-    a, b = _need(params, "a", "b")
+def _omega7(a, b) -> MultiDerivation:
     return _decode([(X3X3, a)], [(X3, -1), (X3X3, -b)], [(X2, 1), (X3, 1)])
 
 
-def _omega8(params: Params) -> MultiDerivation:
-    a, b = _need(params, "a", "b")
+def _omega8(a, b) -> MultiDerivation:
     return _decode([(X2X3, a)], [(X3, -1), (X1X3, a), (X2X3, -b)], [(ONE, 1)])
 
 
-def _omega9(params: Params) -> MultiDerivation:
-    a, b, c, e, f, g = _need(params, "a", "b", "c", "e", "f", "g")
+def _omega9(a, b, c, e, f, g) -> MultiDerivation:
     return _decode(
         [(X1X1, g), (X2X2, -b / 2), (X3X3, f / 2), (X1X3, 2 * c)],
         [(X2, -1), (X2X2, -a), (X1X2, -b)],
@@ -240,13 +224,11 @@ def _omega9(params: Params) -> MultiDerivation:
     )
 
 
-def _omega10(params: Params) -> MultiDerivation:
-    (a,) = _need(params, "a")
+def _omega10(a) -> MultiDerivation:
     return _decode([(ONE, 1), (X1X1, a)], [(X3, 1)], [(X2, 1)])
 
 
-def _omega11(params: Params) -> MultiDerivation:
-    a, b, c = _need(params, "a", "b", "c")
+def _omega11(a, b, c) -> MultiDerivation:
     return _decode(
         [(ONE, 1), (X1X1, a)],
         [(X3, 1), (X3X3, b), (X2X3, c)],
@@ -254,15 +236,15 @@ def _omega11(params: Params) -> MultiDerivation:
     )
 
 
-def _nf39_1(_: Params) -> MultiDerivation:
+def _nf39_1() -> MultiDerivation:
     return _decode([], [(X3, -1)], [(ONE, 1)])
 
 
-def _nf39_2(_: Params) -> MultiDerivation:
+def _nf39_2() -> MultiDerivation:
     return _decode([], [(ONE, -1)], [(X3, 1)])
 
 
-def _nf39_3(_: Params) -> MultiDerivation:
+def _nf39_3() -> MultiDerivation:
     return _decode([(ONE, 1)], [(X3, 1)], [(X2, 1)])
 
 
@@ -491,7 +473,8 @@ def _entry_list() -> list[CatalogEntry]:
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _entry_list()}
 
 
-def _coerce_params(entry: CatalogEntry, params: Optional[Mapping]) -> dict[str, Fraction]:
+def _coerce_params(entry: CatalogEntry, params: Optional[Mapping]) -> dict[str, Fraction | int]:
+    """The checked parameters by name; an integer parameter as an ``int``."""
     given = {k: Fraction(v) for k, v in (params or {}).items()}
     unknown = set(given) - {p.name for p in entry.params}
     if unknown:
@@ -508,7 +491,7 @@ def _coerce_params(entry: CatalogEntry, params: Optional[Mapping]) -> dict[str, 
                 f"parameter {spec.name}={value} violates the constraint "
                 f"{spec.constraint or 'none'}"
             )
-    return given
+    return {p.name: int(given[p.name]) if p.integer else given[p.name] for p in entry.params}
 
 
 def catalog_get(name: str, params: Optional[Mapping] = None) -> PoissonStructure:
@@ -523,7 +506,7 @@ def catalog_bivector(name: str, params: Optional[Mapping] = None) -> MultiDeriva
     if name not in CATALOG:
         raise KeyError(f"unknown catalog entry {name!r}")
     entry = CATALOG[name]
-    return entry.build(_coerce_params(entry, params))
+    return entry.build(**_coerce_params(entry, params))
 
 
 def catalog_expected(name: str) -> dict:

@@ -85,6 +85,8 @@ def _load_structure(args) -> PoissonStructure:
         raise CliError("use only one of --catalog, --file and --json")
     if not sources:
         raise CliError("provide a structure with --catalog, --file, or --json")
+    if params and sources != ["catalog"]:
+        raise CliError("--param needs --catalog")
     if getattr(args, "catalog", None):
         if args.catalog not in CATALOG:
             raise CliError(f"unknown catalog entry {args.catalog!r}")
@@ -109,7 +111,8 @@ def _load_structure(args) -> PoissonStructure:
 def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...]], tuple[int, ...]]:
     """The structure of ``cohomology`` or ``matrix``, its weights and excluded variables.
 
-    Arities and degrees must be non-negative, and ``--k`` excludes ``--kmax``.
+    Arities and degrees must be non-negative, ``--k`` excludes ``--kmax`` and
+    ``--degree`` excludes ``--cutoff``.
     ``--invariant`` takes the ``--weights`` given, or else the weights of the
     structure's diagonal coordinate.
     """
@@ -117,8 +120,9 @@ def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise CliError(f"--{name} must be >= 0, got {value}")
-    if getattr(args, "kmax", None) is not None and args.k is not None:
-        raise CliError("--k and --kmax cannot be combined")
+    for single, span in (("k", "kmax"), ("degree", "cutoff")):
+        if getattr(args, span, None) is not None and getattr(args, single) is not None:
+            raise CliError(f"--{single} and --{span} cannot be combined")
     if args.weights and not args.invariant:
         raise CliError("--weights needs --invariant")
     S = _load_structure(args)
@@ -247,7 +251,7 @@ def _cmd_cohomology(args) -> int:
     if args.degree is not None:
         ds = [args.degree]
     else:
-        ds = list(range(0, args.cutoff + 1))
+        ds = list(range(0, (args.cutoff if args.cutoff is not None else 6) + 1))
     report = cohomology_dims(S, ks, ds, weights=weights, exclude_vars=exclude)
     if args.format == "json":
         print(json.dumps(report.to_json_rows(), sort_keys=True))
@@ -274,6 +278,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.param and not args.name:
+        raise CliError("--param needs --name")
     if args.name:
         if args.name not in CATALOG:
             raise CliError(f"unknown catalog entry {args.name!r}")
@@ -369,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="single cochain arity")
     p.add_argument("--kmax", type=int, help="arity range 0..kmax")
     p.add_argument("--degree", type=int, help="single polynomial degree")
-    p.add_argument("--cutoff", type=int, default=6, help="degree range 0..cutoff (default 6)")
+    p.add_argument("--cutoff", type=int, help="degree range 0..cutoff (default 6)")
     _add_filter_args(p)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_cohomology)

@@ -15,7 +15,9 @@ an increasing index tuple idx, and the sign that sorts idx + complement,
 the shuffle sums of the form-route coboundary all read it.
 
 Evaluation is sparse where the form-route coboundary needs it.  Every wedge,
-into the top degree too, merges each pair of terms through ``_merge_sign``.
+into the top degree too, merges each pair of terms through ``_merge_sign``,
+which counts the inversions between two increasing tuples; contraction
+reads its signs there too.
 ``d`` differentiates each coefficient only in the variables it contains.
 ``interior_coordinates`` is the one contraction: it contracts by several
 coordinate fields at once, in ascending index order, reading each result
@@ -56,25 +58,15 @@ def _complement(idx: Collection[int], n: int) -> tuple[IndexTuple, int]:
 
 
 def _merge_sign(a: IndexTuple, b: IndexTuple) -> tuple[int, Optional[IndexTuple]]:
-    """Sign to sort the concatenation of two increasing tuples; None if they collide."""
-    sign = 1
-    merged = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, None
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining entries of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
+    """Sign to sort the concatenation of two increasing tuples; None if they collide.
+
+    Each entry r of b passes the entries of a above it, so the sort takes
+    sum(len(a) - bisect_right(a, r)) transpositions.
+    """
+    if not set(a).isdisjoint(b):
+        return 0, None
+    flips = sum(len(a) - bisect.bisect_right(a, r) for r in b)
+    return -1 if flips % 2 else 1, tuple(sorted(a + b))
 
 
 def _checked_terms(
@@ -237,7 +229,7 @@ class ExteriorForm:
 
         The contractions apply in ascending order, the smallest index first.
         Each result term R is read off the one term J = R + idxs by lookup, with
-        sign (-1)^#{(i, r) : i in idxs, r in R, r < i}: the cost is the number
+        the ``_merge_sign`` of idxs and R: the cost is the number
         of (k - len(idxs))-subsets of the other indices, not the number of
         terms.  ``idxs`` that is not strictly increasing within 0..n-1 is a
         ``ValueError``, as for the index tuples of a form.
@@ -256,11 +248,10 @@ class ExteriorForm:
             # a set keeps each membership test of the complement O(1)
             free, _ = _complement(taken, self.n)
             for rest in itertools.combinations(free, self.k - m):
-                coeff = self.terms.get(tuple(sorted(idxs + rest)))
-                if coeff is None:
-                    continue
-                flips = sum(m - bisect.bisect_right(idxs, r) for r in rest)
-                out[rest] = -coeff if flips % 2 else coeff
+                sign, merged = _merge_sign(idxs, rest)
+                coeff = self.terms.get(merged)
+                if coeff is not None:
+                    out[rest] = coeff if sign > 0 else -coeff
         return ExteriorForm._trusted(self.n, max(self.k - m, 0), out)
 
 

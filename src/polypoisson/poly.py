@@ -243,8 +243,11 @@ def monomial_basis(n: int, d: int, exclude_vars: Iterable[int] = ()) -> list[Exp
 
 # -- text format -------------------------------------------------------
 
-# `bad` is a character no token starts with; `\Z`, unlike `$`, matches only at len(text)
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>X\d+)|(?P<op>[*/^+-])|(?P<end>\Z)|(?P<bad>.))")
+# `bad` is a character no token starts with, or a non-ASCII digit after X (`\d`
+# takes every Unicode digit); `\Z`, unlike `$`, matches only at len(text)
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[0-9]+)|(?P<var>X[0-9]+)|(?P<op>[*/^+-])|(?P<end>\Z)|(?:X(?=\d))?(?P<bad>.))"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -125,6 +125,18 @@ def test_reproduce_holds_copies_of_the_published_values():
     assert reproduce.P2_H22_EXPECTED == {2: 1, 3: 3, 4: 8, 5: 16}
 
 
+def test_p1_generators_are_read_from_the_catalog_record():
+    # the two published representatives X3*dX2 and X2^2*dX2, built by hand
+    x2, x3 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
+    assert reproduce.p1_generators() == [
+        phi_inverse(ExteriorForm.basis(3, (1,), x3)),
+        phi_inverse(ExteriorForm.basis(3, (1,), x2 * x2)),
+    ]
+    labels = [r["label"] for r in reproduce.check_p1_example(cutoff=2)["rows"][4:]]
+    assert labels == ["X3*dX2 is a cocycle", "X2^2*dX2 is a cocycle",
+                      "X3*dX2 class is nonzero", "X2^2*dX2 class is nonzero"]
+
+
 def test_published_records_are_read_only():
     def check(value):
         if isinstance(value, Mapping):

@@ -161,11 +161,13 @@ def test_structure_sources_are_exclusive(capsys, tmp_path, command, sources):
         (("cohomology", "--k", "1", "--degree", "-1"), "--degree must be >= 0, got -1"),
         (("cohomology", "--kmax", "1", "--cutoff", "-1"), "--cutoff must be >= 0, got -1"),
         (("cohomology", "--k", "1", "--kmax", "2"), "--k and --kmax cannot be combined"),
+        (("cohomology", "--degree", "1", "--cutoff", "3"),
+         "--degree and --cutoff cannot be combined"),
         (("matrix", "--k", "-1", "--degree", "1"), "--k must be >= 0, got -1"),
         (("matrix", "--k", "1", "--degree", "-2"), "--degree must be >= 0, got -2"),
     ],
     ids=["cohomology-k", "cohomology-kmax", "cohomology-degree", "cohomology-cutoff",
-         "cohomology-k-and-kmax", "matrix-k", "matrix-degree"],
+         "cohomology-k-and-kmax", "cohomology-degree-and-cutoff", "matrix-k", "matrix-degree"],
 )
 def test_arity_and_degree_ranges_are_checked(capsys, argv, message):
     command, *rest = argv
@@ -328,12 +330,17 @@ def test_cohomology_mixed_degrees_exits_1(capsys):
           '{"k": 1, "entries": [{"args": [1], "poly": "X2^2*"}]}'), "expected a factor"),
         (("verify", "--json", json.dumps({"n": 3, "entries": [{"i": 2, "j": 1, "poly": "X3"}]})),
          "entries must have i < j"),
+        # each --param below used to be parsed and then dropped without a word
+        (("verify", "--json", P1_JSON, "--param", "n=5"), "--param needs --catalog"),
+        (("cohomology", "--json", P1_JSON, "--param", "n=5"), "--param needs --catalog"),
+        (("catalog", "--param", "n=5"), "--param needs --name"),
     ],
     ids=["catalog-missing-param", "catalog-bad-param", "forms-n2", "exclude-x0-p2",
          "weights-off-subcomplex", "weights-without-invariant",
          "matrix-weights-without-invariant", "invariant-without-diagonal",
          "bracket-trailing-star", "json-trailing-star", "cochain-trailing-star",
-         "json-pair-order"],
+         "json-pair-order", "verify-json-param", "cohomology-json-param",
+         "catalog-param-without-name"],
 )
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -423,6 +430,8 @@ def test_matrix_csv_export(capsys):
         # values 1/3 and 2/3: the only golden whose matrix has denom > 1
         ("matrix_l3_alpha2_3_k1_d2.csv",
          ("matrix", "--catalog", "L3", "--param", "alpha=2/3", "--k", "1", "--degree", "2")),
+        # without --degree or --cutoff the degree range is 0..6
+        ("cohomology_p1_k3_d6.txt", ("cohomology", "--catalog", "P1", "--kmax", "3")),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv):

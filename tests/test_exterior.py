@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polypoisson.exterior import ExteriorForm, _complement, format_form
+from polypoisson.exterior import ExteriorForm, _complement, _merge_sign, format_form
 from polypoisson.poly import Polynomial, parse_poly
 
 from conftest import random_poly
@@ -36,6 +36,18 @@ def test_complement_sign_matches_inversion_count():
                 assert rest == tuple(sorted(set(range(n)) - set(idx)))
                 assert sign == _perm_sign(idx + rest)
                 assert _complement(set(idx), n) == (rest, sign)
+
+
+def test_merge_sign_matches_inversion_count():
+    # the one shuffle sign behind every wedge and contraction: the sign that
+    # sorts a + b, and a collision of the two tuples gives no term at all
+    tuples = [t for k in range(8) for t in itertools.combinations(range(7), k)]
+    for a in tuples:
+        for b in tuples:
+            if set(a) & set(b):
+                assert _merge_sign(a, b) == (0, None)
+            else:
+                assert _merge_sign(a, b) == (_perm_sign(a + b), tuple(sorted(a + b)))
 
 
 # -- wedge -------------------------------------------------------------------------

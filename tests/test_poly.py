@@ -73,6 +73,9 @@ PARSE_ERRORS = [
     ("(X1", "unexpected character '('", 0),
     ("X1 (", "unexpected character '('", 3),
     ("X1 +   $", "unexpected character '$'", 7),
+    # only ASCII digits spell numbers and labels; `\d` took every Unicode digit
+    ("\u0663*X1", "unexpected character '\u0663'", 0),
+    ("X\u0661", "unexpected character '\u0661'", 1),
     ("X1 X2", "expected '+' or '-' before the next term", 3),
     ("X1 + -X2", "consecutive signs", 5),
     ("X1 +", "dangling sign", 3),
@@ -96,10 +99,11 @@ def test_parse_error_messages_and_positions():
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.text(alphabet="0123456789X*/^+- \t\n(", max_size=24))
+@given(st.text(alphabet="0123456789X*/^+- \t\n(\u0661\u0663\u0967", max_size=24))
 def test_parse_returns_a_polynomial_or_raises_parse_error(text):
-    # text over the parser's alphabet, and a foreign '(', never escapes as another
-    # exception; an unexpected character is reported at its own position
+    # no text over the parser's alphabet, with a foreign '(' and non-ASCII
+    # digits, escapes as another exception; an unexpected character is reported
+    # at its own position, and a non-ASCII digit is never read as a number
     try:
         result = parse_poly(text, 3)
     except ParseError as e:
@@ -107,6 +111,7 @@ def test_parse_returns_a_polynomial_or_raises_parse_error(text):
             assert str(e).startswith(f"unexpected character {text[e.pos]!r}")
         return
     assert isinstance(result, Polynomial)
+    assert text.isascii()
 
 
 def test_print_canonical_order_and_roundtrip(rng):
