@@ -43,6 +43,9 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
         name = name.strip()
         if name in out:
             raise CliError(f"--param {name} appears more than once")
+        # Fraction reads every Unicode digit; the polynomial parser reads ASCII only
+        if not value.isascii():
+            raise CliError(f"bad parameter value {value!r}: not ASCII")
         try:
             out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -133,6 +136,8 @@ def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...
         )
     weights = None
     if args.weights:
+        if not args.weights.isascii():
+            raise CliError(f"bad --weights: {args.weights!r} is not ASCII")
         try:
             weights = tuple(int(w) for w in args.weights.split(","))
         except ValueError as exc:

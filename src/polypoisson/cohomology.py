@@ -15,14 +15,15 @@ cochain x^a on the slot tuple T (sorted), the image is
         (-1)^{pos_T(t) + pos_U(i) + pos_U(j)} x^a dP_{ij}/dX_t
 
 on the slot tuple U, so an elementary cochain touches only the
-O(nnz(P) k) targets it can reach.  The structure is scaled to integers
-once per verified structure, to the multiple L * P by the lcm L of its
-coefficient denominators that ``multivector._integer_multiple`` also hands
-the integrability routes; that multiple, its tables packed per width and
-each slot tuple's terms are kept on the structure (``_Coboundary``), since
-none depends on a slice, a degree or a filter.  Each (slot tuple U,
-exponents e) pair is one int, its code (bitmask of U) << (n w) +
-sum_i e_i << (i w) at a width w with 2^w above every exponent involved.
+O(nnz(P) k) targets it can reach.  The coboundary runs on the multiple
+L * P, with L the lcm of the coefficient denominators, that the bivector's
+integrability pass (``multivector._integrability``) kept when ``verify``
+checked it, so a structure is scaled to integers once in all; that
+multiple, its tables packed per width and each slot tuple's terms are kept
+on the structure (``_Coboundary``), since none depends on a slice, a degree
+or a filter.  Each (slot tuple U, exponents e) pair is one int, its code
+(bitmask of U) << (n w) + sum_i e_i << (i w) at a width w with 2^w above
+every exponent involved.
 Packing is linear, so the tables are packed straight from L * P, each term
 of the rule is one int addition to the code of a and one int-keyed lookup,
 and it is exact (notes/decisions.md, entry 8).  ``delta`` applies the rule
@@ -95,7 +96,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .exterior import ExteriorForm, IndexTuple, _complement
-from .multivector import MultiDerivation, _integer_multiple, phi_inverse, phi_map
+from .multivector import MultiDerivation, _integrability, phi_inverse, phi_map
 
 # verify has no caller here; bench/selftest.py checks that untracing restores
 # cohomology.verify, so the name stays importable from this module
@@ -157,9 +158,10 @@ def _decode(n: int, w: int, code: int) -> tuple[IndexTuple, Exponents]:
 class _Coboundary(dict):
     """The integer coboundary data of one structure, on packed codes.
 
-    ``(denom, multiple)`` is ``_integer_multiple`` of the structure's
-    bivector, L and L * P, and ``degree`` its largest entry degree.  A (slot
-    tuple U, exponents e) pair is keyed by one int, its code at width w:
+    ``(denom, multiple)`` is L and L * P from the integrability pass that
+    ``verify`` kept on the structure's bivector, and ``degree`` its largest
+    entry degree.  A (slot tuple U, exponents e) pair is keyed by one int,
+    its code at width w:
     (bitmask of U) << (n w) + sum_i e_i << (i w), exact whenever 2^w exceeds
     every exponent involved (notes/decisions.md, entry 8).  ``self[T, w]``
     gives, for any monomial x^a, what the coboundary of x^a on slots T
@@ -184,7 +186,7 @@ class _Coboundary(dict):
         super().__init__()
         self.n = S.n
         self.degree = max(S.entry_degrees(), default=0)
-        self.denom, self.multiple = _integer_multiple(S.bivector)
+        self.denom, self.multiple, _ = _integrability(S.bivector)
         self._tables: dict[int, tuple[list, list, list]] = {}
 
     def width(self, bound: int) -> int:

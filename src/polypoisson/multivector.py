@@ -36,8 +36,12 @@ obstructions L^2 times those of P (``notes/decisions.md``, entry 6).  The
 trisum adds every product term of a triple straight into one dict and
 divides a nonzero result by L^2, so it returns ``Fraction`` coefficients;
 the form route returns only a boolean.  Their bodies, ``_trisum`` and
-``_forms_integrable``, take the multiple, so ``poisson.verify`` scales once
-and hands the same L * P to both.
+``_forms_integrable``, take the multiple.  ``_integrability`` computes a
+bivector's pass (L, L * P, its trisum obstructions) once, on first use, and
+keeps it on the bivector, so ``poisson.verify``, ``poisson.graded_integrability``,
+both public routes and the coboundary tables of ``cohomology`` all read one
+scaling and one trisum.  The form route is never kept: every call runs it
+afresh on the kept L * P (``notes/decisions.md``, entry 10).
 
 The two must always agree; the verification layer aborts if they do not.
 ``poisson.graded_integrability`` reads its graded pieces off the trisum too.
@@ -59,10 +63,12 @@ class MultiDerivation:
 
     ``values`` maps strictly increasing tuples of internal variable indices
     to polynomials; a 0-derivation is a single polynomial stored under ().
-    Anything with k > n is the zero object.
+    Anything with k > n is the zero object.  ``values`` is written only while
+    the object is made, which is what lets a bivector keep its integrability
+    pass (``_integrability``) in the private slot ``_pass``.
     """
 
-    __slots__ = ("n", "k", "values")
+    __slots__ = ("n", "k", "values", "_pass")
 
     def __init__(
         self,
@@ -77,6 +83,7 @@ class MultiDerivation:
         self.values: dict[IndexTuple, Polynomial] = {}
         if values and k <= n:
             add_into(self.values, _checked_terms(n, k, values))
+        self._pass: Optional[tuple[int, MultiDerivation, tuple]] = None
 
     @classmethod
     def _trusted(
@@ -84,7 +91,7 @@ class MultiDerivation:
     ) -> "MultiDerivation":
         """Wrap values that are already valid and free of zeros, without checks."""
         md = cls.__new__(cls)
-        md.n, md.k, md.values = n, k, values
+        md.n, md.k, md.values, md._pass = n, k, values, None
         return md
 
     @classmethod
@@ -216,9 +223,9 @@ def _integer_multiple(biv: MultiDerivation) -> tuple[int, MultiDerivation]:
 
     The multiple stores ``int`` coefficients.  Every integrability criterion is
     homogeneous of degree 2 in the bivector, so the multiple gets the same
-    verdict and its obstructions are L^2 times those of ``biv``.  It exists
-    only inside the integrability routes and the coboundary tables of
-    ``cohomology``.
+    verdict and its obstructions are L^2 times those of ``biv``.  Only
+    ``_integrability`` calls it; the integrability routes and the coboundary
+    tables of ``cohomology`` read the multiple kept there.
     """
     n = biv.n
     lcm = 1
@@ -234,6 +241,22 @@ def _integer_multiple(biv: MultiDerivation) -> tuple[int, MultiDerivation]:
     return lcm, MultiDerivation._trusted(n, biv.k, values)
 
 
+def _integrability(biv: MultiDerivation) -> tuple[int, MultiDerivation, tuple]:
+    """The integrability pass (L, L * biv, the trisum obstructions) of a bivector.
+
+    Computed on first use and kept on ``biv``.  It cannot go stale: the
+    package writes a multiderivation's values, and a polynomial's terms,
+    only in their constructors, and every bivector made by ``+``, ``-``,
+    ``*``, the constructor or ``_trusted`` starts without a pass.  The
+    obstructions are kept as a tuple, so no caller can change them.
+    """
+    kept = biv._pass
+    if kept is None:
+        lcm, multiple = _integer_multiple(biv)
+        kept = biv._pass = (lcm, multiple, tuple(_trisum(lcm, multiple)))
+    return kept
+
+
 def jacobi_trisum(
     biv: MultiDerivation,
 ) -> list[tuple[int, int, int, Polynomial]]:
@@ -244,11 +267,13 @@ def jacobi_trisum(
     Only triples holding a nonzero entry are visited, and r runs only over
     the nonzero entries P_{r,first}, read from an adjacency list built once.
     The sum runs on the integer multiple L * biv, each term added straight
-    into one dict per triple; a nonzero obstruction is divided by L^2.
+    into one dict per triple; a nonzero obstruction is divided by L^2.  It is
+    computed once per bivector (``_integrability``); each call returns a new
+    list of the kept obstructions.
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
-    return _trisum(*_integer_multiple(biv))
+    return list(_integrability(biv)[2])
 
 
 def _trisum(lcm: int, multiple: MultiDerivation) -> list[tuple[int, int, int, Polynomial]]:
@@ -308,13 +333,14 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
       (-1)^(s + t - 1), applied while merging.
 
     Every product term of a triple is added into one ``int`` accumulator;
-    a nonzero one means the bivector is not Poisson.
+    a nonzero one means the bivector is not Poisson.  The route runs afresh
+    on every call, on the multiple kept by ``_integrability``.
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
     if biv.n < 3:
         raise ValueError("form criterion needs at least three variables")
-    return _forms_integrable(_integer_multiple(biv)[1])
+    return _forms_integrable(_integrability(biv)[1])
 
 
 def _forms_integrable(multiple: MultiDerivation) -> bool:

@@ -15,8 +15,10 @@ simultaneous vanishing of the four graded pieces of Omega ^ d(Omega).
 Omega_a ^ dOmega_b has coefficient degree a + b - 1, so the pieces are the
 homogeneous components of degrees 3, 0, 1 and 2 of the one product
 Omega ^ dOmega.  On three variables its coefficient is the one Jacobi
-obstruction J_012, so the pieces are read off ``jacobi_trisum``; no form is
-built.
+obstruction J_012, so the pieces are read off the trisum; no form is built.
+Both functions read the trisum from the integrability pass the bivector
+keeps (``multivector._integrability``), so ``graded_integrability`` after
+``verify`` on the same bivector scales it and sums the trisum no second time.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from typing import NamedTuple
 from .multivector import (
     MultiDerivation,
     _forms_integrable,
-    _integer_multiple,
-    _trisum,
+    _integrability,
     bivector_entry,
-    jacobi_trisum,
 )
 from .poly import Polynomial, format_poly
 
@@ -131,8 +131,10 @@ _VERIFIED_TOKEN = object()
 def verify(bivector: MultiDerivation, first_index: int = 1) -> PoissonStructure:
     """Check integrability by both criteria and wrap the bivector.
 
-    The bivector is scaled to its integer multiple once, and both routes
-    (the bodies of ``jacobi_trisum`` and ``integrability_via_forms``) read it.
+    The trisum verdict comes from the bivector's kept integrability pass
+    (``multivector._integrability``: L, L * P and the obstructions, computed
+    on the first call that needs them), and the form route runs afresh on
+    the kept L * P at every call, so each verdict is cross-checked.
 
     Raises IntegrabilityError with the first nonzero trisum witness when the
     bivector is not Poisson, and AssertionError if the two criteria ever
@@ -140,8 +142,7 @@ def verify(bivector: MultiDerivation, first_index: int = 1) -> PoissonStructure:
     """
     if bivector.k != 2:
         raise ValueError("a Poisson structure needs a bivector (k = 2)")
-    lcm, multiple = _integer_multiple(bivector)
-    obstructions = _trisum(lcm, multiple)
+    _, multiple, obstructions = _integrability(bivector)
     trisum_ok = not obstructions
     if bivector.n >= 3:
         forms_ok = _forms_integrable(multiple)
@@ -188,9 +189,11 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
     Omega = P_23 dX_1 - P_13 dX_2 + P_12 dX_3 that coefficient is the Jacobi
     obstruction J_012 of the one triple (internal indices 0, 1, 2):
     Omega ^ dOmega = J_012 dX_1 ^ dX_2 ^ dX_3 (``notes/decisions.md``,
-    entry 6).  So the degrees are read off ``jacobi_trisum``, which is empty
-    exactly when the bivector is integrable; the conjunction of the four
-    equations equals the verify() verdict.
+    entry 6).  So the degrees are read off the trisum obstructions, which are
+    empty exactly when the bivector is integrable; the conjunction of the
+    four equations equals the verify() verdict.  The obstructions are those
+    of the bivector's kept integrability pass, so after ``verify`` this
+    computes no trisum.
     """
     if bivector.k != 2:
         raise ValueError("not a bivector")
@@ -200,7 +203,7 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
         if poly.total_degree() > 2:
             raise ValueError("entries must have degree at most 2")
     # at most one obstruction, that of the triple (0, 1, 2)
-    degrees = {sum(e) for *_, poly in jacobi_trisum(bivector) for e in poly.terms}
+    degrees = {sum(e) for *_, poly in _integrability(bivector)[2] for e in poly.terms}
     return GradedIntegrabilityReport(
         quad_quad=3 not in degrees,
         const_lin=0 not in degrees,

@@ -257,15 +257,17 @@ CLASSIFIED_ENTRIES = (
 )
 
 
+_SAMPLE_POOL = tuple(Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3))
+
+
 def sample_params(entry_name: str, rng: random.Random) -> dict[str, Fraction]:
     entry = CATALOG[entry_name]
     params: dict[str, Fraction] = {}
-    pool = [Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)]
     for spec in entry.params:
         if spec.integer:
             raise ValueError("integer parameters are not sampled here")
         while True:
-            value = rng.choice(pool)
+            value = rng.choice(_SAMPLE_POOL)
             if spec.admissible(value):
                 params[spec.name] = value
                 break

@@ -1,4 +1,5 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared random generators for the test suite (seeded, deterministic), and a
+counter of the integrability pass."""
 
 from __future__ import annotations
 
@@ -47,3 +48,18 @@ def random_bivector(n: int, max_degree: int, rng: random.Random) -> MultiDerivat
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(987654321)
+
+
+@pytest.fixture
+def passes(monkeypatch) -> dict[str, list]:
+    """Record each bivector scaled by ``_integer_multiple`` and each multiple
+    summed by ``_trisum``: the two halves of a bivector's integrability pass."""
+    from polypoisson import multivector
+
+    calls: dict[str, list] = {"scaled": [], "summed": []}
+    scale, trisum = multivector._integer_multiple, multivector._trisum
+    monkeypatch.setattr(multivector, "_integer_multiple",
+                        lambda biv: calls["scaled"].append(biv) or scale(biv))
+    monkeypatch.setattr(multivector, "_trisum", lambda lcm, multiple:
+                        calls["summed"].append(multiple) or trisum(lcm, multiple))
+    return calls

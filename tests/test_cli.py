@@ -334,13 +334,19 @@ def test_cohomology_mixed_degrees_exits_1(capsys):
         (("verify", "--json", P1_JSON, "--param", "n=5"), "--param needs --catalog"),
         (("cohomology", "--json", P1_JSON, "--param", "n=5"), "--param needs --catalog"),
         (("catalog", "--param", "n=5"), "--param needs --name"),
+        # Fraction and int read every Unicode digit, so ٥ (Arabic-Indic five)
+        # used to be read as 5; the polynomial parser reads ASCII digits only
+        (("verify", "--catalog", "P2", "--param", "n=\u0665"),
+         "bad parameter value '\u0665': not ASCII"),
+        (("cohomology", "--catalog", "P1", "--invariant", "--weights", "\u0660,\u0661,\u0662",
+          "--k", "1", "--degree", "1"), "bad --weights: '\u0660,\u0661,\u0662' is not ASCII"),
     ],
     ids=["catalog-missing-param", "catalog-bad-param", "forms-n2", "exclude-x0-p2",
          "weights-off-subcomplex", "weights-without-invariant",
          "matrix-weights-without-invariant", "invariant-without-diagonal",
          "bracket-trailing-star", "json-trailing-star", "cochain-trailing-star",
          "json-pair-order", "verify-json-param", "cohomology-json-param",
-         "catalog-param-without-name"],
+         "catalog-param-without-name", "param-non-ascii-digit", "weights-non-ascii-digits"],
 )
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -494,11 +494,11 @@ def test_integer_columns_seed_the_same_echelon_and_kernel():
     assert denoms == {1, 3}
 
 
-def test_one_integer_table_per_structure(monkeypatch):
-    built, widths = [], []
-    scale, packed = cohomology._integer_multiple, cohomology._packed_tables
-    monkeypatch.setattr(cohomology, "_integer_multiple",
-                        lambda biv: built.append(biv) or scale(biv))
+def test_one_integer_table_per_structure(monkeypatch, passes):
+    # the coboundary tables read the integer multiple that verify kept on the
+    # bivector: one scaling and one trisum per structure in all
+    widths = []
+    packed = cohomology._packed_tables
     monkeypatch.setattr(cohomology, "_packed_tables",
                         lambda multiple, w: widths.append(w) or packed(multiple, w))
     S = p1()
@@ -511,7 +511,8 @@ def test_one_integer_table_per_structure(monkeypatch):
     phi = delta(S, slice_basis(3, 1, 2).from_vector({4: 1}))
     assert cochain_in_coboundaries(S, phi, 2)
     assert cohomology_dims(S, range(4), range(4), weights=cohomology.diagonal_weights(S)).rows
-    assert len(built) == 1 and built[0] is S.bivector
+    assert passes["scaled"] == [S.bivector] and len(passes["summed"]) == 1
+    assert S._coboundary.multiple is passes["summed"][0]
     # each width is packed at most once, and a narrower one never after a wider
     assert widths and widths == sorted(set(widths))
 

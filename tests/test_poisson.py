@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from polypoisson.catalog import CATALOG, catalog_bivector, catalog_get
-from polypoisson.multivector import MultiDerivation, bivector_from_entries
+from polypoisson.cohomology import cohomology_dims
+from polypoisson.multivector import (
+    MultiDerivation,
+    bivector_from_entries,
+    integrability_via_forms,
+    jacobi_trisum,
+)
 from polypoisson.poisson import (
     IntegrabilityError,
     PoissonStructure,
@@ -12,7 +18,7 @@ from polypoisson.poisson import (
     verify,
 )
 from polypoisson.poly import Polynomial
-from polypoisson.reproduce import sample_params
+from polypoisson.reproduce import rigid_expected_cochain, sample_params
 
 from conftest import random_bivector, random_poly
 from oracles import evaluate_derivation, graded_pieces
@@ -43,20 +49,63 @@ def test_verify_witness():
     assert "trisum(1,2,3) = 2*X1" in str(err.value)
 
 
-def test_verify_scales_the_bivector_once(monkeypatch):
-    from polypoisson import multivector, poisson
-
-    third = p1().bivector * Fraction(1, 3)
+def test_verify_scales_the_bivector_once(passes):
+    # one integer multiple and one trisum per bivector, however many of
+    # verify, graded_integrability, jacobi_trisum, integrability_via_forms and
+    # cohomology_dims read it
+    third = catalog_bivector("P1") * Fraction(1, 3)
     bad = bivector_from_entries(3, {(0, 1): V(3, 1), (0, 2): V(3, 2), (1, 2): V(3, 0)})
-    scaled = []
-    multiple = multivector._integer_multiple
-    for module in (multivector, poisson):
-        monkeypatch.setattr(module, "_integer_multiple",
-                            lambda biv: scaled.append(biv) or multiple(biv))
-    assert verify(third).verified
-    with pytest.raises(IntegrabilityError):
+    S = verify(third)
+    assert verify(third).verified and graded_integrability(third).all_hold
+    assert jacobi_trisum(third) == [] and integrability_via_forms(third)
+    assert cohomology_dims(S, range(3), range(3)).rows
+    for _ in range(2):
+        with pytest.raises(IntegrabilityError):
+            verify(bad)
+    assert not graded_integrability(bad).all_hold
+    assert jacobi_trisum(bad) and not integrability_via_forms(bad)
+    assert passes["scaled"] == [third, bad]
+    assert [m.values for m in passes["summed"]] == [(third * 3).values, bad.values]
+
+
+def test_jacobi_trisum_returns_a_list_of_its_own():
+    # the kept obstructions are a tuple; a caller's list is a copy, so
+    # changing it changes no later call and no verdict
+    bad = bivector_from_entries(3, {(0, 1): V(3, 1), (0, 2): V(3, 2), (1, 2): V(3, 0)})
+    obstructions = jacobi_trisum(bad)
+    assert obstructions == [(0, 1, 2, 2 * V(3, 0))]
+    obstructions.clear()
+    assert jacobi_trisum(bad) == [(0, 1, 2, 2 * V(3, 0))]
+    with pytest.raises(IntegrabilityError) as err:
         verify(bad)
-    assert scaled == [third, bad]
+    assert err.value.witness == (0, 1, 2, 2 * V(3, 0))
+    assert graded_integrability(bad) == graded_pieces(bad)
+    good = p1().bivector
+    jacobi_trisum(good).append((0, 1, 2, V(3, 0)))
+    assert jacobi_trisum(good) == [] and verify(good).verified
+    assert graded_integrability(good).all_hold
+
+
+def test_a_new_bivector_keeps_no_integrability_pass():
+    # a bivector made from a verified one by +, -, *, the constructor or
+    # _trusted starts without a pass, so it is checked afresh: rigid n = 9
+    # plus its published degree-1 class is not Poisson
+    P = catalog_get("rigid", {"n": 9}).bivector
+    phi = rigid_expected_cochain(9)
+    assert verify(P).verified and P._pass is not None
+    total = P + phi
+    made = [
+        total,
+        P - (-phi),
+        (P * 2 + phi * 2) * Fraction(1, 2),
+        MultiDerivation(P.n, 2, total.values),
+        MultiDerivation._trusted(P.n, 2, dict(total.values)),
+    ]
+    for Q in made:
+        assert Q._pass is None and Q == total
+        with pytest.raises(IntegrabilityError):
+            verify(Q)
+    assert P._pass is not None and verify(P).verified
 
 
 def test_repr_labels_follow_first_index():
@@ -201,21 +250,23 @@ def test_graded_integrability_equals_ten_wedge_oracle_on_random_bivectors():
 
 
 @pytest.mark.parametrize("integrable", [True, False])
-def test_graded_integrability_reads_the_trisum_once(monkeypatch, integrable):
-    # the four pieces are the degrees of the one Jacobi obstruction J_012,
-    # so the report computes that obstruction once and builds no form
-    from polypoisson import poisson
-
-    biv = p1().bivector if integrable else bivector_from_entries(
+def test_graded_integrability_reads_the_trisum_once(passes, integrable):
+    # the four pieces are the degrees of the one Jacobi obstruction J_012, read
+    # from the pass the bivector keeps: no form is built, and verify and
+    # jacobi_trisum after it compute no second trisum
+    biv = catalog_bivector("P1") * Fraction(2, 5) if integrable else bivector_from_entries(
         3, {(0, 1): V(3, 1), (0, 2): V(3, 2), (1, 2): V(3, 0) ** 2})
-    calls = []
-    trisum = poisson.jacobi_trisum
-    monkeypatch.setattr(poisson, "jacobi_trisum",
-                        lambda bivector: calls.append(bivector) or trisum(bivector))
     report = graded_integrability(biv)
-    assert calls == [biv]
+    assert passes["scaled"] == [biv] and len(passes["summed"]) == 1
     assert report.all_hold == integrable
-    assert report == graded_pieces(biv)
+    assert report == graded_pieces(biv) == graded_integrability(biv)
+    assert (not jacobi_trisum(biv)) == integrable == integrability_via_forms(biv)
+    if integrable:
+        assert verify(biv).verified
+    else:
+        with pytest.raises(IntegrabilityError):
+            verify(biv)
+    assert passes["scaled"] == [biv] and len(passes["summed"]) == 1
 
 
 def test_graded_integrability_rejects_high_degree():

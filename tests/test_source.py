@@ -223,3 +223,55 @@ def test_package_import_loads_no_dataclass_machinery():
     loaded = set(done.stdout.split())
     assert "polypoisson.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+_DICT_WRITERS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+
+
+def _field_writes(tree, fields):
+    """(kind, function, line) of each write to an attribute named in ``fields``.
+
+    ``in place`` changes the dict the attribute holds: an item stored or
+    deleted, a dict-writing method, ``add_into`` into it or an augmented
+    assignment.  ``bind`` stores or deletes the attribute itself.
+    """
+    def field(node):
+        return isinstance(node, ast.Attribute) and node.attr in fields
+
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else function
+            in_place = (
+                isinstance(child, ast.Subscript) and isinstance(child.ctx, (ast.Store, ast.Del))
+                and field(child.value)
+                or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _DICT_WRITERS and field(child.func.value)
+                or isinstance(child, ast.Call) and _called_name(child) == "add_into"
+                and bool(child.args) and field(child.args[0])
+                or isinstance(child, ast.AugAssign) and field(child.target)
+            )
+            if in_place:
+                found.append(("in place", name, child.lineno))
+            if field(child) and isinstance(child.ctx, (ast.Store, ast.Del)):
+                found.append(("bind", name, child.lineno))
+            visit(child, name)
+
+    visit(tree, None)
+    return found
+
+
+def test_values_and_terms_are_written_only_while_made():
+    # a bivector keeps its integrability pass (multivector._integrability),
+    # which is sound only while a MultiDerivation's values and a Polynomial's
+    # or ExteriorForm's terms never change once made: their dicts are filled
+    # only in __init__, and the attributes bound only there and in _trusted
+    writes = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for kind, function, line in _field_writes(tree, {"values", "terms"}):
+            writes.setdefault(kind, []).append((path.name, function, line))
+    assert {(name, function) for name, function, _ in writes["in place"]} == {
+        ("multivector.py", "__init__"), ("poly.py", "__init__"), ("exterior.py", "__init__")}
+    assert {function for _, function, _ in writes["bind"]} == {"__init__", "_trusted"}
