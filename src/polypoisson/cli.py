@@ -43,14 +43,31 @@ def _parse_params(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
         name = name.strip()
         if name in out:
             raise CliError(f"--param {name} appears more than once")
-        # Fraction reads every Unicode digit; the polynomial parser reads ASCII only
+        # Fraction reads every Unicode digit and PEP 515 underscores; the
+        # polynomial parser reads neither
         if not value.isascii():
             raise CliError(f"bad parameter value {value!r}: not ASCII")
+        if "_" in value:
+            raise CliError(f"bad parameter value {value!r}: has an underscore")
         try:
             out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad parameter value {value!r}: {exc}") from exc
     return out
+
+
+def _ascii_int(text: str) -> int:
+    """``int`` for argparse, refusing what the polynomial parser refuses.
+
+    ``int`` also reads every Unicode decimal digit and PEP 515 underscores;
+    any other bad value gets the message that ``type=int`` gives.
+    """
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _json_int(value, name: str, least: Optional[int] = None) -> int:
@@ -136,8 +153,11 @@ def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...
         )
     weights = None
     if args.weights:
+        # int reads every Unicode digit and PEP 515 underscores, as in --param
         if not args.weights.isascii():
             raise CliError(f"bad --weights: {args.weights!r} is not ASCII")
+        if "_" in args.weights:
+            raise CliError(f"bad --weights: {args.weights!r} has an underscore")
         try:
             weights = tuple(int(w) for w in args.weights.split(","))
         except ValueError as exc:
@@ -377,18 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="dimension table per arity and degree")
     _add_structure_args(p)
-    p.add_argument("--k", type=int, help="single cochain arity")
-    p.add_argument("--kmax", type=int, help="arity range 0..kmax")
-    p.add_argument("--degree", type=int, help="single polynomial degree")
-    p.add_argument("--cutoff", type=int, help="degree range 0..cutoff (default 6)")
+    p.add_argument("--k", type=_ascii_int, help="single cochain arity")
+    p.add_argument("--kmax", type=_ascii_int, help="arity range 0..kmax")
+    p.add_argument("--degree", type=_ascii_int, help="single polynomial degree")
+    p.add_argument("--cutoff", type=_ascii_int, help="degree range 0..cutoff (default 6)")
     _add_filter_args(p)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("matrix", help="CSV triplets of one coboundary matrix")
     _add_structure_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--k", type=_ascii_int, required=True)
+    p.add_argument("--degree", type=_ascii_int, required=True)
     _add_filter_args(p)
     p.set_defaults(func=_cmd_matrix)
 

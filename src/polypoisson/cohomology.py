@@ -69,9 +69,16 @@ made on first use by ``_complex`` and shared by ``cohomology_dims``,
 ``cocycle_representatives`` and ``cochain_in_coboundaries``.  It keeps
 counted dimensions, corrections, blocks, and per (k, d) the echelon of the
 coboundaries inside the block (the boundary echelon), whose rank is also
-the outgoing block rank of (k - 1, d - r + 1).  It keeps no coboundary
-matrix: each is assembled once, from the structure's shared integer
-tables, and handed to its echelon in integers.
+the outgoing block rank of (k - 1, d - r + 1).  Boundary echelons are
+cleared, since delta o delta = 0: the unit vectors of the source cochains
+off the pivot columns of the echelon one step below complete its
+coboundaries to a basis of the source block, and delta kills the
+coboundaries, so those cochains alone span the image.  Only their columns
+are assembled and eliminated, after the echelon below; the rank, and the
+span that representatives and membership read, are those of the whole
+matrix (notes/decisions.md, entry 11).  The complex keeps no coboundary
+matrix: the columns of each are assembled at most once, from the
+structure's shared integer tables, and handed to its echelon in integers.
 Tables and representatives share one ``row(k, d)``; a representatives
 query returns [] when its dim H is 0, stops once it holds dim H classes,
 and raises ``ComplexInvariantError`` unless the block's kernel less its
@@ -733,9 +740,10 @@ class _SliceCache:
     structure, so every cohomology query of a session shares it.  It keeps
     counted dimensions, corrections, blocks and boundary echelons; an
     outgoing rank is read off the boundary echelon one step up.  It keeps no
-    coboundary matrix: ``boundaries`` assembles each block matrix once, from
-    the structure's shared ``_Coboundary``, and seeds its echelon with the
-    matrix's integer ``columns``.
+    coboundary matrix: ``boundaries`` builds the echelon one step below
+    first, assembles once the columns of the block matrix that clearing
+    keeps, from the structure's shared ``_Coboundary``, and seeds its
+    echelon with their integer ``columns``.
 
     ``block(k, d)``, the only slice it builds, is the weight-0 block of slice
     (k, d): cut by the diagonal weights of the structure when the caller
@@ -844,8 +852,14 @@ class _SliceCache:
     def boundaries(self, k: int, d: int) -> linalg.SpanTracker:
         """Echelon of the image of the coboundary from (k - 1, d - r + 1) in block (k, d).
 
-        Built once from the matrix's integer ``columns``, in
-        ``linalg.SpanTracker``'s column order, and kept; its rank is also the
+        Cleared (notes/decisions.md, entry 11): the source cochains at the
+        pivot columns of the incoming echelon ``boundaries(k - 1, d - r + 1)``
+        are left out, since the other source cochains and the incoming
+        coboundaries span the source block and delta kills the coboundaries.
+        So ``delta_matrix`` assembles the columns of the other cochains alone,
+        on a sub-basis of the source block, and the echelon, built once from
+        their integer ``columns`` in ``linalg.SpanTracker``'s column order and
+        kept, spans the same image as the whole matrix.  Its rank is also the
         outgoing block rank of (k - 1, d - r + 1).
         """
         key = (k, d)
@@ -853,7 +867,17 @@ class _SliceCache:
             prev_d = d - self.r + 1
             columns: Sequence[dict[int, int]] = ()
             if k > 0 and prev_d >= 0:
-                columns = delta_matrix(self.S, self.block(k - 1, prev_d), self.block(k, d)).columns
+                source = self.block(k - 1, prev_d)
+                # no coboundary lands in arity 0, so k = 1 clears nothing
+                cleared: set[int] = set()
+                if k > 1 and source.basis:
+                    cleared = self.boundaries(k - 1, prev_d).pivot_columns()
+                if cleared:
+                    source = source._replace(basis=tuple(
+                        pair for pos, pair in enumerate(source.basis) if pos not in cleared
+                    ))
+                if source.basis:
+                    columns = delta_matrix(self.S, source, self.block(k, d)).columns
             self._boundaries[key] = linalg.SpanTracker(columns)
         return self._boundaries[key]
 

@@ -174,6 +174,17 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self._echelon)
 
+    def pivot_columns(self) -> set[int]:
+        """The columns that lead the stored rows, in the caller's labels.
+
+        Restricted to these columns the stored rows are triangular with a
+        nonzero diagonal, so the unit vectors of the other columns span a
+        complement of the tracked span.
+        """
+        # numbers follow insertion order, so the list of keys inverts _relabel
+        columns = list(self._relabel)
+        return {columns[number] for number in self._echelon}
+
     def residual(self, vector: Mapping[int, Fraction]) -> IntRow:
         """Reduce a vector against the tracked span; {} means dependent."""
         return _reduce(self._echelon, _integerize(vector, self._relabel))

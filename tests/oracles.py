@@ -35,6 +35,10 @@ another way:
   against freshly built coboundaries; ``cocycle_representatives`` works in
   the weight-0 block, reuses the structure's boundary echelon and stops
   once it holds dim H classes.
+* ``uncleared_boundaries`` eliminates every column of a block's incoming
+  coboundary matrix; ``_SliceCache.boundaries`` clears the source cochains
+  at the pivot columns of the echelon one step below and assembles only
+  the rest.
 * ``jacobi_trisum_polynomial`` sums the Jacobi obstructions Polynomial by
   Polynomial on the rational bivector; ``multivector.jacobi_trisum`` adds
   the terms of its integer multiple into one dict per triple.
@@ -72,6 +76,7 @@ from polypoisson.cohomology import (
     CohomologyReport,
     CohomologyRow,
     GradedSlice,
+    _SliceCache,
     _form_delta_parts,
     delta,
     delta_matrix,
@@ -492,6 +497,15 @@ def greedy_representatives(
         for column in delta_matrix(S, whole(k - 1, d - r + 1), sl).columns:
             tracker.add(column)
     return [sl.from_vector(vec) for vec in kernel if tracker.add(vec)]
+
+
+def uncleared_boundaries(cache: _SliceCache, k: int, d: int) -> linalg.SpanTracker:
+    """The boundary echelon of block (k, d) from every column of the incoming matrix."""
+    prev_d = d - cache.r + 1
+    columns: Sequence[dict[int, int]] = ()
+    if k > 0 and prev_d >= 0:
+        columns = delta_matrix(cache.S, cache.block(k - 1, prev_d), cache.block(k, d)).columns
+    return linalg.SpanTracker(columns)
 
 
 # -- the cross-multiplied elimination step -------------------------------------

@@ -340,19 +340,47 @@ def test_cohomology_mixed_degrees_exits_1(capsys):
          "bad parameter value '\u0665': not ASCII"),
         (("cohomology", "--catalog", "P1", "--invariant", "--weights", "\u0660,\u0661,\u0662",
           "--k", "1", "--degree", "1"), "bad --weights: '\u0660,\u0661,\u0662' is not ASCII"),
+        # and both read PEP 515 underscores, so n=1_0 used to be read as 10
+        (("verify", "--catalog", "P2", "--param", "n=1_0"),
+         "bad parameter value '1_0': has an underscore"),
+        (("matrix", "--catalog", "P2", "--param", "n=4", "--k", "1", "--degree", "1",
+          "--invariant", "--weights", "0,1_0,0,0"), "bad --weights: '0,1_0,0,0' has an underscore"),
     ],
     ids=["catalog-missing-param", "catalog-bad-param", "forms-n2", "exclude-x0-p2",
          "weights-off-subcomplex", "weights-without-invariant",
          "matrix-weights-without-invariant", "invariant-without-diagonal",
          "bracket-trailing-star", "json-trailing-star", "cochain-trailing-star",
          "json-pair-order", "verify-json-param", "cohomology-json-param",
-         "catalog-param-without-name", "param-non-ascii-digit", "weights-non-ascii-digits"],
+         "catalog-param-without-name", "param-non-ascii-digit", "weights-non-ascii-digits",
+         "param-underscore", "weights-underscore"],
 )
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+INTEGER_OPTIONS = [
+    ("cohomology", "--k", ("--degree", "1")),
+    ("cohomology", "--kmax", ("--degree", "1")),
+    ("cohomology", "--degree", ("--k", "1")),
+    ("cohomology", "--cutoff", ("--k", "1")),
+    ("matrix", "--k", ("--degree", "1")),
+    ("matrix", "--degree", ("--k", "1")),
+]
+
+
+@pytest.mark.parametrize("command, option, rest", INTEGER_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in INTEGER_OPTIONS])
+@pytest.mark.parametrize("value", ["\u0661", "1_0", "x"], ids=["non-ascii", "underscore", "word"])
+def test_integer_options_read_ascii_digits_only(capsys, command, option, rest, value):
+    # int reads every Unicode digit and PEP 515 underscores, so --k \u0661 used
+    # to print the k=1 row; argparse now refuses them as it refuses a word
+    code, out, err = run(capsys, command, "--catalog", "P1", option, value, *rest)
+    assert (code, out) == (2, "")
+    assert f"error: argument {option}: invalid int value: {value!r}" in err
+    assert run(capsys, command, "--catalog", "P1", option, "1", *rest)[0] == 0
 
 
 def test_off_subcomplex_error_names_the_first_outside_term(capsys):

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -38,6 +39,7 @@ from oracles import (
     probe_form_delta_sign,
     tuple_keyed_columns,
     two_sum_delta,
+    uncleared_boundaries,
     weight,
 )
 
@@ -984,7 +986,8 @@ def test_no_kernel_is_built_for_a_slice_without_classes(monkeypatch):
 
 def test_each_block_matrix_is_assembled_once_per_session(monkeypatch):
     # one echelon per coboundary edge serves the outgoing rank, dim B and the
-    # membership test; only a representatives query assembles the outgoing
+    # membership test, and assembles once the source cochains that clearing
+    # keeps, if any; only a representatives query assembles the outgoing
     # matrix of a slice with classes once more, for its kernel
     assembled = collections.Counter()
     assemble = cohomology.delta_matrix
@@ -1007,9 +1010,12 @@ def test_each_block_matrix_is_assembled_once_per_session(monkeypatch):
                 boundary = delta(S, source.from_vector({position: 1}))
                 assert cochain_in_coboundaries(S, boundary, d=d)
     with_classes = {(r.k, r.d) for r in table.rows if r.dim_H and r.k < S.n}
-    assert with_classes and assembled
-    for (source, target), count in assembled.items():
-        assert count == (2 if source in with_classes else 1), (source, target)
+    edges = {((k - 1, d), (k, d)) for k in range(1, 4) for d in range(13)}
+    assert with_classes and set(assembled) <= edges
+    cache = cohomology._complex(S, None, ())
+    for source, target in edges:
+        kept = cache.block_dim(*source) - cache.boundaries(*source).rank
+        assert assembled[source, target] == (kept > 0) + (source in with_classes), source
 
 
 def test_boundaries_beyond_the_cocycles_raise(monkeypatch):
@@ -1152,6 +1158,80 @@ def test_a_bad_excluded_index_stores_no_complex():
         with pytest.raises(ValueError, match="excluded variable index"):
             query()
     assert S._complexes == {}
+
+
+# -- clearing -----------------------------------------------------------------------------------
+
+# name, params, weights, excluded variables, arities, degrees
+CLEARING_CASES = [
+    ("P1", None, None, (), range(4), range(9)),
+    ("P2", {"n": 4}, None, (), range(5), range(4)),
+    ("P2", {"n": 5}, None, (), range(6), range(4)),
+    ("rigid", {"n": 6}, None, (), range(5), range(5)),
+    ("rigid", {"n": 6}, tuple(range(7)), (0,), range(5), range(6)),
+    ("rigid", {"n": 7}, None, (), range(5), range(5)),
+    ("rigid", {"n": 7}, tuple(range(8)), (0,), range(5), range(5)),
+    ("L3", {"alpha": 2}, None, (), range(4), range(6)),
+    ("L3", {"alpha": -1}, None, (), range(4), range(6)),
+    ("L3", {"alpha": 0}, None, (), range(4), range(6)),
+]
+
+
+@pytest.mark.parametrize("case", CLEARING_CASES, ids=[
+    "P1", "P2-n=4", "P2-n=5", "rigid-n=6", "rigid-n=6-invariant", "rigid-n=7",
+    "rigid-n=7-invariant", "L3-alpha=2", "L3-alpha=-1", "L3-alpha=0",
+])
+def test_cleared_echelons_span_the_whole_image(case, monkeypatch):
+    # the source cochains at the incoming pivots map into the span of the
+    # others, so the cleared echelon has the uncleared one's rank and holds
+    # every column of the whole matrix, from dim block - incoming rank columns
+    name, params, weights, banned, ks, ds = case
+    assembled = collections.Counter()
+    assemble = cohomology.delta_matrix
+
+    def counted(S, source, target=None):
+        matrix = assemble(S, source, target)
+        assembled[matrix.target.k, matrix.target.d] += len(matrix.columns)
+        return matrix
+
+    S = catalog_get(name, params)
+    cache = cohomology._complex(S, weights, banned)
+    with monkeypatch.context() as patched:
+        patched.setattr(cohomology, "delta_matrix", counted)
+        cleared = {(k, d): cache.boundaries(k, d) for k in ks for d in ds}
+    kept_fewer = False
+    for (k, d), tracker in cleared.items():
+        assert tracker.rank == uncleared_boundaries(cache, k, d).rank, (k, d)
+        prev_d = d - cache.r + 1
+        if k == 0 or prev_d < 0:
+            assert assembled[k, d] == 0
+            continue
+        source = cache.block(k - 1, prev_d)
+        for column in delta_matrix(S, source, cache.block(k, d)).columns:
+            assert not tracker.residual(column), (k, d)
+        incoming = cache.boundaries(k - 1, prev_d).rank
+        assert assembled[k, d] == source.dim - incoming, (k, d)
+        kept_fewer |= bool(source.dim and incoming)
+    assert kept_fewer
+
+
+@pytest.mark.parametrize("case", [
+    ("P1", None, None, (), range(4), range(13)),
+    ("rigid", {"n": 6}, tuple(range(7)), (0,), range(5), range(6)),
+], ids=["P1", "rigid-n=6-invariant"])
+def test_clearing_moves_no_representative_and_no_verdict(case):
+    # representatives and membership read only the span of the boundary
+    # echelon, which clearing keeps
+    name, params, weights, banned = case[:4]
+    queries = _mixed_queries(*case, random.Random(2032))
+    cleared, uncleared = catalog_get(name, params), catalog_get(name, params)
+    cache = cohomology._complex(uncleared, weights, banned)
+    cache.boundaries = functools.cache(functools.partial(uncleared_boundaries, cache))
+    answers = [query(cleared) for query in queries]
+    assert answers == [query(uncleared) for query in queries]
+    assert cache.boundaries.cache_info().currsize
+    assert any(a is True for a in answers) and any(a is False for a in answers)
+    assert any(isinstance(a, list) and a for a in answers)
 
 
 # -- normalization ------------------------------------------------------------------------------

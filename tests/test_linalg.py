@@ -364,6 +364,23 @@ def test_no_input_row_is_changed():
         assert rows + extra == before
 
 
+def test_pivot_columns_complete_the_span_with_unit_vectors():
+    # the stored rows restricted to their pivots are triangular, so the unit
+    # vectors of the other columns complete the span to the whole space,
+    # whatever labels and column order the tracker uses
+    rng = random.Random(3211)
+    for _ in range(150):
+        ncols = rng.randint(1, 10)
+        rows = random_hard_matrix(rng, rng.randint(1, 12), ncols, rng.choice([0.2, 0.5]))
+        labels = rng.sample(range(100), ncols)
+        rows = [{labels[c]: v for c, v in row.items()} for row in rows]
+        tracker = linalg.SpanTracker(rows)
+        pivots = tracker.pivot_columns()
+        assert len(pivots) == tracker.rank and pivots <= set(labels)
+        units = [{c: 1} for c in labels if c not in pivots]
+        assert linalg.rank(rows + units) == ncols
+
+
 def test_boundary_echelons_leave_the_matrix_columns_unchanged(monkeypatch):
     from polypoisson import cohomology
     from polypoisson.catalog import catalog_get
@@ -379,10 +396,13 @@ def test_boundary_echelons_leave_the_matrix_columns_unchanged(monkeypatch):
     monkeypatch.setattr(cohomology, "delta_matrix", recording)
     S = catalog_get("rigid", {"n": 8})
     cache = cohomology._complex(S, tuple(range(9)), (0,))
-    for k, d in [(2, 2), (3, 3), (3, 4)]:
+    requested = [(2, 2), (3, 3), (3, 4)]
+    for k, d in requested:
         tracker = cache.boundaries(k, d)
-        for col in built[-1][0].columns:
+        (m,) = [m for m, _ in built if (m.target.k, m.target.d) == (k, d)]
+        for col in m.columns:
             assert not tracker.residual(col)
-    assert len(built) == 3 and all(m.columns for m, _ in built)
+    # clearing builds the echelons below a requested one first
+    assert len(built) > len(requested) and all(m.columns for m, _ in built)
     for m, columns in built:
         assert list(m.columns) == columns

@@ -107,12 +107,15 @@ def _enclosing_calls(tree, called):
 
 def test_each_coboundary_edge_has_one_assembly_and_one_elimination():
     # the boundary echelon gives both dim B and the outgoing rank one step
-    # below, so the complex assembles block matrices in one place and never
-    # ranks a matrix apart from that echelon
+    # below, so the complex assembles block matrices in one place, eliminates
+    # them in that place alone and never ranks a matrix apart from that
+    # echelon; clearing reads the echelon one step below there too
     tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
     assemblies = _enclosing_calls(tree, lambda call: _called_name(call) == "delta_matrix")
     inside = [name for name in assemblies if name.startswith("_SliceCache.")]
     assert inside == ["_SliceCache.boundaries"]
+    eliminations = _enclosing_calls(tree, lambda call: _called_name(call) == "SpanTracker")
+    assert eliminations == ["_SliceCache.boundaries"]
     ranks = _enclosing_calls(
         tree,
         lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "rank"
