@@ -143,7 +143,7 @@ def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...
     for single, span in (("k", "kmax"), ("degree", "cutoff")):
         if getattr(args, span, None) is not None and getattr(args, single) is not None:
             raise CliError(f"--{single} and --{span} cannot be combined")
-    if args.weights and not args.invariant:
+    if args.weights is not None and not args.invariant:
         raise CliError("--weights needs --invariant")
     S = _load_structure(args)
     degrees = S.entry_degrees()
@@ -152,7 +152,7 @@ def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...
             f"structure entries mix degrees {degrees}; split by degree", MATH_NEGATIVE
         )
     weights = None
-    if args.weights:
+    if args.weights is not None:
         # int reads every Unicode digit and PEP 515 underscores, as in --param
         if not args.weights.isascii():
             raise CliError(f"bad --weights: {args.weights!r} is not ASCII")

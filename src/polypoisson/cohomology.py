@@ -57,8 +57,12 @@ the coboundary keeps it, and with i phi = phi(X_m, ...) the map
 delta i + i delta multiplies each block by its weight, so every block of
 weight != 0 is acyclic.  Only the weight-0 block (the ``weights=w`` slice)
 is ever built.  Tables eliminate it, and the rank the other blocks carry
-follows from dimensions, counted without building a basis, by
+follows from dimensions by
 R(k, d) = (dim - dim of the block)(k, d) - R(k - 1, d), R(-1, d) = 0.
+The dims of a degree are counted once, in one table for every k: each block
+dim from the monomials that the complex groups by weight to build the
+blocks, and the dim of a slice the complex split itself in closed form,
+C(n, k) C(n + d - 1, d).
 Representatives are picked inside the block, and a membership test reduces
 the block part of a cochain and checks that the rest is a cocycle.  With a
 filter, or no diagonal coordinate, the block is the filtered slice and R
@@ -66,8 +70,9 @@ is 0.
 
 Each verified structure keeps one complex (``_SliceCache``) per filter,
 made on first use by ``_complex`` and shared by ``cohomology_dims``,
-``cocycle_representatives`` and ``cochain_in_coboundaries``.  It keeps
-counted dimensions, corrections, blocks, and per (k, d) the echelon of the
+``cocycle_representatives`` and ``cochain_in_coboundaries``.  It keeps, per
+degree, the grouped monomials and the table of dims and R, and per (k, d)
+the block and the echelon of the
 coboundaries inside the block (the boundary echelon), whose rank is also
 the outgoing block rank of (k - 1, d - r + 1).  Boundary echelons are
 cleared, since delta o delta = 0: the unit vectors of the source cochains
@@ -85,9 +90,10 @@ and raises ``ComplexInvariantError`` unless the block's kernel less its
 boundary rank is dim H.
 
 The reports check dim Z + rank(outgoing) = dim(slice) with a rank inside
-0..dim(slice), dim B <= dim Z, and that each R lies inside 0..(dim of the
-other blocks) and vanishes at k = n; they raise ``ComplexInvariantError``
-when any fails, with or without ``python -O``.
+0..dim(slice) and dim B <= dim Z, and every table, representatives query
+and membership test reads a degree's dims only once each R lies inside
+0..(dim of the other blocks) and vanishes at k = n.  A failed check raises
+``ComplexInvariantError``, with or without ``python -O``.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import comb, lcm
 from operator import lshift, mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -504,42 +510,15 @@ def _graded_slice(
     return GradedSlice(n, k, d, weights, value_banned, slot_banned, basis)
 
 
-def slice_dims(
-    n: int,
-    d: int,
-    weights: Optional[Sequence[int]] = None,
-    exclude_value_vars: Iterable[int] = (),
-    exclude_slot_vars: Iterable[int] = (),
-) -> list[int]:
-    """``slice_basis(n, k, d, ...).dim`` for k = 0..n, counted without a basis.
+def _weight_counts(weights: Sequence[int], size: int) -> list[Counter]:
+    """counts[j][s]: the j-element subsets of the items, one per entry of
+    ``weights``, whose weights sum to s; j = 0..size.
 
-    ``_weight_counts`` counts the k-element slot tuples (subsets of the
-    allowed slot variables) and the degree-d monomials (multisets of d
-    allowed value variables) per weight sum, and each tuple count is
-    multiplied by the monomial count of the same sum.  ``weights=None`` is
-    the zero weight, and the count is C(#slots, k) * C(#value variables +
-    d - 1, d).
-    """
-    value_banned = _checked_vars(n, exclude_value_vars)
-    slot_banned = _checked_vars(n, exclude_slot_vars)
-    w = _checked_weights(n, weights) or (0,) * n
-    if d < 0:
-        return [0] * (n + 1)
-    monos = _weight_counts([w[i] for i in range(n) if i not in value_banned], d, repeat=True)[d]
-    tuples = _weight_counts([w[i] for i in range(n) if i not in slot_banned], n, repeat=False)
-    return [sum(count * monos[s] for s, count in by_sum.items()) for by_sum in tuples]
-
-
-def _weight_counts(weights: Sequence[int], size: int, repeat: bool) -> list[Counter]:
-    """counts[j][s]: the j-element subsets (multisets if ``repeat``) of the
-    items, one per entry of ``weights``, whose weights sum to s; j = 0..size.
-
-    Each item updates sizes in descending order for subsets, so it is added
-    at most once, and in ascending order for multisets, so it may repeat.
+    Each item updates sizes in descending order, so it is added at most once.
     """
     counts = [Counter({0: 1})] + [Counter() for _ in range(size)]
     for wi in weights:
-        for j in range(1, size + 1) if repeat else range(size, 0, -1):
+        for j in range(size, 0, -1):
             for s, count in counts[j - 1].items():
                 counts[j][s + wi] += count
     return counts
@@ -619,9 +598,9 @@ def delta_matrix(
             exclude_value_vars=source.exclude_value_vars,
             exclude_slot_vars=source.exclude_slot_vars,
         )
-    if source.dim and source.n != S.n:
+    if source.n != S.n:
         raise ValueError("variable count mismatch")
-    if source.dim and (target.n, target.k) != (source.n, source.k + 1):
+    if (target.n, target.k) != (source.n, source.k + 1):
         raise _left_slice("cochain does not match the slice shape")
     cob = _coboundary(S)
     columns = []
@@ -734,12 +713,13 @@ def diagonal_weights(S: PoissonStructure) -> Optional[tuple[int, ...]]:
 
 
 class _SliceCache:
-    """Weight-0 blocks, counted dimensions and boundary echelons of one complex.
+    """Weight-0 blocks, dimension counts and boundary echelons of one complex.
 
     ``_complex`` makes one per structure and filter and keeps it on the
-    structure, so every cohomology query of a session shares it.  It keeps
-    counted dimensions, corrections, blocks and boundary echelons; an
-    outgoing rank is read off the boundary echelon one step up.  It keeps no
+    structure, so every cohomology query of a session shares it.  It keeps,
+    per degree, the monomials grouped by block weight and the ``counts``
+    table, and per (k, d) the block and the boundary echelon; an outgoing
+    rank is read off the boundary echelon one step up.  It keeps no
     coboundary matrix: ``boundaries`` builds the echelon one step below
     first, assembles once the columns of the block matrix that clearing
     keeps, from the structure's shared ``_Coboundary``, and seeds its
@@ -748,10 +728,11 @@ class _SliceCache:
     ``block(k, d)``, the only slice it builds, is the weight-0 block of slice
     (k, d): cut by the diagonal weights of the structure when the caller
     sets no filter, and otherwise (or with no diagonal coordinate) the
-    filtered slice itself.  ``correction`` adds the rank that the acyclic
-    blocks of weight != 0 carry, from counted dimensions alone.  ``row(k, d)``
-    is the table row of slice (k, d), and ``boundaries(k, d)`` the echelon of
-    the coboundaries inside block (k, d).
+    filtered slice itself.  ``counts(d)`` sizes every slice of degree d and
+    its block from the same monomial groups, with the rank that the acyclic
+    blocks of weight != 0 carry.  ``row(k, d)`` is the table row of slice
+    (k, d), and ``boundaries(k, d)`` the echelon of the coboundaries inside
+    block (k, d).
     """
 
     def __init__(
@@ -766,8 +747,7 @@ class _SliceCache:
         self.banned = banned
         self._blocks: dict[tuple[int, int], GradedSlice] = {}
         self._monomials: dict[int, dict[int, list[Exponents]]] = {}
-        self._dims: dict[tuple, list[int]] = {}
-        self._corrections: dict[tuple[int, int], int] = {}
+        self._counts: dict[int, list[tuple[int, int, int]]] = {}
         self._boundaries: dict[tuple[int, int], linalg.SpanTracker] = {}
 
     @cached_property
@@ -776,60 +756,76 @@ class _SliceCache:
             return diagonal_weights(self.S)
         return self.weights
 
-    def _dim(self, weights: Optional[tuple[int, ...]], k: int, d: int) -> int:
-        if not 0 <= k <= self.S.n:
-            return 0
-        key = (weights, d)
-        if key not in self._dims:
-            self._dims[key] = slice_dims(self.S.n, d, weights, self.banned, self.banned)
-        return self._dims[key][k]
+    @cached_property
+    def slot_counts(self) -> list[Counter]:
+        """slot_counts[k][s]: the allowed k-element slot tuples of block weight sum s."""
+        n = self.S.n
+        w = self.block_weights or (0,) * n
+        return _weight_counts([w[i] for i in range(n) if i not in self.banned], n)
+
+    def monomials(self, d: int) -> dict[int, list[Exponents]]:
+        """The degree-d monomials of the blocks, grouped by block weight once per d."""
+        if d not in self._monomials:
+            self._monomials[d] = _monomials_by_weight(self.S.n, d, self.block_weights, self.banned)
+        return self._monomials[d]
 
     def block(self, k: int, d: int) -> GradedSlice:
-        """``slice_basis`` of (k, d) under the block filter; monomials are grouped once per d."""
+        """``slice_basis`` of (k, d) under the block filter, from ``monomials(d)``."""
         key = (k, d)
         if key not in self._blocks:
-            n, weights = self.S.n, self.block_weights
-            if d not in self._monomials:
-                self._monomials[d] = _monomials_by_weight(n, d, weights, self.banned)
             self._blocks[key] = _graded_slice(
-                n, k, d, weights, self.banned, self.banned, self._monomials[d]
+                self.S.n, k, d, self.block_weights, self.banned, self.banned, self.monomials(d)
             )
         return self._blocks[key]
 
+    def counts(self, d: int) -> list[tuple[int, int, int]]:
+        """(dim, block dim, R) of slice (k, d) for k = 0..n, checked once per d.
+
+        The block dim sums, over the block weights s, the slot tuples of
+        weight sum s (``slot_counts``) times the monomials of weight s
+        (``monomials(d)``).  Where the complex split the slice itself, its
+        dim is C(n, k) C(n + d - 1, d); otherwise the block is the slice.
+        The blocks of weight != 0 are acyclic, so their coboundary out of
+        (k, d) has rank R(k, d) = (dim - block dim)(k, d) - R(k - 1, d), with
+        R(-1, d) = 0; each R must lie in 0..(dim - block dim), and R(n, d)
+        must vanish, where the complex of those blocks ends.  A diagonal
+        coordinate forces r = 1, so d stays fixed along k.
+        """
+        if d not in self._counts:
+            n, groups = self.S.n, self.monomials(d)
+            split = self.block_weights != self.weights
+            table, R = [], 0
+            for k, tuples in enumerate(self.slot_counts):
+                block_dim = sum(count * len(groups.get(s, ())) for s, count in tuples.items())
+                dim = comb(n, k) * comb(n + d - 1, d) if split and d >= 0 else block_dim
+                off_block = dim - block_dim
+                R = off_block - R
+                if not 0 <= R <= off_block:
+                    raise ComplexInvariantError(
+                        f"weight blocks fail at k={k}, d={d}: their coboundary would "
+                        f"have rank {R} on {off_block} cochains"
+                    )
+                table.append((dim, block_dim, R))
+            if R:
+                raise ComplexInvariantError(
+                    f"weight blocks do not close at d={d}: rank {R} left over at k={n}"
+                )
+            self._counts[d] = table
+        return self._counts[d]
+
     def dim(self, k: int, d: int) -> int:
-        return self._dim(self.weights, k, d)
+        return self.counts(d)[k][0] if 0 <= k <= self.S.n else 0
 
     def block_dim(self, k: int, d: int) -> int:
-        return self._dim(self.block_weights, k, d)
-
-    def correction(self, k: int, d: int) -> int:
-        """Rank of the coboundary on the blocks of weight != 0 of slice (k, d).
-
-        Each such block is acyclic, so its outgoing rank is its dimension
-        minus its incoming rank; summed over the blocks this is
-        R(k, d) = (dim - block_dim)(k, d) - R(k - 1, d), with R(-1, d) = 0.
-        A diagonal coordinate forces r = 1, so d stays fixed along k.
-        """
-        if k < 0:
-            return 0
-        key = (k, d)
-        if key not in self._corrections:
-            off_block = self.dim(k, d) - self.block_dim(k, d)
-            value = off_block - self.correction(k - 1, d)
-            if not 0 <= value <= off_block:
-                raise ComplexInvariantError(
-                    f"weight blocks fail at k={k}, d={d}: their coboundary would "
-                    f"have rank {value} on {off_block} cochains"
-                )
-            self._corrections[key] = value
-        return self._corrections[key]
+        return self.counts(d)[k][1] if 0 <= k <= self.S.n else 0
 
     def outgoing_rank(self, k: int, d: int) -> int:
-        """Rank of the coboundary out of slice (k, d): the boundary rank one step up."""
-        block_rank = 0
-        if k < self.S.n and self.block_dim(k, d):
-            block_rank = self.boundaries(k + 1, d + self.r - 1).rank
-        return block_rank + self.correction(k, d)
+        """Rank of the coboundary out of slice (k, d): the boundary rank one step up, plus R."""
+        if not 0 <= k < self.S.n:
+            return 0
+        _, block_dim, R = self.counts(d)[k]
+        block_rank = self.boundaries(k + 1, d + self.r - 1).rank if block_dim else 0
+        return block_rank + R
 
     def row(self, k: int, d: int) -> CohomologyRow:
         """dim chi / Z / B of slice (k, d); checks rank-nullity and B <= Z."""
@@ -910,18 +906,12 @@ def cohomology_dims(
     With neither, and a coordinate X_m with {X_m, X_i} = w_i X_i, only the
     weight-0 block of each slice is eliminated; the blocks of weight != 0
     are acyclic and their ranks follow from counted dimensions (see the
-    module docstring and ``_SliceCache.correction``).  Besides rank-nullity
-    and B <= Z, each correction must lie in range and the corrections must
-    vanish at k = n, where the complex of the other blocks ends.
+    module docstring and ``_SliceCache.counts``).  Besides rank-nullity
+    and B <= Z, each such rank must lie in range and the ranks must vanish
+    at k = n, where the complex of the other blocks ends.
     """
     cache = _complex(S, weights, exclude_vars)
     ds = sorted(set(ds))
-    for d in ds:
-        left = cache.correction(S.n, d)
-        if left:
-            raise ComplexInvariantError(
-                f"weight blocks do not close at d={d}: rank {left} left over at k={S.n}"
-            )
     return CohomologyReport(cache.row(k, d) for k in sorted(set(ks)) for d in ds)
 
 
@@ -976,17 +966,20 @@ def cochain_in_coboundaries(
     delta(phi - phi_0) = 0, since cocycles of weight != 0 are coboundaries;
     phi - phi_0 is made of the terms the block's ``index`` does not hold.
     With a filter, or no diagonal coordinate, the block is the whole slice.
+    The filter and the shape are checked first, also for a zero cochain, and
+    the counts of degree d before the block is read.
     """
-    if phi.is_zero:
-        return True
-    degrees = {p.total_degree() for p in phi.values.values()}
-    if d is None:
-        if len(degrees) != 1:
-            raise ValueError("cochain is not degree-homogeneous; pass d explicitly")
-        d = degrees.pop()
     cache = _complex(S, weights, exclude_vars)
     if phi.n != S.n:
         raise ValueError("cochain does not match the slice shape")
+    if phi.is_zero:
+        return True
+    if d is None:
+        degrees = {p.total_degree() for p in phi.values.values()}
+        if len(degrees) != 1:
+            raise ValueError("cochain is not degree-homogeneous; pass d explicitly")
+        d = degrees.pop()
+    cache.counts(d)
     index = cache.block(phi.k, d).index
     vec: dict[int, Fraction] = {}
     rest: dict[IndexTuple, dict[Exponents, Fraction]] = {}

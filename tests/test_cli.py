@@ -321,6 +321,15 @@ def test_cohomology_mixed_degrees_exits_1(capsys):
         (("cohomology", "--catalog", "P1", "--weights", "0,1,2"), "--weights needs --invariant"),
         (("matrix", "--catalog", "P1", "--weights", "0,1,2", "--k", "1", "--degree", "1"),
          "--weights needs --invariant"),
+        # an empty --weights used to be dropped, or to fall back to the diagonal weights
+        (("cohomology", "--catalog", "P1", "--weights", "", "--kmax", "1", "--cutoff", "1"),
+         "--weights needs --invariant"),
+        (("matrix", "--catalog", "P1", "--weights", "", "--k", "1", "--degree", "1"),
+         "--weights needs --invariant"),
+        (("cohomology", "--catalog", "P1", "--invariant", "--weights", "", "--kmax", "1",
+          "--cutoff", "1"), "bad --weights: invalid literal for int() with base 10: ''"),
+        (("matrix", "--catalog", "P1", "--invariant", "--weights", "", "--k", "1", "--degree",
+          "1"), "bad --weights: invalid literal for int() with base 10: ''"),
         (("cohomology", "--catalog", "L1", "--invariant"),
          "--invariant needs --weights: the structure has no diagonal coordinate"),
         (("bracket", "--catalog", "P1", "--p", "X1*", "--q", "X2"), "expected a factor"),
@@ -348,7 +357,9 @@ def test_cohomology_mixed_degrees_exits_1(capsys):
     ],
     ids=["catalog-missing-param", "catalog-bad-param", "forms-n2", "exclude-x0-p2",
          "weights-off-subcomplex", "weights-without-invariant",
-         "matrix-weights-without-invariant", "invariant-without-diagonal",
+         "matrix-weights-without-invariant", "weights-empty-without-invariant",
+         "matrix-weights-empty-without-invariant", "weights-empty", "matrix-weights-empty",
+         "invariant-without-diagonal",
          "bracket-trailing-star", "json-trailing-star", "cochain-trailing-star",
          "json-pair-order", "verify-json-param", "cohomology-json-param",
          "catalog-param-without-name", "param-non-ascii-digit", "weights-non-ascii-digits",

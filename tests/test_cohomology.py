@@ -21,7 +21,6 @@ from polypoisson.cohomology import (
     form_delta_sign,
     normalize_cocycle,
     slice_basis,
-    slice_dims,
 )
 from polypoisson.exterior import ExteriorForm
 from polypoisson.multivector import MultiDerivation, bivector_from_entries, phi_inverse
@@ -800,6 +799,25 @@ def test_counted_dims_match_the_basis():
                 assert filtered.dim(k, d) == invariant
 
 
+def test_counts_match_the_built_slices():
+    # one table per degree sizes the slice the caller filtered and its
+    # weight-0 block; seeded query order, since the table is kept per degree
+    rng = random.Random(33)
+    rigid = tuple(range(7))
+    complexes = [("P1", None, None, ()), ("P2", {"n": 4}, None, ()),
+                 ("rigid", {"n": 6}, None, ()), ("rigid", {"n": 6}, rigid, (0,)),
+                 ("L2", None, None, ()), ("L3", {"alpha": 0}, None, ())]
+    for name, params, weights, banned in complexes:
+        cache = cohomology._complex(catalog_get(name, params), weights, banned)
+        n = cache.S.n
+        queries = [(k, d) for k in range(n + 2) for d in range(-1, 7)]
+        rng.shuffle(queries)
+        for k, d in queries:
+            built = slice_basis(n, k, d, weights, banned, banned).dim, cache.block(k, d).dim
+            assert (cache.dim(k, d), cache.block_dim(k, d)) == built, (name, k, d)
+        assert all(len(cache.counts(d)) == n + 1 for d in range(-1, 7))
+
+
 def test_complex_blocks_equal_slice_basis():
     # a complex groups each degree's monomials by weight once and builds every
     # block of that degree from them; each block is the slice_basis slice
@@ -829,10 +847,6 @@ def test_excluded_variables_out_of_range_raise(bad):
             with pytest.raises(ValueError, match=f"index {bad} "):
                 slice_basis(3, k, d, exclude_slot_vars=(0, bad))
     with pytest.raises(ValueError, match=f"index {bad} "):
-        slice_dims(3, 2, exclude_value_vars=(bad,))
-    with pytest.raises(ValueError, match=f"index {bad} "):
-        slice_dims(3, 2, exclude_slot_vars=(bad,))
-    with pytest.raises(ValueError, match=f"index {bad} "):
         cohomology_dims(p1(), [1], [1], exclude_vars=(bad,))
 
 
@@ -844,16 +858,17 @@ def test_weights_of_the_wrong_length_raise(weights):
         for d in (-1, 2):
             with pytest.raises(ValueError, match=message):
                 slice_basis(3, k, d, weights)
-    with pytest.raises(ValueError, match=message):
-        slice_dims(3, 2, weights)
     S = p1()
     phi = cocycle_representatives(S, 2, 1)[0]
     with pytest.raises(ValueError, match=message):
         cohomology_dims(S, [1], [1], weights=weights)
     with pytest.raises(ValueError, match=message):
         cocycle_representatives(S, 1, 1, weights=weights)
-    with pytest.raises(ValueError, match=message):
-        cochain_in_coboundaries(S, phi, d=1, weights=weights)
+    # a zero cochain is checked as a nonzero one is, with or without its degree
+    zero = MultiDerivation.zero(3, 1)
+    for cochain, d in ((phi, 1), (zero, 1), (zero, None)):
+        with pytest.raises(ValueError, match=message):
+            cochain_in_coboundaries(S, cochain, d=d, weights=weights)
     assert list(S._complexes) == [(None, frozenset())]
 
 
@@ -869,8 +884,6 @@ def test_slices_match_a_filtered_enumeration():
         slots = [i for i in range(n) if i not in slot_banned]
         for d in range(-1, 4):
             monos = monomial_basis(n, d, exclude_vars=value_banned)
-            dims = slice_dims(n, d, weights, value_banned, slot_banned)
-            assert len(dims) == n + 1
             for k in range(n + 1):
                 sl = slice_basis(n, k, d, weights, value_banned, slot_banned)
                 expected = tuple(
@@ -879,30 +892,48 @@ def test_slices_match_a_filtered_enumeration():
                 )
                 assert sl.basis == expected
                 assert sl.weights == weights
-                assert dims[k] == sl.dim
+
+
+# a table, a representatives query and a membership test each read the
+# counts of their degree before they use a weight block
+COUNT_READERS = [
+    lambda S, d: cohomology_dims(S, [1], [d]),
+    lambda S, d: cocycle_representatives(S, 1, d),
+    lambda S, d: cochain_in_coboundaries(S, slice_basis(S.n, 1, d).from_vector({0: 1}), d),
+]
 
 
 def test_weight_block_rank_out_of_range_raises(monkeypatch):
-    # a block larger than its slice leaves a negative rank for the other weights
-    def too_large(cache, k, d):
-        return cache.dim(k, d) + 1
+    # a second empty slot tuple counts the block of (0, 0) as two cochains
+    # in a slice of one, which leaves a negative rank for the other weights
+    weight_counts = cohomology._weight_counts
 
-    monkeypatch.setattr(cohomology._SliceCache, "block_dim", too_large)
-    with pytest.raises(ComplexInvariantError, match="weight blocks fail"):
-        cohomology_dims(p1(), [1], [1])
+    def two_empty_tuples(weights, size):
+        counts = weight_counts(weights, size)
+        counts[0][0] += 1
+        return counts
+
+    monkeypatch.setattr(cohomology, "_weight_counts", two_empty_tuples)
+    for query in COUNT_READERS:
+        with pytest.raises(ComplexInvariantError, match="weight blocks fail at k=0, d=0"):
+            query(p1(), 0)
 
 
 def test_weight_blocks_that_do_not_close_raise(monkeypatch):
-    # one spare cochain at k = n breaks the Euler characteristic of the
-    # blocks of weight != 0; every correction stays in range
-    real_dim = cohomology._SliceCache.dim
+    # without the slot tuple of arity n in the count, the block cochain
+    # X1 X2 on all three slots of P1 moves to the blocks of weight != 0 at
+    # d = 2 and breaks their Euler characteristic; every R stays in range
+    weight_counts = cohomology._weight_counts
 
-    def padded(cache, k, d):
-        return real_dim(cache, k, d) + (k == cache.S.n)
+    def no_top_tuple(weights, size):
+        counts = weight_counts(weights, size)
+        counts[size].clear()
+        return counts
 
-    monkeypatch.setattr(cohomology._SliceCache, "dim", padded)
-    with pytest.raises(ComplexInvariantError, match="do not close"):
-        cohomology_dims(p1(), [1], [1])
+    monkeypatch.setattr(cohomology, "_weight_counts", no_top_tuple)
+    for query in COUNT_READERS:
+        with pytest.raises(ComplexInvariantError, match="do not close at d=2: rank 1 left over"):
+            query(p1(), 2)
 
 
 # -- representatives ---------------------------------------------------------------------------
@@ -1064,8 +1095,16 @@ def test_membership_matches_the_whole_slice_span():
 
 def test_membership_rejects_cochains_outside_the_slice():
     S = p1()
-    with pytest.raises(ValueError, match="cochain does not match the slice shape"):
-        cochain_in_coboundaries(S, MultiDerivation(4, 1, {(0,): V(4, 1)}))
+    for phi in (MultiDerivation(4, 1, {(0,): V(4, 1)}), MultiDerivation.zero(5, 1)):
+        with pytest.raises(ValueError, match="cochain does not match the slice shape"):
+            cochain_in_coboundaries(S, phi)
+    # the assembly checks the shape of an empty source as of any other
+    for source in (slice_basis(5, 1, 1), slice_basis(5, 1, -1)):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            delta_matrix(S, source)
+    for source in (slice_basis(3, 1, 1), slice_basis(3, 1, -1)):
+        with pytest.raises(ValueError, match="cochain does not match the slice shape"):
+            delta_matrix(S, source, slice_basis(3, 3, 1))
     # x1 on slot 0 has weight 1, so it passes the block; x2^2 has degree 2
     mixed = MultiDerivation(3, 1, {(0,): V(3, 1), (1,): V(3, 2) ** 2})
     with pytest.raises(ValueError, match=r"\(1,\):\(0, 0, 2\) lies outside the slice"):
@@ -1153,6 +1192,7 @@ def test_a_bad_excluded_index_stores_no_complex():
         lambda: cohomology_dims(S, [1], [1], exclude_vars=(3,)),
         lambda: cocycle_representatives(S, 1, 1, exclude_vars=(0, 5)),
         lambda: cochain_in_coboundaries(S, phi, d=1, exclude_vars=(-1,)),
+        lambda: cochain_in_coboundaries(S, MultiDerivation.zero(3, 1), exclude_vars=(7,)),
     ]
     for query in queries:
         with pytest.raises(ValueError, match="excluded variable index"):

@@ -105,6 +105,20 @@ def _enclosing_calls(tree, called):
     return found
 
 
+def test_slices_are_sized_by_the_complex_alone():
+    # the complex counts every slice of a degree in one table, from the
+    # monomials it groups and one subset count of its slots; a second call
+    # of the subset count would bring back a second way to size a slice
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = _enclosing_calls(tree, lambda call: _called_name(call) == "_weight_counts")
+        sites += [(path.name, name) for name in found]
+    assert len(sites) == 1
+    name, owner = sites[0]
+    assert name == "cohomology.py" and owner.startswith("_SliceCache.")
+
+
 def test_each_coboundary_edge_has_one_assembly_and_one_elimination():
     # the boundary echelon gives both dim B and the outgoing rank one step
     # below, so the complex assembles block matrices in one place, eliminates
