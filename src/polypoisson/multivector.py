@@ -16,18 +16,19 @@ Integrability of a bivector can be tested two independent ways:
   coordinate fields; for three variables alpha is Omega itself and the
   criterion reads d(Omega) ^ Omega = 0.
 
-Both touch only the bivector's nonzero entries.  A triple none of whose
-three pairs holds an entry has a zero trisum and a zero contraction, so
-both routes visit only the triples that meet an entry, lazily and in
-``itertools.combinations`` order.  The trisum sums r only over the nonzero
-P_{r,first}.  The form route builds no ``ExteriorForm``.  It keys Omega's
-terms by the pair each omits, reading the term that omits (i, j) off the
-entry P_{ij} with the sign of ``_complement``, and differentiates each
-coefficient at most once per variable it contains.  A triple then reads its
-contraction (a 1-form with at most three terms), the d of that and the
-top-degree wedge with Omega off those two tables, with closed-form signs
-derived from ``interior_coordinates``, ``ExteriorForm.d``, the wedge and
-``_complement`` (``notes/decisions.md``, entry 7).
+Both start from the bivector's nonzero entries and enumerate only nonzero
+products, never the index triples, so their work follows the products and
+not the n^3 / 6 triples.  Each differentiates a coefficient at most once per
+variable it contains (``_partial``), and only where the partial meets
+another entry.  The trisum multiplies dP_ab/dX_r by each nonzero P_rf with
+f not in {a, b}.  The form route builds no ``ExteriorForm``.  It keys
+Omega's terms by the pair each omits, reading the term that omits (i, j)
+off the entry P_{ij} with the sign of ``_complement``.  A partial of
+Omega[rest] in X_i lands in d(alpha_T) for each T = rest + {r} with {i, r}
+a pair of Omega, merged per pair; each T then wedges its pairs with Omega.
+The closed-form signs are derived from ``interior_coordinates``,
+``ExteriorForm.d``, the wedge and ``_complement`` (``notes/decisions.md``,
+entry 7).
 
 Both run on ``int`` coefficients.  ``_integer_multiple`` scales the bivector
 by L, the lcm of its coefficient denominators; every criterion is
@@ -52,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .exterior import ExteriorForm, IndexTuple, _checked_terms, _complement
 from .poly import Polynomial, Scalar, add_into, format_internal
@@ -198,26 +199,6 @@ def phi_inverse(form: ExteriorForm) -> MultiDerivation:
 # -- integrability -----------------------------------------------------------
 
 
-def _triples_meeting(
-    n: int, pairs: Iterable[Sequence[int]]
-) -> Iterator[tuple[int, int, int]]:
-    """Index triples i < j < k containing one of the pairs, in combinations order.
-
-    Lazy, one triple at a time: a triple with no pair among its three is skipped
-    without being built.
-    """
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, b in pairs:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j in nbrs[i]:
-                yield from ((i, j, k) for k in range(j + 1, n))
-            else:
-                yield from ((i, j, k) for k in sorted(nbrs[i] | nbrs[j]) if k > j)
-
-
 def _integer_multiple(biv: MultiDerivation) -> tuple[int, MultiDerivation]:
     """(L, L * biv) with L the lcm of the coefficient denominators.
 
@@ -257,6 +238,11 @@ def _integrability(biv: MultiDerivation) -> tuple[int, MultiDerivation, tuple]:
     return kept
 
 
+def _partial(terms: dict, i: int) -> list:
+    """The terms of d/dX_i of the polynomial whose terms are ``terms``."""
+    return [(e[:i] + (e[i] - 1,) + e[i + 1 :], e[i] * c) for e, c in terms.items() if e[i]]
+
+
 def jacobi_trisum(
     biv: MultiDerivation,
 ) -> list[tuple[int, int, int, Polynomial]]:
@@ -264,10 +250,14 @@ def jacobi_trisum(
 
     Each is sum_r P_{ri} dP_{jk}/dX_r + P_{rj} dP_{ki}/dX_r + P_{rk} dP_{ij}/dX_r;
     the bivector is integrable iff all of them vanish.  Empty for n < 3.
-    Only triples holding a nonzero entry are visited, and r runs only over
-    the nonzero entries P_{r,first}, read from an adjacency list built once.
-    The sum runs on the integer multiple L * biv, each term added straight
-    into one dict per triple; a nonzero obstruction is divided by L^2.  It is
+    The sum starts from the entries: each P_ab is differentiated at most once
+    in each variable X_r it contains, and dP_ab/dX_r meets only the nonzero
+    P_rf with f not in {a, b}, read from an adjacency list built once.  That
+    product lands on the triple sorted(f, a, b), with sign -1 exactly when
+    a < f < b.  So the work follows the nonzero products, not the n^3 / 6
+    triples.  The sum runs on the integer multiple L * biv, each term added
+    straight into one dict per triple; the nonzero triples come out in
+    sorted (``itertools.combinations``) order, each divided by L^2.  It is
     computed once per bivector (``_integrability``); each call returns a new
     list of the kept obstructions.
     """
@@ -280,38 +270,38 @@ def _trisum(lcm: int, multiple: MultiDerivation) -> list[tuple[int, int, int, Po
     """``jacobi_trisum`` of the bivector whose integer multiple is (lcm, multiple)."""
     n = multiple.n
     scale = lcm * lcm
-    values = {pair: p.terms for pair, p in multiple.values.items()}
-    # column[f] lists (r, terms of P_{rf}) with P_{rf} != 0, r ascending as in a
-    # loop over all r
-    column: list[list[tuple[int, dict]]] = [[] for _ in range(n)]
-    for (a, b), terms in values.items():
-        column[b].append((a, terms))
-        column[a].append((b, {e: -c for e, c in terms.items()}))
-    for entries in column:
-        entries.sort(key=lambda entry: entry[0])
-
-    def terms(i: int, j: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Each product term P_{r,first} * dP_{pair}/dX_r of the triple's trisum."""
-        for first, a, b in ((i, j, k), (j, k, i), (k, i, j)):
-            target = values.get((a, b) if a < b else (b, a))
-            if target is None:
-                continue
-            sign = 1 if a < b else -1
-            for r, p_rf in column[first]:
-                for et, ct in target.items():
-                    e = et[r]
-                    if e:
-                        lowered = et[:r] + (e - 1,) + et[r + 1 :]
-                        c = sign * e * ct
-                        for ep, cp in p_rf.items():
-                            yield tuple(map(int.__add__, ep, lowered)), cp * c
-
+    # row[r] lists (f, terms of P_{rf}) with P_{rf} != 0
+    row: list[list[tuple[int, dict]]] = [[] for _ in range(n)]
+    for (a, b), p in multiple.values.items():
+        row[a].append((b, p.terms))
+        row[b].append((a, {e: -c for e, c in p.terms.items()}))
+    sums: dict[tuple[int, int, int], dict] = {}
+    for (a, b), p in multiple.values.items():
+        for r in itertools.compress(range(n), map(any, zip(*p.terms))):
+            partial = None
+            for f, p_rf in row[r]:
+                # P_rf dP_ab/dX_r is a term of the triple's cyclic order f, a, b
+                if f < a:
+                    triple, sign = (f, a, b), 1
+                elif a < f < b:
+                    triple, sign = (a, f, b), -1
+                elif f > b:
+                    triple, sign = (a, b, f), 1
+                else:
+                    continue
+                if partial is None:
+                    partial = _partial(p.terms, r)
+                acc = sums.setdefault(triple, {})
+                for ep, cp in p_rf.items():
+                    cp *= sign
+                    for el, cl in partial:
+                        e = tuple(map(int.__add__, ep, el))
+                        acc[e] = acc.get(e, 0) + cp * cl
     out = []
-    for i, j, k in _triples_meeting(n, values):
-        total = add_into({}, terms(i, j, k))
-        if total:
-            obstruction = {e: Fraction(c, scale) for e, c in total.items()}
-            out.append((i, j, k, Polynomial._trusted(n, obstruction)))
+    for triple in sorted(sums):
+        obstruction = {e: Fraction(c, scale) for e, c in sums[triple].items() if c}
+        if obstruction:
+            out.append((*triple, Polynomial._trusted(n, obstruction)))
     return out
 
 
@@ -320,21 +310,26 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
 
     Omega = Phi(L * P) is keyed by the pair each of its terms omits: the term
     omitting (i, j) is (-1)^(i + j - 1) L * P_ij, read straight off the
-    multiple with the sign of ``_complement``.  Each coefficient is
-    differentiated at most once in each variable it contains, when a triple
-    first needs that partial.  A triple T = (a, b, c) reads
-    d(alpha_T) ^ Omega off those tables, with the closed-form signs of
-    ``notes/decisions.md``, entry 7:
+    multiple with the sign of ``_complement``.  For a triple T, alpha_T is
+    the contraction of Omega by the coordinates outside T, and the route
+    tests d(alpha_T) ^ Omega = 0 for every T.  It starts from the terms of
+    Omega: each Omega[rest] is differentiated at most once in each variable
+    X_i it contains, and that partial lands in d(alpha_T) for T = rest + {r}, once
+    for each partner r of i (a pair {i, r} that some term omits) outside
+    rest.  No other pair of d(alpha_T) meets a term of Omega in the top
+    wedge.  The closed-form signs are those of ``notes/decisions.md``,
+    entry 7:
 
-    * contraction: alpha_r = (-1)^#{i not in T : i > r} * Omega[T - r];
+    * contraction: alpha_r = (-1)^#{x not in T : x > r} * Omega[T - r];
     * d: d(alpha_r)/dX_i lands on dX_i ^ dX_r, with sign + if i < r and
       - if i > r, merged per pair before any product;
     * top wedge: the term at (s, t) meets Omega[(s, t)] with sign
       (-1)^(s + t - 1), applied while merging.
 
-    Every product term of a triple is added into one ``int`` accumulator;
-    a nonzero one means the bivector is not Poisson.  The route runs afresh
-    on every call, on the multiple kept by ``_integrability``.
+    Then each triple wedges its merged pairs with Omega, every product term
+    added into one ``int`` accumulator; a nonzero coefficient there means the
+    bivector is not Poisson.  The route runs afresh on every call, on the multiple kept
+    by ``_integrability``.
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
@@ -351,46 +346,44 @@ def _forms_integrable(multiple: MultiDerivation) -> bool:
     omega = {pair: p.terms if _complement(pair, n)[1] > 0
              else {e: -c for e, c in p.terms.items()}
              for pair, p in multiple.values.items()}
-    # variables[pair]: the variables omega[pair] contains; partials[pair][i] is
-    # the terms of d omega[pair] / dX_i, computed on first use
-    variables = {pair: list(itertools.compress(range(n), map(any, zip(*terms))))
-                 for pair, terms in omega.items()}
-    partials: dict[tuple[int, int], dict[int, list]] = {pair: {} for pair in omega}
-    # alpha_T is nonzero exactly when T contains a pair that some term omits
-    for a, b, c in _triples_meeting(n, omega):
-        # dalpha[(s, t)]: the coefficient of dX_s ^ dX_t in d(alpha_T), times the
-        # top-wedge sign (-1)^(s + t - 1) of the pair
-        dalpha: dict[tuple[int, int], dict] = {}
-        # #{i not in T : i > r} = n - 1 - r - #{t in T : t > r}
-        for r, rest, above in ((a, (b, c), n - a - 3), (b, (a, c), n - b - 2),
-                               (c, (a, b), n - c - 1)):
-            for i in variables.get(rest, ()):
+    # partners[i]: each r such that some term of Omega omits {i, r}
+    partners: list[list[int]] = [[] for _ in range(n)]
+    for s, t in omega:
+        partners[s].append(t)
+        partners[t].append(s)
+    # dalpha[T][(s, t)]: the coefficient of dX_s ^ dX_t in d(alpha_T), times
+    # the top-wedge sign (-1)^(s + t - 1) of the pair
+    dalpha: dict[tuple[int, int, int], dict[tuple[int, int], dict]] = {}
+    for rest, terms in omega.items():
+        u, v = rest
+        for i in itertools.compress(range(n), map(any, zip(*terms))):
+            partial = None
+            for r in partners[i]:
+                # T = rest + {r}; #{x not in T : x > r} = n - 1 - r - #{t in rest : t > r}
+                if r < u:
+                    triple, above = (r, u, v), n - 3 - r
+                elif u < r < v:
+                    triple, above = (u, r, v), n - 2 - r
+                elif r > v:
+                    triple, above = (u, v, r), n - 1 - r
+                else:
+                    continue
                 # flip: contraction exponent + d exponent (0 or 1) + top-wedge i + r - 1
                 if i < r:
                     pair, flip = (i, r), above + i + r - 1
-                elif i > r:
-                    pair, flip = (r, i), above + i + r
                 else:
-                    continue
-                if pair not in omega:
-                    continue
-                partial = partials[rest].get(i)
+                    pair, flip = (r, i), above + i + r
                 if partial is None:
-                    partial = partials[rest][i] = [
-                        (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], exps[i] * v)
-                        for exps, v in omega[rest].items()
-                        if exps[i]
-                    ]
-                add_into(dalpha.setdefault(pair, {}),
-                         partial if flip % 2 == 0 else ((e, -v) for e, v in partial))
+                    partial = _partial(terms, i)
+                add_into(dalpha.setdefault(triple, {}).setdefault(pair, {}),
+                         partial if flip % 2 == 0 else ((e, -c) for e, c in partial))
+    for pairs in dalpha.values():
         total: dict = {}
-        for pair, coeff in dalpha.items():
-            if coeff:
-                add_into(total, (
-                    (tuple(map(int.__add__, e1, e2)), c1 * c2)
-                    for e1, c1 in coeff.items()
-                    for e2, c2 in omega[pair].items()
-                ))
-        if total:
+        for pair, coeff in pairs.items():
+            for e1, c1 in coeff.items():
+                for e2, c2 in omega[pair].items():
+                    e = tuple(map(int.__add__, e1, e2))
+                    total[e] = total.get(e, 0) + c1 * c2
+        if any(total.values()):
             return False
     return True

@@ -86,7 +86,6 @@ from polypoisson.exterior import ExteriorForm, IndexTuple, _complement
 from polypoisson.multivector import (
     MultiDerivation,
     _integer_multiple,
-    _triples_meeting,
     bivector_entry,
     bivector_from_entries,
     phi_inverse,
@@ -560,13 +559,35 @@ def insert_first(phi: MultiDerivation, m: int) -> MultiDerivation:
 # -- integrability ------------------------------------------------------------
 
 
+def _triples_meeting(
+    n: int, pairs: Iterable[Sequence[int]]
+) -> Iterator[tuple[int, int, int]]:
+    """Index triples i < j < k containing one of the pairs, in combinations order.
+
+    Lazy, one triple at a time: a triple with no pair among its three is skipped
+    without being built.  It walks all n(n - 1)/2 index pairs, so the two
+    triple-driven oracles below cost at least that much.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j in nbrs[i]:
+                yield from ((i, j, k) for k in range(j + 1, n))
+            else:
+                yield from ((i, j, k) for k in sorted(nbrs[i] | nbrs[j]) if k > j)
+
+
 def jacobi_trisum_polynomial(
     biv: MultiDerivation,
 ) -> list[tuple[int, int, int, Polynomial]]:
     """The Jacobi obstructions by Polynomial sums of products, triple by triple.
 
-    Visits the same triples and the same r as ``jacobi_trisum``, in the same
-    order, with the bivector's own rational coefficients.
+    Triple-driven, where ``jacobi_trisum`` starts from the entries: it visits
+    every triple that meets an entry, in combinations order, and sums r over
+    the nonzero P_{r,first}, with the bivector's own rational coefficients.
     """
     if biv.k != 2:
         raise ValueError("not a bivector")

@@ -51,6 +51,27 @@ def test_verify_catalog_ok(capsys):
     assert "integrable" in out
 
 
+@pytest.mark.parametrize(
+    "data, text, forms",
+    [
+        ({"n": 1, "entries": []},
+         "integrable (n=1); trisum criterion holds (the form criterion needs n >= 3)", None),
+        ({"n": 2, "entries": [{"i": 1, "j": 2, "poly": "X1^2"}]},
+         "integrable (n=2); trisum criterion holds (the form criterion needs n >= 3)", None),
+        (json.loads(P1_JSON), "integrable (n=3); trisum and form criteria agree", True),
+    ],
+    ids=["n1", "n2", "n3"],
+)
+def test_verify_names_only_the_criteria_it_ran(capsys, data, text, forms):
+    # the form criterion needs three variables, so below that only the trisum runs
+    code, out, err = run(capsys, "verify", "--json", json.dumps(data))
+    assert (code, out, err) == (0, text + "\n", "")
+    code, out, err = run(capsys, "verify", "--format", "json", "--json", json.dumps(data))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"criteria": {"exterior_forms": forms, "jacobi_trisum": True},
+                               "integrable": True, "n": data["n"]}
+
+
 def test_verify_witness_and_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--json", BAD_JSON)
     assert code == 1

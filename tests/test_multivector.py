@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from polypoisson.multivector import (
     phi_inverse,
     phi_map,
 )
-from polypoisson.poisson import IntegrabilityError, verify
+from polypoisson.poisson import IntegrabilityError, PoissonStructure, verify
 from polypoisson.poly import Polynomial, parse_poly
 from polypoisson.reproduce import CLASSIFIED_ENTRIES, sample_params
 
@@ -373,6 +374,73 @@ def test_sparse_trisum_matches_all_triples_reference(case):
         with pytest.raises(IntegrabilityError) as err:
             verify(biv, first_index=0)
         assert err.value.witness == expected[0]
+
+
+def sparse_wide_bivector(n, kind, rng):
+    """1-6 entries on n variables with Fraction coefficients.
+
+    ``random`` entries have mixed degree 0..2 and are rarely Poisson;
+    ``log-canonical`` ones, P_ij = c_ij X_i X_j, are Poisson; ``perturbed``
+    adds one random entry to a log-canonical bivector.  The pairs and most
+    variables come from a few pooled indices, so the entries meet in many
+    triples.
+    """
+    pool = sorted(rng.sample(range(n), rng.randint(3, 7)))
+    pairs = [tuple(sorted(rng.sample(pool, 2))) for _ in range(rng.randint(1, 6))]
+
+    def coeff():
+        return Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+
+    def random_entry():
+        poly = Polynomial.zero(n)
+        for _ in range(rng.randint(1, 2)):
+            exps = [0] * n
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.choice(pool) if rng.random() < 0.8 else rng.randrange(n)] += 1
+            poly = poly + Polynomial.monomial(n, exps, coeff())
+        return poly
+
+    if kind == "random":
+        return bivector_from_entries(n, {pair: random_entry() for pair in pairs})
+    biv = bivector_from_entries(n, {(i, j): coeff() * V(n, i) * V(n, j) for i, j in pairs})
+    if kind == "perturbed":
+        biv = biv + bivector_from_entries(n, {tuple(sorted(rng.sample(pool, 2))): random_entry()})
+    return biv
+
+
+def test_entry_driven_routes_match_triple_driven_oracles_on_many_variables():
+    # both routes start from the entries; the oracles visit every triple that
+    # meets an entry (and reference_trisum every triple, where n allows)
+    rng = random.Random(3434)
+    verdicts = []
+    for t in range(120):
+        n = 20 if t % 60 == 0 else rng.randint(20, 200)
+        biv = sparse_wide_bivector(n, ("random", "log-canonical", "perturbed")[t % 3], rng)
+        expected = jacobi_trisum_polynomial(biv)
+        obstructions = jacobi_trisum(biv)
+        assert obstructions == expected, biv
+        assert_rational_obstructions(obstructions)
+        if t % 60 == 0:
+            assert expected == reference_trisum(biv), biv
+        verdict = assert_routes_agree(biv)
+        assert verdict == (not expected), biv
+        if expected:
+            with pytest.raises(IntegrabilityError) as err:
+                verify(biv, first_index=0)
+            assert err.value.witness == expected[0]
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def test_one_entry_on_many_variables_verifies_in_milliseconds():
+    # a scan of index pairs or triples took seconds here for a single entry
+    n = 3000
+    biv = bivector_from_entries(n, {(0, 1): V(n, 2)})
+    start = time.perf_counter()
+    structure = verify(biv)
+    assert time.perf_counter() - start < 2.0
+    assert isinstance(structure, PoissonStructure)
+    assert integrability_via_forms(biv) and jacobi_trisum(biv) == []
 
 
 def test_bare_reprs_name_variables_by_internal_index():

@@ -188,22 +188,40 @@ def test_catalog_builds_entries_from_tables_only():
 
 def test_form_route_triple_loop_reads_tables_only():
     # the form route (integrability_via_forms, whose body is _forms_integrable)
-    # keys Omega by omitted pair and differentiates it once per call, so a
-    # triple costs lookups: no complement and no form operation runs inside
-    # the loop over triples
+    # keys Omega by omitted pair once per call and then starts from its terms,
+    # so a term, a partial or a triple costs lookups: no complement and no form
+    # operation runs inside the per-term loop or the per-triple wedge after it
     tree = ast.parse((SRC / "multivector.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_forms_integrable" in {_called_name(node) for node in
                                    ast.walk(functions["integrability_via_forms"])
                                    if isinstance(node, ast.Call)}
     route = functions["_forms_integrable"]
-    loops = [node for node in ast.walk(route) if isinstance(node, ast.For)
-             and isinstance(node.iter, ast.Call) and _called_name(node.iter) == "_triples_meeting"]
-    assert len(loops) == 1
-    called = {_called_name(node) for stmt in loops[0].body for node in ast.walk(stmt)
-              if isinstance(node, ast.Call)}
-    assert called
-    assert not called & {"_complement", "interior_coordinates", "d", "wedge", "_wedge_top"}
+
+    def loops_over(table, method):
+        return [node for node in route.body if isinstance(node, ast.For)
+                and isinstance(node.iter, ast.Call) and _called_name(node.iter) == method
+                and getattr(node.iter.func.value, "id", None) == table]
+
+    per_term, per_triple = loops_over("omega", "items"), loops_over("dalpha", "values")
+    assert len(per_term) == len(per_triple) == 1
+    for loop in per_term + per_triple:
+        called = {_called_name(node) for stmt in loop.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Call)}
+        assert called
+        assert not called & {"_complement", "interior_coordinates", "d", "wedge", "_wedge_top"}
+
+
+def test_integrability_starts_from_the_entries():
+    # both routes enumerate only the nonzero products of the bivector's entries;
+    # a scan of index triples or pairs would cost n^3 / 6 or n^2 / 2 whatever
+    # the bivector holds
+    tree = ast.parse((SRC / "multivector.py").read_text(encoding="utf-8"))
+    called = {_called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "_partial" in called
+    assert not called & {"_triples_meeting", "combinations"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_triples_meeting" not in defined
 
 
 def test_integrability_builds_no_exterior_form():
