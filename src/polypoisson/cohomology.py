@@ -28,13 +28,15 @@ Packing is linear, so the tables are packed straight from L * P, each term
 of the rule is one int addition to the code of a and one int-keyed lookup,
 and it is exact (notes/decisions.md, entry 8).  ``delta`` applies the rule
 to each term of a cochain and decodes the sums; ``delta_matrix`` writes one
-column per basis cochain with it, looked up in the target's packed index,
-as ``int``s L times the true ones, and ``DeltaMatrix.triplets`` divides by
-L.  Ranks, kernels and boundary echelons start from those integer columns:
-scaling a column by L > 0 leaves its primitive integer row, and so every
-echelon, unchanged.  The two-sum itself, evaluated on coordinate tuples,
-lives in ``tests/oracles.py`` as ``two_sum_delta``, the oracle both are
-tested against, beside ``tuple_keyed_columns``, the rule on
+column per basis cochain with it, looked up in the target's positions by
+code (``_packed_index``, computed per call: a slice is a plain value and
+keeps none), as ``int``s L times the true ones, and
+``DeltaMatrix.triplets`` divides by L.  Ranks, kernels and boundary
+echelons start from those integer columns: scaling a column by L > 0
+leaves its primitive integer row, and so every echelon, unchanged.  The
+two-sum itself, evaluated on coordinate tuples, lives in
+``tests/oracles.py`` as ``two_sum_delta``, the oracle both are tested
+against, beside ``tuple_keyed_columns``, the rule on
 (U, exponents) keys from tables of its own.  ``delta_via_forms``
 recomputes the same operator through the exterior-form correspondence
 (shuffle-summed iterated contractions of Omega and of the form of phi),
@@ -374,7 +376,17 @@ def delta_via_forms(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivatio
 # -- graded slices -------------------------------------------------------------
 
 
-class _Slice(NamedTuple):
+class GradedSlice(NamedTuple):
+    """Ordered basis of homogeneous degree-d k-cochains, possibly filtered.
+
+    Basis elements are (slot tuple, monomial exponents) pairs, slots ascending
+    lexicographically and monomials ascending in graded lex order.  A slice
+    is a plain value of its seven fields and keeps nothing else: a slice
+    equals only slices, and assigning, deleting or adding an attribute raises
+    ``AttributeError``.  Positions by code are computed per use
+    (``_packed_index``).
+    """
+
     n: int
     k: int
     d: int
@@ -382,20 +394,6 @@ class _Slice(NamedTuple):
     exclude_value_vars: frozenset[int]
     exclude_slot_vars: frozenset[int]
     basis: tuple[tuple[IndexTuple, Exponents], ...]
-
-
-class GradedSlice(_Slice):
-    """Ordered basis of homogeneous degree-d k-cochains, possibly filtered.
-
-    Basis elements are (slot tuple, monomial exponents) pairs, slots ascending
-    lexicographically and monomials ascending in graded lex order; ``index``
-    maps each to its position, built on first read.  ``packed_index(w)`` is
-    the same map keyed by the codes of ``_Coboundary`` at width w, built once
-    per width and kept in ``packed``.  A slice is a frozen value of its seven
-    fields: equality, hashing and repr read only those, never the ``packed``
-    or ``index`` caches, a slice equals only slices, and assigning or
-    deleting an attribute raises ``AttributeError``.
-    """
 
     # False, not NotImplemented: a plain tuple's reflected __eq__ would then
     # call a slice equal to the tuple of its fields
@@ -407,41 +405,9 @@ class GradedSlice(_Slice):
 
     __hash__ = tuple.__hash__
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def index(self) -> dict[tuple[IndexTuple, Exponents], int]:
-        return {pair: pos for pos, pair in enumerate(self.basis)}
-
-    @cached_property
-    def packed(self) -> dict[int, dict[int, int]]:
-        return {}
-
-    def packed_index(self, w: int) -> dict[int, int]:
-        """Position by code at width w, in basis order; needs 2^w > d."""
-        index = self.packed.get(w)
-        if index is None:
-            high = self.n * w
-            index = self.packed[w] = {}
-            monomials: dict[Exponents, int] = {}
-            last, slots = None, 0
-            # the basis runs slot tuple by slot tuple
-            for pos, (T, e) in enumerate(self.basis):
-                if T is not last:
-                    last, slots = T, sum(1 << t for t in T) << high
-                code = monomials.get(e)
-                if code is None:
-                    code = monomials[e] = _pack(e, w)
-                index[slots + code] = pos
-        return index
 
     def from_vector(self, vec: Mapping[int, Fraction]) -> MultiDerivation:
         pairs = ((self.basis[pos], coeff) for pos, coeff in vec.items())
@@ -449,6 +415,23 @@ class GradedSlice(_Slice):
             (idx, Polynomial.monomial(self.n, exps, coeff)) for (idx, exps), coeff in pairs
         ))
         return MultiDerivation(self.n, self.k, values)
+
+
+def _packed_index(sl: GradedSlice, w: int) -> dict[int, int]:
+    """Position by code of ``_Coboundary`` at width w, in basis order; needs 2^w > d."""
+    high = sl.n * w
+    index: dict[int, int] = {}
+    monomials: dict[Exponents, int] = {}
+    last, slots = None, 0
+    # the basis runs slot tuple by slot tuple
+    for pos, (T, e) in enumerate(sl.basis):
+        if T is not last:
+            last, slots = T, sum(1 << t for t in T) << high
+        code = monomials.get(e)
+        if code is None:
+            code = monomials[e] = _pack(e, w)
+        index[slots + code] = pos
+    return index
 
 
 def slice_basis(
@@ -585,8 +568,9 @@ def delta_matrix(
     image lands inside the filtered target slice.  Each column is the
     elementary-cochain rule that ``delta`` applies, in target coordinates,
     kept as the integers that the structure's ``_Coboundary`` gives: each
-    image code is looked up in the target's ``packed_index``, and the first
-    one missing is named, decoded, in the error.
+    image code is looked up in the target's positions by code
+    (``_packed_index``, computed for this call and kept nowhere), and the
+    first one missing is named, decoded, in the error.
     """
     r = S.homogeneous_degree()
     if target is None:
@@ -607,9 +591,9 @@ def delta_matrix(
     if source.dim:
         # 2^w exceeds every exponent of the source, the image and the target
         w = cob.width(max(source.d, source.d + r - 1, target.d))
-        index = target.packed_index(w)
+        index = _packed_index(target, w)
         low = (1 << (source.n * w)) - 1
-        for (T, a), code in zip(source.basis, source.packed_index(w)):
+        for (T, a), code in zip(source.basis, _packed_index(source, w)):
             column: dict[int, int] = {}
             for key, value in _elementary_image(code & low, a, *cob[T, w]).items():
                 if not value:
@@ -964,7 +948,7 @@ def cochain_in_coboundaries(
     With phi_0 its part in the weight-0 block, phi is a coboundary exactly
     when phi_0 reduces to zero against the boundary echelon and
     delta(phi - phi_0) = 0, since cocycles of weight != 0 are coboundaries;
-    phi - phi_0 is made of the terms the block's ``index`` does not hold.
+    phi - phi_0 is made of the terms the block's basis does not hold.
     With a filter, or no diagonal coordinate, the block is the whole slice.
     The filter and the shape are checked first, also for a zero cochain, and
     the counts of degree d before the block is read.
@@ -980,7 +964,7 @@ def cochain_in_coboundaries(
             raise ValueError("cochain is not degree-homogeneous; pass d explicitly")
         d = degrees.pop()
     cache.counts(d)
-    index = cache.block(phi.k, d).index
+    index = {pair: pos for pos, pair in enumerate(cache.block(phi.k, d).basis)}
     vec: dict[int, Fraction] = {}
     rest: dict[IndexTuple, dict[Exponents, Fraction]] = {}
     for idx, poly in phi.values.items():

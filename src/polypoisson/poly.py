@@ -63,7 +63,11 @@ def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    Public ring operators: ``+``, ``-``, ``*`` (also by a scalar) and ``**``
+    to a non-negative integer power, which only the tests call.
+    """
 
     __slots__ = ("n", "terms")
 

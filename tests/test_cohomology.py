@@ -49,7 +49,8 @@ def V(n, i):
 
 def coordinates(sl, phi):
     """Coordinates of a cochain in the slice; a KeyError for a term outside it."""
-    return {sl.index[T, e]: c for T, p in phi.values.items() for e, c in p.terms.items()}
+    index = {pair: pos for pos, pair in enumerate(sl.basis)}
+    return {index[T, e]: c for T, p in phi.values.items() for e, c in p.terms.items()}
 
 
 def p1():
@@ -252,12 +253,18 @@ def test_out_of_range_slice_keeps_its_weight_filter():
     assert sl.weights == (0, 1, 2)
 
 
-def test_slice_index_is_built_on_first_read():
-    sl = slice_basis(3, 2, 2)
-    assert "index" not in vars(sl)
-    assert sl.index == {pair: pos for pos, pair in enumerate(sl.basis)}
-    assert sl.index is sl.index
-    assert sl == slice_basis(3, 2, 2) and hash(sl) == hash(slice_basis(3, 2, 2))
+@pytest.mark.parametrize("sl", [
+    slice_basis(3, 2, 2),
+    slice_basis(4, 2, 3, weights=(0, 1, 2, 3), exclude_value_vars=(0,), exclude_slot_vars=(0,)),
+    slice_basis(3, 4, 2),
+], ids=["plain", "filtered", "empty"])
+def test_packed_index_keys_each_basis_pair_by_its_code(sl):
+    widths = [w for w in range(1, 7) if 2**w > sl.d]
+    assert widths
+    for w in widths:
+        index = cohomology._packed_index(sl, w)
+        assert list(index.values()) == list(range(sl.dim))
+        assert [cohomology._decode(sl.n, w, code) for code in index] == list(sl.basis)
 
 
 def test_slice_invariant_rigid_example():

@@ -143,6 +143,15 @@ def test_product_difference_of_squares():
     assert (V(n, 0) + V(n, 1)) * (V(n, 0) - V(n, 1)) == V(n, 0) ** 2 - V(n, 1) ** 2
 
 
+def test_power_is_the_repeated_product():
+    p = random_poly(3, 2, random.Random(7))
+    assert p ** 0 == Polynomial.constant(3, 1)
+    assert p ** 1 == p and p ** 3 == p * p * p
+    assert Polynomial.zero(3) ** 0 == Polynomial.constant(3, 1)
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
 def test_product_with_zero_and_scalars():
     p = random_poly(3, 3, random.Random(5))
     assert (p * Polynomial.zero(3)).is_zero
