@@ -39,9 +39,9 @@ two-sum itself, evaluated on coordinate tuples, lives in
 against, beside ``tuple_keyed_columns``, the rule on
 (U, exponents) keys from tables of its own.  ``delta_via_forms``
 recomputes the same operator through the exterior-form correspondence
-(shuffle-summed iterated contractions of Omega and of the form of phi),
-weighted by two signs that ``form_delta_sign`` gives in closed form from
-n and k.
+(per shuffle, d of a contraction of Omega or of the form of phi, paired
+with phi or with P), weighted by two signs that ``form_delta_sign`` gives
+in closed form from n and k.
 
 Finite-dimensional slices fix the arity k and the polynomial degree d of the
 values, optionally filtered by a weight rule (value weight equals the sum of
@@ -110,7 +110,7 @@ from operator import lshift, mul
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .exterior import ExteriorForm, IndexTuple, _complement
+from .exterior import ExteriorForm, IndexTuple
 from .multivector import MultiDerivation, _integrability, phi_inverse, phi_map
 
 # verify has no caller here; bench/selftest.py checks that untracing restores
@@ -307,21 +307,32 @@ def delta(S: PoissonStructure, phi: MultiDerivation) -> MultiDerivation:
 # -- the exterior-calculus route ----------------------------------------------
 
 
+def _pairing(form: ExteriorForm, md: MultiDerivation) -> Polynomial:
+    """<form, md> = sum_I form_I md_I over the index tuples both hold."""
+    products = (c * md.values[idx] for idx, c in form.terms.items() if idx in md.values)
+    return sum(products, Polynomial.zero(md.n))
+
+
 def _form_delta_parts(
     S: PoissonStructure, phi: MultiDerivation
 ) -> tuple[ExteriorForm, ExteriorForm]:
-    """The two shuffle-summed contraction sums of the form-route coboundary.
+    """The two shuffle sums of the form-route coboundary, one pairing per shuffle.
 
-    A (k + 1, n - k - 1)-shuffle sigma is fixed by its first run F, an
-    increasing (k + 1)-subset of 0..n-1; its second run T is the complement,
-    and sgn(sigma) the sign that ``exterior._complement`` gives.  Per shuffle
-    the first sum collects i(F)[d(i(T) Omega) ^ form(phi)] and the second
+    A (k + 1, n - k - 1)-shuffle sigma is fixed by its second run T, an
+    increasing (n - k - 1)-subset of 0..n-1, with the first run F its
+    complement and sgn(sigma) = sgn(F, T).  Per shuffle the first sum
+    collects i(F)[d(i(T) Omega) ^ form(phi)] and the second
     i(F)[Omega ^ d(i(T) form(phi))], each weighted by sgn(sigma) and by the
-    prefactor (-1)^{(n-k)(n-k+1)/2}.  Here i(F) = i(f_1) ... i(f_m) composes
-    rightmost first, but ``interior_coordinates`` contracts in ascending
-    order, f_1 first.  Reversing m anticommuting contractions costs
-    (-1)^{m(m-1)/2}, so the prefactor also carries that sign for m = k + 1
-    (the run F) and for m = n - k - 1 (the run T).
+    prefactor (-1)^{(n-k)(n-k+1)/2}.  Each bracket is a top form g vol;
+    contracting it by F in ascending order gives sgn(F, T) g dX_T, so each
+    shuffle puts g alone on dX_T.  And g is a pairing, since
+    alpha ^ form(phi) = <alpha, phi> vol and Omega ^ beta = <beta, P> vol
+    (notes/decisions.md, entry 5): part_a[T] = <d(i(T) Omega), phi> and
+    part_b[T] = <d(i(T) form(phi)), P>.  The formula's
+    i(F) = i(f_1) ... i(f_m) composes rightmost first, the reverse of that
+    ascending order and of ``interior_coordinates`` on T.  Reversing m
+    anticommuting contractions costs (-1)^{m(m-1)/2}, so epsilon carries
+    that sign for m = k + 1 (F) and m = n - k - 1 (T) besides the prefactor.
     """
     n, k = S.n, phi.k
     omega = phi_map(S.bivector)
@@ -329,19 +340,12 @@ def _form_delta_parts(
     m1, m2 = k + 1, n - k - 1
     flips = (n - k) * (n - k + 1) // 2 + m1 * (m1 - 1) // 2 + m2 * (m2 - 1) // 2
     epsilon = -1 if flips % 2 else 1
-    part_a = ExteriorForm.zero(n, n - k - 1)
-    part_b = ExteriorForm.zero(n, n - k - 1)
-    for first in itertools.combinations(range(n), m1):
-        second, sign = _complement(first, n)
-        contracted_omega = omega.interior_coordinates(second)
-        if not contracted_omega.is_zero:
-            inner = contracted_omega.d().wedge(form_phi)
-            part_a = part_a + inner.interior_coordinates(first) * sign
-        contracted_phi = form_phi.interior_coordinates(second)
-        if not contracted_phi.is_zero:
-            inner = omega.wedge(contracted_phi.d())
-            part_b = part_b + inner.interior_coordinates(first) * sign
-    return part_a * epsilon, part_b * epsilon
+    part_a: dict[IndexTuple, Polynomial] = {}
+    part_b: dict[IndexTuple, Polynomial] = {}
+    for second in itertools.combinations(range(n), m2):
+        part_a[second] = _pairing(omega.interior_coordinates(second).d(), phi)
+        part_b[second] = _pairing(form_phi.interior_coordinates(second).d(), S.bivector)
+    return ExteriorForm(n, m2, part_a) * epsilon, ExteriorForm(n, m2, part_b) * epsilon
 
 
 def form_delta_sign(n: int, k: int) -> tuple[int, int]:
@@ -584,7 +588,7 @@ def delta_matrix(
         )
     if source.n != S.n:
         raise ValueError("variable count mismatch")
-    if (target.n, target.k) != (source.n, source.k + 1):
+    if (target.n, target.k, target.d) != (source.n, source.k + 1, source.d + r - 1):
         raise _left_slice("cochain does not match the slice shape")
     cob = _coboundary(S)
     columns = []
@@ -626,14 +630,7 @@ class CohomologyRow(NamedTuple):
         return self.dim_Z - self.dim_B
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "k": self.k,
-            "d": self.d,
-            "dim_chi": self.dim_chi,
-            "dim_Z": self.dim_Z,
-            "dim_B": self.dim_B,
-            "dim_H": self.dim_H,
-        }
+        return {**self._asdict(), "dim_H": self.dim_H}
 
 
 class CohomologyReport:

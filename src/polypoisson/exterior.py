@@ -11,14 +11,16 @@ validate their index tuples with the same ``_checked_terms``.
 Complements follow one rule, ``_complement``: the increasing complement of
 an increasing index tuple idx, and the sign that sorts idx + complement,
 (-1)^(sum(idx) - k(k-1)/2).  Contraction, the form correspondence of
-``multivector``, the signs of Omega in its form route of integrability and
-the shuffle sums of the form-route coboundary all read it.
+``multivector`` and the signs of Omega in its form route of integrability
+all read it.
 
-Evaluation is sparse where the form-route coboundary needs it.  Every wedge,
-into the top degree too, merges each pair of terms through ``_merge_sign``,
-which counts the inversions between two increasing tuples; contraction
-reads its signs there too.
-``d`` differentiates each coefficient only in the variables it contains.
+Evaluation is sparse where the form-route coboundary needs it.  That route
+contracts and differentiates forms and pairs the results with
+multiderivations; it wedges nothing.  Every wedge merges each pair of terms
+through ``_merge_sign``, which counts the inversions between two increasing
+tuples; contraction reads its signs there too.
+``d`` differentiates each coefficient only in the variables it contains,
+through ``poly._partial``, the one partial-derivative rule.
 ``interior_coordinates`` is the one contraction: it contracts by several
 coordinate fields at once, in ascending index order, reading each result
 term off the one source term it comes from.
@@ -34,7 +36,7 @@ import itertools
 from fractions import Fraction
 from typing import Collection, Iterator, Mapping, Optional, Sequence, Union
 
-from .poly import Polynomial, Scalar, add_into, format_poly
+from .poly import Polynomial, Scalar, _partial, add_into, format_poly
 
 IndexTuple = tuple[int, ...]
 
@@ -216,11 +218,8 @@ class ExteriorForm:
                 if at < len(idx) and idx[at] == i:
                     continue
                 sign = -1 if at % 2 else 1
-                add_into(out.setdefault(idx[:at] + (i,) + idx[at:], {}), (
-                    (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], sign * exps[i] * c)
-                    for exps, c in coeff.terms.items()
-                    if exps[i]
-                ))
+                add_into(out.setdefault(idx[:at] + (i,) + idx[at:], {}),
+                         ((e, sign * c) for e, c in _partial(coeff.terms, i)))
         terms = {idx: Polynomial._trusted(n, total) for idx, total in out.items() if total}
         return ExteriorForm._trusted(n, self.k + 1, terms)
 

@@ -19,9 +19,10 @@ Integrability of a bivector can be tested two independent ways:
 Both start from the bivector's nonzero entries and enumerate only nonzero
 products, never the index triples, so their work follows the products and
 not the n^3 / 6 triples.  Each differentiates a coefficient at most once per
-variable it contains (``_partial``), and only where the partial meets
-another entry.  The trisum multiplies dP_ab/dX_r by each nonzero P_rf with
-f not in {a, b}.  The form route builds no ``ExteriorForm``.  It keys
+variable it contains, through ``poly._partial`` (the rule of
+``Polynomial.partial`` and ``ExteriorForm.d`` too), and only where the
+partial meets another entry.  The trisum multiplies dP_ab/dX_r by each
+nonzero P_rf with f not in {a, b}.  The form route builds no ``ExteriorForm``.  It keys
 Omega's terms by the pair each omits, reading the term that omits (i, j)
 off the entry P_{ij} with the sign of ``_complement``.  A partial of
 Omega[rest] in X_i lands in d(alpha_T) for each T = rest + {r} with {i, r}
@@ -56,7 +57,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .exterior import ExteriorForm, IndexTuple, _checked_terms, _complement
-from .poly import Polynomial, Scalar, add_into, format_internal
+from .poly import Polynomial, Scalar, _partial, add_into, format_internal
 
 
 class MultiDerivation:
@@ -236,11 +237,6 @@ def _integrability(biv: MultiDerivation) -> tuple[int, MultiDerivation, tuple]:
         lcm, multiple = _integer_multiple(biv)
         kept = biv._pass = (lcm, multiple, tuple(_trisum(lcm, multiple)))
     return kept
-
-
-def _partial(terms: dict, i: int) -> list:
-    """The terms of d/dX_i of the polynomial whose terms are ``terms``."""
-    return [(e[:i] + (e[i] - 1,) + e[i + 1 :], e[i] * c) for e, c in terms.items() if e[i]]
 
 
 def jacobi_trisum(

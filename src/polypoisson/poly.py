@@ -57,6 +57,14 @@ def add_into(out: dict, items: Iterable[tuple]) -> dict:
     return out
 
 
+def _partial(terms: Mapping, i: int) -> list:
+    """The terms of d/dX_i of the polynomial whose terms are ``terms``.
+
+    Lowering exponent i is injective on terms, so no two terms collide.
+    """
+    return [(e[:i] + (e[i] - 1,) + e[i + 1 :], e[i] * c) for e, c in terms.items() if e[i]]
+
+
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     """Sort key realizing graded lex order with X1 > X2 > ... ."""
     return (sum(exps), exps)
@@ -184,13 +192,7 @@ class Polynomial:
         """Formal partial derivative with respect to internal variable i."""
         if not 0 <= i < self.n:
             raise ValueError(f"variable index {i} out of range for n={self.n}")
-        # lowering exponent i is injective on terms, so no two terms collide
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
-        return Polynomial._trusted(self.n, out)
+        return Polynomial._trusted(self.n, dict(_partial(self.terms, i)))
 
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""

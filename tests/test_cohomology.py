@@ -205,10 +205,16 @@ def test_delta_via_forms_zero_structure(rng):
 
 
 def test_delta_via_forms_random(rng):
-    structures = [p1(), catalog_get("P2", {"n": 4}), catalog_get("rigid", {"n": 4})]
+    # Omega9's entries mix degrees, L3 at alpha = 2/3 has denominators, and
+    # rigid n=6 has seven variables
+    structures = [
+        p1(), catalog_get("P2", {"n": 4}), catalog_get("rigid", {"n": 4}),
+        catalog_get("Omega9", sample_params("Omega9", random.Random(9))),
+        catalog_get("L3", {"alpha": Fraction(2, 3)}), catalog_get("rigid", {"n": 6}),
+    ]
     for S in structures:
         n = S.n
-        for k in range(0, min(4, n)):
+        for k in range(n):
             for _ in range(8):
                 phi = random_cochain(n, k, 3, rng)
                 assert delta_via_forms(S, phi) == delta(S, phi)
@@ -1109,9 +1115,13 @@ def test_membership_rejects_cochains_outside_the_slice():
     for source in (slice_basis(5, 1, 1), slice_basis(5, 1, -1)):
         with pytest.raises(ValueError, match="variable count mismatch"):
             delta_matrix(S, source)
-    for source in (slice_basis(3, 1, 1), slice_basis(3, 1, -1)):
+    # a target of the wrong arity or degree; P1 is linear, so the degree stays
+    for source, target in ((slice_basis(3, 1, 1), slice_basis(3, 3, 1)),
+                           (slice_basis(3, 1, -1), slice_basis(3, 3, 1)),
+                           (slice_basis(3, 0, 0), slice_basis(3, 1, 5)),
+                           (slice_basis(3, 1, 2), slice_basis(3, 2, 3))):
         with pytest.raises(ValueError, match="cochain does not match the slice shape"):
-            delta_matrix(S, source, slice_basis(3, 3, 1))
+            delta_matrix(S, source, target)
     # x1 on slot 0 has weight 1, so it passes the block; x2^2 has degree 2
     mixed = MultiDerivation(3, 1, {(0,): V(3, 1), (1,): V(3, 2) ** 2})
     with pytest.raises(ValueError, match=r"\(1,\):\(0, 0, 2\) lies outside the slice"):

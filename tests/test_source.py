@@ -224,6 +224,29 @@ def test_integrability_starts_from_the_entries():
     assert "_triples_meeting" not in defined
 
 
+def test_form_route_coboundary_pairs_instead_of_wedging():
+    # each shuffle puts one pairing of a contraction with phi or P on its second
+    # run; a wedge into the top degree would merge every pair of terms to find
+    # that one coefficient, and a shuffle sign would only cancel the contraction's
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {_called_name(node) for node in ast.walk(functions["_form_delta_parts"])
+              if isinstance(node, ast.Call)}
+    assert "_pairing" in called
+    assert not called & {"wedge", "_complement"}
+
+
+def test_partial_derivative_rule_is_defined_once():
+    # Polynomial.partial, ExteriorForm.d and both integrability routes lower an
+    # exponent through poly._partial; a second copy could drift from it
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [path.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_partial"]
+    assert sites == ["poly.py"]
+
+
 def test_integrability_builds_no_exterior_form():
     # the graded pieces come from the Jacobi obstruction and the form route
     # keys Omega straight off L * P, so neither builds or operates on a form,
