@@ -62,9 +62,9 @@ is ever built.  Tables eliminate it, and the rank the other blocks carry
 follows from dimensions by
 R(k, d) = (dim - dim of the block)(k, d) - R(k - 1, d), R(-1, d) = 0.
 The dims of a degree are counted once, in one table for every k: each block
-dim from the monomials that the complex groups by weight to build the
-blocks, and the dim of a slice the complex split itself in closed form,
-C(n, k) C(n + d - 1, d).
+dim from the monomials the complex groups by weight to build the blocks, of
+only the weights some slot tuple reaches (``poly._monomials_by_weight``), and
+the dim of a slice it split itself in closed form, C(n, k) C(n + d - 1, d).
 Representatives are picked inside the block, and a membership test reduces
 the block part of a cochain and checks that the rest is a cocycle.  With a
 filter, or no diagonal coordinate, the block is the filtered slice and R
@@ -106,7 +106,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from operator import lshift, mul
+from operator import lshift
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -122,8 +122,8 @@ from .poly import (
     Scalar,
     _checked_vars,
     _checked_weights,
+    _monomials_by_weight,
     add_into,
-    monomial_basis,
 )
 
 # -- coboundary ---------------------------------------------------------------
@@ -448,28 +448,21 @@ def slice_basis(
 ) -> GradedSlice:
     """Deterministic basis of the (k, d) slice.
 
-    Keeps exactly the elementary cochains whose monomial weight equals the
-    sum of the slot weights (torus invariance; the weight-0 block of
-    ``cohomology_dims`` uses this filter).  ``weights=None`` is the zero
-    weight, which every cochain passes.  Banned value variables drop
-    monomials; banned slot variables drop tuples.
+    Keeps exactly the elementary cochains whose monomial weight equals the sum of the
+    slot weights (torus invariance; the weight-0 block of ``cohomology_dims`` uses this
+    filter), so only monomial weights between the least and the greatest sum of k slot
+    weights are enumerated.  ``weights=None`` is the zero weight, which every cochain
+    passes.  Banned value variables drop monomials; banned slot variables drop tuples.
     """
     value_banned = _checked_vars(n, exclude_value_vars)
     slot_banned = _checked_vars(n, exclude_slot_vars)
     wt = _checked_weights(n, weights)
-    by_weight = _monomials_by_weight(n, d, wt, value_banned) if 0 <= k <= n else {}
+    w = wt or (0,) * n
+    slots = sorted(w[i] for i in range(n) if i not in slot_banned)
+    by_weight = _monomials_by_weight(
+        n, d, w, value_banned, sum(slots[:k]), sum(slots[::-1][:k])
+    ) if 0 <= k <= n else {}
     return _graded_slice(n, k, d, wt, value_banned, slot_banned, by_weight)
-
-
-def _monomials_by_weight(
-    n: int, d: int, weights: Optional[tuple[int, ...]], banned: frozenset[int]
-) -> dict[int, list[Exponents]]:
-    """The degree-d monomials free of ``banned``, grouped by weight, each group in grlex order."""
-    w = weights or (0,) * n
-    by_weight: dict[int, list[Exponents]] = {}
-    for e in monomial_basis(n, d, exclude_vars=banned):
-        by_weight.setdefault(sum(map(mul, e, w)), []).append(e)
-    return by_weight
 
 
 def _graded_slice(
@@ -481,7 +474,7 @@ def _graded_slice(
     slot_banned: frozenset[int],
     by_weight: Mapping[int, list[Exponents]],
 ) -> GradedSlice:
-    """Slice (k, d) from its monomials grouped by weight (``_monomials_by_weight``).
+    """Slice (k, d) from its monomials grouped by weight (``poly._monomials_by_weight``).
 
     Each allowed slot tuple takes the monomials whose weight is the sum of its
     slot weights; a k outside 0..n gives the empty slice.
@@ -745,9 +738,12 @@ class _SliceCache:
         return _weight_counts([w[i] for i in range(n) if i not in self.banned], n)
 
     def monomials(self, d: int) -> dict[int, list[Exponents]]:
-        """The degree-d monomials of the blocks, grouped by block weight once per d."""
+        """The degree-d monomials of weight from the least to the greatest slot weight sum
+        (``slot_counts``), the only weights a block reads, grouped by weight once per d."""
         if d not in self._monomials:
-            self._monomials[d] = _monomials_by_weight(self.S.n, d, self.block_weights, self.banned)
+            n, sums = self.S.n, [s for tuples in self.slot_counts for s in tuples]
+            w = self.block_weights or (0,) * n
+            self._monomials[d] = _monomials_by_weight(n, d, w, self.banned, min(sums), max(sums))
         return self._monomials[d]
 
     def block(self, k: int, d: int) -> GradedSlice:

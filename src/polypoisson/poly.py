@@ -216,35 +216,56 @@ def _checked_vars(n: int, indices: Iterable[int]) -> frozenset[int]:
 
 
 def _checked_weights(n: int, weights: Optional[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """The weight vector as a tuple, or None; it must hold one weight per variable."""
+    """The weight vector as a tuple, or None; one ``int`` per variable (float sums are inexact)."""
     if weights is None:
         return None
     out = tuple(weights)
     if len(out) != n:
         raise ValueError(f"weight vector has {len(out)} entries, expected n={n}")
+    for i, value in enumerate(out):
+        if type(value) is not int:
+            raise ValueError(f"weight {value!r} at index {i} is not an int")
+    return out
+
+
+def _monomials_by_weight(
+    n: int, d: int, weights: Sequence[int], banned: frozenset[int], lo: int, hi: int
+) -> dict[int, list[Exponents]]:
+    """The degree-d monomials free of ``banned`` with weight in lo..hi, grouped by weight,
+    each ascending in grlex order: past a prefix, by the next raised variable, highest index
+    first, then by its exponent, lowest first.  The walk stops a branch once the suffix weight
+    minima and maxima show that its degrees left miss lo..hi; it recurses min(d, n) deep at most.
+    """
+    allowed = [i for i in range(n) if i not in banned]
+    if d <= 0 or not allowed:
+        return {0: [(0,) * n]} if d == 0 and lo <= 0 <= hi else {}
+    w = [weights[i] for i in allowed]
+    lows, highs = ([*itertools.accumulate(w[::-1], f)][::-1] for f in (min, max))
+    last, out, exps = len(allowed) - 1, {}, [0] * n
+
+    def walk(start: int, left: int, weight: int) -> None:
+        for j in range(last, start - 1, -1):
+            i, wj = allowed[j], w[j]
+            for a in range(1 if j < last else left, left + 1):
+                exps[i], rest, total = a, left - a, weight + a * wj
+                if not rest and lo <= total <= hi:
+                    out.setdefault(total, []).append(tuple(exps))
+                elif rest and lo - rest * highs[j + 1] <= total <= hi - rest * lows[j + 1]:
+                    walk(j + 1, rest, total)
+            exps[i] = 0
+
+    walk(0, d, 0)
+    del walk  # it refers to itself: free the cycle now, not at a later collection
     return out
 
 
 def monomial_basis(n: int, d: int, exclude_vars: Iterable[int] = ()) -> list[Exponents]:
-    """All degree-d monomials in n variables, ascending in graded lex order.
-
-    ``exclude_vars`` drops monomials touching any of the given internal
-    variable indices, each in 0..n-1.  The unfiltered count is C(n+d-1, d).
-    Each monomial is a multiset of d allowed variables.
+    """All degree-d monomials in n variables, ascending in graded lex order: the weight-0
+    group of ``_monomials_by_weight`` under zero weights.  ``exclude_vars`` drops monomials
+    touching any of the given internal variable indices, each in 0..n-1.  The unfiltered
+    count is C(n+d-1, d).
     """
-    banned = _checked_vars(n, exclude_vars)
-    if d < 0:
-        return []
-    allowed = [i for i in range(n) if i not in banned]
-    out = []
-    for factors in itertools.combinations_with_replacement(allowed, d):
-        exps = [0] * n
-        for i in factors:
-            exps[i] += 1
-        out.append(tuple(exps))
-    # combinations over ascending variables come in descending graded lex order
-    out.reverse()
-    return out
+    return _monomials_by_weight(n, d, (0,) * n, _checked_vars(n, exclude_vars), 0, 0).get(0, [])
 
 
 # -- text format -------------------------------------------------------

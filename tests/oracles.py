@@ -51,7 +51,9 @@ another way:
 * ``_perm_sign`` counts the inversions of a permutation;
   ``exterior._complement`` gives the sign of idx + complement in closed form.
 * ``compositions`` lists the exponent tuples of degree d by recursion on
-  the first exponent; ``poly.monomial_basis`` takes multisets of variables.
+  the first exponent; ``poly._monomials_by_weight``, of which
+  ``poly.monomial_basis`` is the weight-0 group, walks the variables to raise,
+  highest index first, pruned by weight bounds.
 * ``graded_pieces`` forms the four graded pieces of Omega ^ dOmega from
   three derivatives and ten wedges of the homogeneous parts of Omega;
   ``poisson.graded_integrability`` reads them off the degrees of the one

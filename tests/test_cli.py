@@ -498,6 +498,10 @@ def test_matrix_csv_export(capsys):
          ("matrix", "--catalog", "L3", "--param", "alpha=2/3", "--k", "1", "--degree", "2")),
         # without --degree or --cutoff the degree range is 0..6
         ("cohomology_p1_k3_d6.txt", ("cohomology", "--catalog", "P1", "--kmax", "3")),
+        # the whole invariant table: a weight-0 cochain at k <= 3 has d <= 8 + 7 + 6
+        ("cohomology_rigid_n8_invariant_k3_d24.json",
+         ("cohomology", "--catalog", "rigid", "--param", "n=8", "--invariant", "--exclude-x0",
+          "--kmax", "3", "--cutoff", "24", "--format", "json")),
     ],
 )
 def test_output_matches_golden_bytes(capsys, golden, argv):
@@ -505,7 +509,8 @@ def test_output_matches_golden_bytes(capsys, golden, argv):
     # delta to each basis element, verify goldens when both integrability
     # routes visited every triple, delta goldens when form_delta_sign probed
     # for its signs, and the plain rigid and P1 cohomology goldens when
-    # cohomology_dims eliminated whole slices; today's code must print the
+    # cohomology_dims eliminated whole slices, and the rigid n=8 table when
+    # every monomial of a degree was enumerated; today's code must print the
     # same bytes
     code, out, _ = run(capsys, *argv)
     assert code == (1 if golden in REJECTED_GOLDENS else 0)

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -883,6 +884,39 @@ def test_weights_of_the_wrong_length_raise(weights):
         with pytest.raises(ValueError, match=message):
             cochain_in_coboundaries(S, cochain, d=d, weights=weights)
     assert list(S._complexes) == [(None, frozenset())]
+
+
+@pytest.mark.parametrize(
+    "weights, entry",
+    [((0, 0.1, 0.2), "0.1 at index 1"), ((0, 1, Fraction(2)), "Fraction(2, 1) at index 2"),
+     ((True, 1, 2), "True at index 0")],
+    ids=["float", "fraction", "bool"],
+)
+def test_weights_that_are_not_ints_raise(weights, entry):
+    # float sums are inexact, so such a filter would seem not to cut a subcomplex
+    message = re.escape(f"weight {entry} is not an int")
+    for k in (0, 2, 4):
+        for d in (-1, 2):
+            with pytest.raises(ValueError, match=message):
+                slice_basis(3, k, d, weights)
+    S = p1()
+    phi = cocycle_representatives(S, 2, 1)[0]
+    with pytest.raises(ValueError, match=message):
+        cohomology_dims(S, [1], [1], weights=weights)
+    with pytest.raises(ValueError, match=message):
+        cocycle_representatives(S, 1, 1, weights=weights)
+    with pytest.raises(ValueError, match=message):
+        cochain_in_coboundaries(S, phi, d=1, weights=weights)
+    assert list(S._complexes) == [(None, frozenset())]
+
+
+def test_scaled_diagonal_weights_name_the_entry():
+    # the integer weights cut a subcomplex; a tenth of them is refused up front
+    S = catalog_get("rigid", {"n": 6})
+    weights = [0.1 * w for w in cohomology.diagonal_weights(S)]
+    with pytest.raises(ValueError, match=r"weight 0\.0 at index 0 is not an int"):
+        cohomology_dims(S, [2], [2], weights=weights, exclude_vars=(0,))
+    assert list(S._complexes) == []
 
 
 def test_slices_match_a_filtered_enumeration():

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from polypoisson.poly import (
     ParseError,
     Polynomial,
+    _monomials_by_weight,
     format_poly,
     grlex_key,
     monomial_basis,
@@ -310,3 +312,43 @@ def test_monomial_basis_exclusion():
     got = monomial_basis(3, 2, exclude_vars=(0,))
     assert all(m[0] == 0 for m in got)
     assert len(got) == 3
+
+
+def test_monomials_by_weight_match_the_filtered_compositions():
+    # the pruned walk against filtering every composition: the same groups,
+    # each in ascending grlex order, for negative weights and empty ranges too
+    rng = random.Random(37)
+    for _ in range(600):
+        n = rng.randint(0, 7)
+        d = rng.randint(-1, 6)
+        weights = tuple(rng.randint(-2, 4) for _ in range(n))
+        banned = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        lo = rng.randint(-14, 26)
+        hi = lo + rng.randint(-3, 12)
+        expected: dict = {}
+        for e in sorted(compositions(n, d), key=grlex_key) if d >= 0 else ():
+            w = sum(a * b for a, b in zip(e, weights))
+            if lo <= w <= hi and not any(e[i] for i in banned):
+                expected.setdefault(w, []).append(e)
+        got = _monomials_by_weight(n, d, weights, banned, lo, hi)
+        assert got == expected, (n, d, weights, banned, lo, hi)
+
+
+def test_monomials_by_weight_leave_no_reference_cycle():
+    # a cycle left by each call would pile up until the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        _monomials_by_weight(4, 3, (0, 1, 2, 3), frozenset({1}), 1, 7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_monomial_basis_recursion_stays_shallow():
+    # neither many variables nor a high degree may recurse past Python's limit
+    units = monomial_basis(3000, 1)
+    assert len(units) == 3000
+    assert all(len(e) == 3000 and sum(e) == 1 for e in units)
+    assert [e.index(1) for e in units] == list(range(2999, -1, -1))
+    assert monomial_basis(2, 3000) == [(a, 3000 - a) for a in range(3001)]

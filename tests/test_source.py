@@ -119,6 +119,26 @@ def test_slices_are_sized_by_the_complex_alone():
     assert name == "cohomology.py" and owner.startswith("_SliceCache.")
 
 
+def test_monomials_are_enumerated_by_one_walk_in_poly():
+    # monomial_basis and every slice read their monomials off the one
+    # weight-bounded walk, so no second enumeration may come back
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "combinations_with_replacement" not in text, path.name
+        tree = ast.parse(text, filename=str(path))
+        defined += [(path.name, node.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name in {"monomial_basis", "_monomials_by_weight"}]
+    assert sorted(defined) == [("poly.py", "_monomials_by_weight"), ("poly.py", "monomial_basis")]
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
+    called = {_called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "monomial_basis" not in called
+    assert {"_SliceCache.monomials", "slice_basis"} == set(_enclosing_calls(
+        tree, lambda call: _called_name(call) == "_monomials_by_weight"
+    ))
+
+
 def test_each_coboundary_edge_has_one_assembly_and_one_elimination():
     # the boundary echelon gives both dim B and the outgoing rank one step
     # below, so the complex assembles block matrices in one place, eliminates
