@@ -146,11 +146,10 @@ def _filtered_structure(args) -> tuple[PoissonStructure, Optional[tuple[int, ...
     if args.weights is not None and not args.invariant:
         raise CliError("--weights needs --invariant")
     S = _load_structure(args)
-    degrees = S.entry_degrees()
-    if len(degrees) > 1:
-        raise CliError(
-            f"structure entries mix degrees {degrees}; split by degree", MATH_NEGATIVE
-        )
+    try:
+        S.homogeneous_degree()
+    except ValueError as exc:
+        raise CliError(str(exc), MATH_NEGATIVE) from exc
     weights = None
     if args.weights is not None:
         # int reads every Unicode digit and PEP 515 underscores, as in --param

@@ -385,10 +385,10 @@ class GradedSlice(NamedTuple):
 
     Basis elements are (slot tuple, monomial exponents) pairs, slots ascending
     lexicographically and monomials ascending in graded lex order.  A slice
-    is a plain value of its seven fields and keeps nothing else: a slice
-    equals only slices, and assigning, deleting or adding an attribute raises
-    ``AttributeError``.  Positions by code are computed per use
-    (``_packed_index``).
+    is a plain value of its seven fields and keeps nothing else: it compares
+    and hashes as the tuple of those fields, and assigning, deleting or
+    adding an attribute raises ``AttributeError``.  Positions by code are
+    computed per use (``_packed_index``).
     """
 
     n: int
@@ -398,16 +398,6 @@ class GradedSlice(NamedTuple):
     exclude_value_vars: frozenset[int]
     exclude_slot_vars: frozenset[int]
     basis: tuple[tuple[IndexTuple, Exponents], ...]
-
-    # False, not NotImplemented: a plain tuple's reflected __eq__ would then
-    # call a slice equal to the tuple of its fields
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
     @property
     def dim(self) -> int:
@@ -792,9 +782,6 @@ class _SliceCache:
 
     def dim(self, k: int, d: int) -> int:
         return self.counts(d)[k][0] if 0 <= k <= self.S.n else 0
-
-    def block_dim(self, k: int, d: int) -> int:
-        return self.counts(d)[k][1] if 0 <= k <= self.S.n else 0
 
     def outgoing_rank(self, k: int, d: int) -> int:
         """Rank of the coboundary out of slice (k, d): the boundary rank one step up, plus R."""

@@ -37,16 +37,16 @@ homogeneous of degree 2 in the bivector, so L * P has the same verdict and
 obstructions L^2 times those of P (``notes/decisions.md``, entry 6).  The
 trisum adds every product term of a triple straight into one dict and
 divides a nonzero result by L^2, so it returns ``Fraction`` coefficients;
-the form route returns only a boolean.  Their bodies, ``_trisum`` and
-``_forms_integrable``, take the multiple.  ``_integrability`` computes a
-bivector's pass (L, L * P, its trisum obstructions) once, on first use, and
-keeps it on the bivector, so ``poisson.verify``, ``poisson.graded_integrability``,
-both public routes and the coboundary tables of ``cohomology`` all read one
-scaling and one trisum.  The form route is never kept: every call runs it
-afresh on the kept L * P (``notes/decisions.md``, entry 10).
+the form route returns only a boolean.  ``_integrability`` computes a
+bivector's pass (L, L * P, its trisum obstructions through ``_trisum``)
+once, on first use, and keeps it on the bivector, so both public routes and
+the coboundary tables of ``cohomology`` read one scaling and one trisum.
+The form route is never kept: every call runs it afresh on the kept L * P
+(``notes/decisions.md``, entry 10).
 
-The two must always agree; the verification layer aborts if they do not.
-``poisson.graded_integrability`` reads its graded pieces off the trisum too.
+The two must always agree; ``poisson.verify`` calls both public routes and
+aborts if they do not.  ``poisson.graded_integrability`` reads its graded
+pieces off ``jacobi_trisum`` too.
 """
 
 from __future__ import annotations
@@ -324,19 +324,15 @@ def integrability_via_forms(biv: MultiDerivation) -> bool:
 
     Then each triple wedges its merged pairs with Omega, every product term
     added into one ``int`` accumulator; a nonzero coefficient there means the
-    bivector is not Poisson.  The route runs afresh on every call, on the multiple kept
-    by ``_integrability``.
+    bivector is not Poisson.  The route runs afresh on every call, on the
+    multiple L * P kept by ``_integrability``.
     """
     if biv.k != 2:
         raise ValueError("not a bivector")
-    if biv.n < 3:
+    n = biv.n
+    if n < 3:
         raise ValueError("form criterion needs at least three variables")
-    return _forms_integrable(_integrability(biv)[1])
-
-
-def _forms_integrable(multiple: MultiDerivation) -> bool:
-    """``integrability_via_forms`` of a bivector, given its integer multiple."""
-    n = multiple.n
+    multiple = _integrability(biv)[1]
     # omega[pair]: the coefficient of the term of Omega that omits pair, which
     # is L * P_pair with the sign that sorts pair + its complement
     omega = {pair: p.terms if _complement(pair, n)[1] > 0

@@ -16,9 +16,10 @@ Omega_a ^ dOmega_b has coefficient degree a + b - 1, so the pieces are the
 homogeneous components of degrees 3, 0, 1 and 2 of the one product
 Omega ^ dOmega.  On three variables its coefficient is the one Jacobi
 obstruction J_012, so the pieces are read off the trisum; no form is built.
-Both functions read the trisum from the integrability pass the bivector
-keeps (``multivector._integrability``), so ``graded_integrability`` after
-``verify`` on the same bivector scales it and sums the trisum no second time.
+Both functions go through the public routes of ``multivector``:
+``jacobi_trisum`` reads the integrability pass the bivector keeps, so
+``graded_integrability`` after ``verify`` on the same bivector scales it and
+sums the trisum no second time.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import NamedTuple
 
 from .multivector import (
     MultiDerivation,
-    _forms_integrable,
-    _integrability,
     bivector_entry,
+    integrability_via_forms,
+    jacobi_trisum,
 )
 from .poly import Polynomial, format_poly
 
@@ -111,9 +112,7 @@ class PoissonStructure:
         """Common entry degree r; raises if entries are not homogeneous."""
         degs = self.entry_degrees()
         if len(degs) > 1:
-            raise ValueError(
-                f"structure entries mix degrees {degs}; split by degree first"
-            )
+            raise ValueError(f"structure entries mix degrees {degs}; split by degree")
         return degs[0] if degs else 1
 
     def __repr__(self) -> str:
@@ -131,9 +130,9 @@ _VERIFIED_TOKEN = object()
 def verify(bivector: MultiDerivation, first_index: int = 1) -> PoissonStructure:
     """Check integrability by both criteria and wrap the bivector.
 
-    The trisum verdict comes from the bivector's kept integrability pass
-    (``multivector._integrability``: L, L * P and the obstructions, computed
-    on the first call that needs them), and the form route runs afresh on
+    The trisum verdict comes from ``jacobi_trisum``, which reads the
+    obstructions the bivector keeps (computed with L * P on the first call
+    that needs them); for n >= 3 ``integrability_via_forms`` runs afresh on
     the kept L * P at every call, so each verdict is cross-checked.
 
     Raises IntegrabilityError with the first nonzero trisum witness when the
@@ -142,10 +141,10 @@ def verify(bivector: MultiDerivation, first_index: int = 1) -> PoissonStructure:
     """
     if bivector.k != 2:
         raise ValueError("a Poisson structure needs a bivector (k = 2)")
-    _, multiple, obstructions = _integrability(bivector)
+    obstructions = jacobi_trisum(bivector)
     trisum_ok = not obstructions
     if bivector.n >= 3:
-        forms_ok = _forms_integrable(multiple)
+        forms_ok = integrability_via_forms(bivector)
         if forms_ok != trisum_ok:
             raise AssertionError(
                 "internal disagreement between trisum and form criteria: "
@@ -203,7 +202,7 @@ def graded_integrability(bivector: MultiDerivation) -> GradedIntegrabilityReport
         if poly.total_degree() > 2:
             raise ValueError("entries must have degree at most 2")
     # at most one obstruction, that of the triple (0, 1, 2)
-    degrees = {sum(e) for *_, poly in _integrability(bivector)[2] for e in poly.terms}
+    degrees = {sum(e) for *_, poly in jacobi_trisum(bivector) for e in poly.terms}
     return GradedIntegrabilityReport(
         quad_quad=3 not in degrees,
         const_lin=0 not in degrees,

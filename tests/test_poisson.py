@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,35 @@ def test_verify_scales_the_bivector_once(passes):
     assert jacobi_trisum(bad) and not integrability_via_forms(bad)
     assert passes["scaled"] == [third, bad]
     assert [m.values for m in passes["summed"]] == [(third * 3).values, bad.values]
+
+
+def test_verify_enters_both_routes_by_their_public_names(monkeypatch, rng):
+    # a wrapper on jacobi_trisum or integrability_via_forms, put in every
+    # polypoisson module that imported it by name, sees each route verify and
+    # graded_integrability take
+    from polypoisson import multivector
+
+    calls = []
+
+    def counted(name, route):
+        return lambda biv: calls.append(name) or route(biv)
+
+    for name in ("jacobi_trisum", "integrability_via_forms"):
+        route = getattr(multivector, name)
+        wrapper = counted(name, route)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "polypoisson" \
+                    and getattr(module, name, None) is route:
+                monkeypatch.setattr(module, name, wrapper)
+    biv = catalog_bivector("P1")
+    assert verify(biv).verified
+    assert calls == ["jacobi_trisum", "integrability_via_forms"]
+    calls.clear()
+    assert verify(random_bivector(2, 3, rng)).verified
+    assert calls == ["jacobi_trisum"]
+    calls.clear()
+    assert graded_integrability(biv).all_hold
+    assert calls == ["jacobi_trisum"]
 
 
 def test_jacobi_trisum_returns_a_list_of_its_own():

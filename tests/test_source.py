@@ -183,6 +183,25 @@ def test_every_private_function_in_package_source_has_a_caller():
     assert uncalled == []
 
 
+def test_every_method_of_a_private_class_has_a_reader():
+    # a private class is used only inside the package, so a method that no
+    # attribute read in the package names is dead code
+    methods = set()
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and top.name.startswith("_"):
+                methods |= {(path.stem, top.name, node.name) for node in top.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("__")}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert methods
+    unread = sorted(f"{module}.{cls}.{name}" for module, cls, name in methods
+                    if name not in read)
+    assert unread == []
+
+
 def test_catalog_builds_entries_from_tables_only():
     # every entry is data decoded in one pass: catalog.py makes polynomials only
     # through the trusted wrap of a finished coefficient dict, and never
@@ -207,16 +226,13 @@ def test_catalog_builds_entries_from_tables_only():
 
 
 def test_form_route_triple_loop_reads_tables_only():
-    # the form route (integrability_via_forms, whose body is _forms_integrable)
-    # keys Omega by omitted pair once per call and then starts from its terms,
-    # so a term, a partial or a triple costs lookups: no complement and no form
-    # operation runs inside the per-term loop or the per-triple wedge after it
+    # the form route (integrability_via_forms) keys Omega by omitted pair once
+    # per call and then starts from its terms, so a term, a partial or a triple
+    # costs lookups: no complement and no form operation runs inside the
+    # per-term loop or the per-triple wedge after it
     tree = ast.parse((SRC / "multivector.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert "_forms_integrable" in {_called_name(node) for node in
-                                   ast.walk(functions["integrability_via_forms"])
-                                   if isinstance(node, ast.Call)}
-    route = functions["_forms_integrable"]
+    route = functions["integrability_via_forms"]
 
     def loops_over(table, method):
         return [node for node in route.body if isinstance(node, ast.For)
@@ -276,7 +292,7 @@ def test_integrability_builds_no_exterior_form():
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         functions.update((node.name, node) for node in tree.body
                          if isinstance(node, ast.FunctionDef))
-    for name in ("graded_integrability", "_forms_integrable"):
+    for name in ("graded_integrability", "integrability_via_forms"):
         called = {_called_name(node) for node in ast.walk(functions[name])
                   if isinstance(node, ast.Call)}
         assert called, name
